@@ -34,4 +34,6 @@ for name in ("probit", "levelset"):
               f"{e['mean_discrepancy']:11.4f} {e['max_excess_over_3se']:11.4f}")
 
 print("\ndiscrepancy vs the indicator chain shrinks as gamma -> 0")
+print("excess>3SE: largest amount by which a node's discrepancy exceeds 3 "
+      "combined standard errors (0: every node inside its band)")
 print(f"table written to {out}/smallnoise.csv")

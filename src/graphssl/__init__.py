@@ -17,7 +17,8 @@ The package provides:
 """
 
 from graphssl.density import Density, PointCloud, eval_density, sample_cloud
-from graphssl.graph import Kernel, WeightedGraph, kernel_constants, build_graph, laplacian
+from graphssl.graph import (Kernel, NeighborPairs, WeightedGraph, kernel_constants, build_graph,
+                            laplacian, neighbor_pairs)
 from graphssl.spectral import (
     EigenDecomposition,
     FractionalOperator,
@@ -43,6 +44,7 @@ from graphssl.models import (
     ProbitPotential,
     LevelSetPotential,
     MapSolverConfig,
+    PoweredFactor,
     log_psi,
     probit_objective,
     probit_map,
@@ -60,11 +62,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Density", "PointCloud", "eval_density", "sample_cloud",
     "Kernel", "WeightedGraph", "kernel_constants", "build_graph", "laplacian",
+    "NeighborPairs", "neighbor_pairs",
     "EigenDecomposition", "FractionalOperator", "decompose", "decompose_graph",
     "apply_power", "quadratic_form", "sample_prior", "sobolev_norm", "weyl_exponent",
     "Grid", "ContinuumOperator", "discretize", "interpolate_to_points", "fiedler_vector",
     "Ball", "Box", "LabelSet", "Model1Spec", "Model2Spec", "assign_labels", "sign",
-    "ProbitPotential", "LevelSetPotential", "MapSolverConfig", "log_psi",
+    "ProbitPotential", "LevelSetPotential", "MapSolverConfig", "PoweredFactor", "log_psi",
     "probit_objective", "probit_map", "sparse_krige", "sparse_probit_map",
     "levelset_objective", "krige", "continuum_probit_map",
     "PcnConfig", "Chain", "pcn_step", "run_pcn", "classification_stats", "small_noise_agreement",

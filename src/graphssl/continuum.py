@@ -11,7 +11,6 @@ realized as diag(rho^{-1/2}) L diag(rho^{-1/2}).
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
@@ -68,14 +67,6 @@ class ContinuumOperator:
         if key not in self._eig_cache:
             self._eig_cache[key] = decompose(self.matrix, weights=self.weights, m=m)
         return self._eig_cache[key]
-
-    def export_grid_function(self, u: np.ndarray, path) -> None:
-        coords = self.grid.coordinates()
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow([f"x{i+1}" for i in range(self.grid.dim)] + ["value"])
-            for x, v in zip(coords, u):
-                w.writerow([f"{c:.17g}" for c in x] + [f"{v:.17g}"])
 
 
 def discretize(rho: Density, N: int, normalized: bool = False) -> ContinuumOperator:

@@ -29,11 +29,12 @@ import numpy as np
 
 from graphssl.continuum import ContinuumOperator, discretize, fiedler_vector
 from graphssl.density import Density, sample_cloud
-from graphssl.graph import Kernel, build_graph
+from graphssl.graph import Kernel, build_graph, neighbor_pairs
 from graphssl.labels import Ball, Model1Spec, Model2Spec, assign_labels, sign
 from graphssl.models import (
     IndicatorPotential,
     LevelSetPotential,
+    PoweredFactor,
     ProbitPotential,
     continuum_krige,
     continuum_labeled_nodes,
@@ -458,10 +459,14 @@ def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
             warnings.simplefilter("ignore")
             cloud, labels = assign_labels(cloud, spec)
             errs = {m: np.full(len(eps_grid), np.nan) for m in models}
-            for k, eps in enumerate(eps_grid):
-                g = build_graph(cloud, Kernel(epsilon=eps, dim=2))
+            kernels = [Kernel(epsilon=eps, dim=2) for eps in eps_grid]
+            # one range search at the largest radius serves the whole sweep
+            neighbors = neighbor_pairs(cloud, max(kern.radius for kern in kernels))
+            for k, kern in enumerate(kernels):
+                g = build_graph(cloud, kern, neighbors)
                 if use_sparse:
                     base = laplacian(g) * g.s_n
+                    factor = None  # one factorization serves both models
                     prior = None
                 else:
                     try:
@@ -472,17 +477,20 @@ def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
                                                tau=p["tau"], scale=g.s_n)
                 for m in models:
                     try:
+                        if use_sparse and factor is None:
+                            factor = PoweredFactor(base, int(p["alpha"]), p["tau"])
                         if m == "krige":
                             if use_sparse:
                                 u = sparse_krige(base, int(p["alpha"]), p["tau"],
-                                                 labels.indices, labels.y)
+                                                 labels.indices, labels.y, factor)
                             else:
                                 u = krige(prior, labels)
                         else:
                             pot = ProbitPotential.for_graph(labels, p["gamma"])
                             if use_sparse:
                                 u = sparse_probit_map(base, np.full(n, 1.0 / n),
-                                                      int(p["alpha"]), p["tau"], pot)
+                                                      int(p["alpha"]), p["tau"], pot,
+                                                      factor=factor)
                             else:
                                 u = probit_map(prior, pot)
                         grid, u_ref = refs[m]

@@ -74,6 +74,11 @@ class Kernel:
         if not np.isfinite(tail):
             raise KernelValidationError("second radial moment diverges")
 
+    @property
+    def radius(self) -> float:
+        """Neighbor-search radius: epsilon times the profile support."""
+        return self.epsilon * (self.support if np.isfinite(self.support) else 1.0)
+
     def weight(self, dist: np.ndarray) -> np.ndarray:
         """eta_eps(dist) = eps^{-d} eta(dist/eps)."""
         return self.epsilon ** (-self.dim) * self.eta(dist / self.epsilon)
@@ -132,29 +137,62 @@ class WeightedGraph:
                 f.write(f"{i} {j} {w:.17g}\n")
 
 
-def build_graph(cloud: PointCloud, k: Kernel) -> WeightedGraph:
+@dataclass(frozen=True)
+class NeighborPairs:
+    """Point pairs i < j of a cloud within ``radius``, sorted by (i, j),
+    with their distances.
+
+    One range search at the largest radius of an epsilon sweep serves every
+    graph of the sweep: `build_graph` takes the pairs within its own radius.
+    """
+
+    cloud: PointCloud
+    radius: float
+    i: np.ndarray
+    j: np.ndarray
+    dists: np.ndarray
+
+
+def neighbor_pairs(cloud: PointCloud, radius: float) -> NeighborPairs:
+    """Fixed-radius range search, sorted by node index."""
+    pts = cloud.points
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    i, j = np.divmod(np.sort(pairs[:, 0] * cloud.n + pairs[:, 1]), cloud.n)
+    dists = np.linalg.norm(pts[i] - pts[j], axis=1)
+    return NeighborPairs(cloud=cloud, radius=radius, i=i, j=j, dists=dists)
+
+
+def build_graph(cloud: PointCloud, k: Kernel,
+                neighbors: NeighborPairs | None = None) -> WeightedGraph:
     """Assemble the weighted graph by fixed-radius range search.
 
-    The search radius is epsilon times the profile support.  Weights are
-    stored as a symmetric CSR matrix built from the upper triangle so that
-    W = W^T holds bit-exactly.
+    The search radius is epsilon times the profile support.  ``neighbors``,
+    from `neighbor_pairs` on the same cloud at a radius at least as large,
+    replaces the search.  Weights are stored as a symmetric CSR matrix built
+    from the upper triangle so that W = W^T holds bit-exactly.
     """
-    pts = cloud.points
     n = cloud.n
-    radius = k.epsilon * (k.support if np.isfinite(k.support) else 1.0)
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(radius, output_type="ndarray")
-    if len(pairs):
-        dists = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-        vals = k.weight(dists)
-        keep = vals > 0
-        pairs, vals = pairs[keep], vals[keep]
-    else:
-        vals = np.empty(0)
+    radius = k.radius
+    if neighbors is None:
+        neighbors = neighbor_pairs(cloud, radius)
+    elif neighbors.cloud is not cloud or neighbors.radius < radius:
+        raise ValueError("neighbor pairs must come from the same cloud at a "
+                         "radius at least the kernel's")
+    i, j, dists = neighbors.i, neighbors.j, neighbors.dists
+    if radius < neighbors.radius:
+        inside = dists <= radius
+        i, j, dists = i[inside], j[inside], dists[inside]
+    vals = k.weight(dists)
+    keep = vals > 0
+    i, j, vals = i[keep], j[keep], vals[keep]
     loop = k.weight(np.zeros(n))
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n)]) if len(pairs) else np.arange(n)
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(n)]) if len(pairs) else np.arange(n)
-    data = np.concatenate([vals, vals, loop]) if len(pairs) else loop
+    # lower triangle, diagonal, upper triangle: with pairs sorted by (i, j)
+    # every row's columns arrive in ascending order, so the CSR matrix needs
+    # no index sort
+    diag = np.arange(n)
+    rows = np.concatenate([j, diag, i])
+    cols = np.concatenate([i, diag, j])
+    data = np.concatenate([vals, loop, vals])
     W = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
     degrees = np.asarray(W.sum(axis=1)).ravel()
 

@@ -18,10 +18,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.special import erfc
+from scipy.special import erfc, log_ndtr
 
 from graphssl.continuum import ContinuumOperator
-from graphssl.labels import LabelSet, Model1Spec, Model2Spec, sign
+from graphssl.labels import LabelSet, Model1Spec, Model2Spec
 from graphssl.spectral import FractionalOperator, quadratic_form
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -82,6 +82,8 @@ def psi_ratio(v, gamma: float = 1.0):
     Computed as exp(log pdf - log cdf); stays finite far into the left tail
     where both factors underflow individually.
     """
+    # Keeps log_psi rather than log_ndtr: an ulp-level change here flips the
+    # signs of channel MAP nodes whose value is zero up to roundoff.
     z = np.asarray(v, dtype=float) / gamma
     log_pdf = -0.5 * z * z - _LOG_SQRT_2PI
     return np.exp(log_pdf - np.asarray(log_psi(v, gamma))) / gamma
@@ -110,11 +112,12 @@ class ProbitPotential:
         return cls(gamma=gamma, indices=labels.indices, y=labels.y, weights=w)
 
     def value(self, u: np.ndarray) -> float:
-        ul = u[self.indices]
-        return float(-np.sum(self.weights * log_psi(self.y * ul, self.gamma)))
+        return self.value_at_labeled(u[self.indices])
 
     def value_at_labeled(self, ul: np.ndarray) -> float:
-        return float(-np.sum(self.weights * log_psi(self.y * ul, self.gamma)))
+        # log_ndtr is one ufunc call where log_psi makes about fifteen numpy
+        # calls; this value is evaluated once per pCN step
+        return -float(self.weights.dot(log_ndtr(self.y * ul / self.gamma)))
 
     def grad_at_labeled(self, ul: np.ndarray) -> np.ndarray:
         """d/du_j of the weighted potential, evaluated at labeled coordinates."""
@@ -145,7 +148,7 @@ class LevelSetPotential:
         return self.value_at_labeled(u[self.indices])
 
     def value_at_labeled(self, ul: np.ndarray) -> float:
-        misfit = np.abs(self.y - sign(ul)) ** 2
+        misfit = (self.y - np.sign(ul)) ** 2
         return float(np.sum(self.weights * misfit) / (2.0 * self.gamma ** 2))
 
 
@@ -164,7 +167,7 @@ class IndicatorPotential:
         return self.value_at_labeled(u[self.indices])
 
     def value_at_labeled(self, ul: np.ndarray) -> float:
-        return 0.0 if np.all(self.y * ul > 0) else math.inf
+        return 0.0 if (self.y * ul > 0).all() else math.inf
 
 
 def continuum_labeled_nodes(op: ContinuumOperator, spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,6 +262,7 @@ def probit_map(prior: FractionalOperator, pot: ProbitPotential,
         return float(0.5 * np.sum(lam_pow * a ** 2)) + pot.value_at_labeled(Q_lab @ a)
 
     a = np.zeros(eig.m) if init is None else eig.coeffs(init)
+    J = objective(a)
     residual = math.inf
     for _ in range(cfg.max_iter):
         ul = Q_lab @ a
@@ -280,7 +284,7 @@ def probit_map(prior: FractionalOperator, pot: ProbitPotential,
             H = np.diag(lam_pow) + (Q_lab.T * curv[None, :]) @ Q_lab
             delta = -scipy.linalg.solve(H, g, assume_a="pos")
         decrement = float(np.sqrt(max(-np.dot(g, delta), 0.0)))
-        t, a, _ = _armijo(objective, a, delta, objective(a), float(np.dot(g, delta)))
+        t, a, J = _armijo(objective, a, delta, J, float(np.dot(g, delta)))
         residual = float(t * np.linalg.norm(delta))
         if residual <= cfg.tol or decrement <= cfg.tol:
             return eig.reconstruct(a)
@@ -327,50 +331,69 @@ def _solve_gram(gram: np.ndarray, y: np.ndarray, **kwargs) -> np.ndarray:
 _DENSE_FILL = 0.05  # above this nonzero fraction, dense Cholesky beats sparse LU
 
 
-def _powered_solver(matrix, alpha: int, tau: float):
-    """Factor A1 = matrix + tau^2 I once; return (A1, solve of A1^alpha).
+class PoweredFactor:
+    """A1 = matrix + tau^2 I factored once, with solves of A1^alpha.
 
     Sparse LU when the operator is truly sparse, dense Cholesky when fill-in
-    would dominate (large-radius graphs are nearly complete).  The returned
-    solve applies the single-factor inverse alpha times, which bounds rounding
-    at large alpha.
+    would dominate (large-radius graphs are nearly complete).  ``solve``
+    applies the single-factor inverse alpha times, which bounds rounding at
+    large alpha.  One factor can serve the kriging and probit solvers of the
+    same operator (pass it as ``factor``); ``unit_solves`` caches A1^-alpha
+    applied to the unit vectors of a label set for them.
     """
-    n = matrix.shape[0]
-    A1 = (sp.csr_matrix(matrix) + tau ** 2 * sp.identity(n, format="csr")).tocsr()
-    if A1.nnz > _DENSE_FILL * n * n:
-        factor = scipy.linalg.cho_factor(A1.toarray())
 
-        def solve1(v):
-            return scipy.linalg.cho_solve(factor, v)
-    else:
-        solve1 = spla.splu(A1.tocsc()).solve
+    def __init__(self, matrix, alpha: int, tau: float):
+        n = matrix.shape[0]
+        self.alpha = int(alpha)
+        self.A1 = (sp.csr_matrix(matrix) + tau ** 2 * sp.identity(n, format="csr")).tocsr()
+        if self.A1.nnz > _DENSE_FILL * n * n:
+            factor = scipy.linalg.cho_factor(self.A1.toarray())
 
-    def solve_powered(v):
-        for _ in range(int(alpha)):
-            v = solve1(v)
+            def solve1(v):
+                # the factor is finite once computed; only the right-hand
+                # side needs the finiteness check
+                return scipy.linalg.cho_solve(factor, np.asarray_chkfinite(v),
+                                              check_finite=False)
+        else:
+            solve1 = spla.splu(self.A1.tocsc()).solve
+        self._solve1 = solve1
+        self._units = {}
+
+    def solve(self, v):
+        for _ in range(self.alpha):
+            v = self._solve1(v)
         return v
 
-    return A1, solve_powered
+    def unit_solves(self, indices: np.ndarray) -> np.ndarray:
+        """Columns A1^-alpha e_j for the labeled nodes j (n x len(indices))."""
+        key = tuple(int(i) for i in indices)
+        if key not in self._units:
+            n = self.A1.shape[0]
+            rhs = np.zeros((n, len(key)))
+            rhs[list(key), np.arange(len(key))] = 1.0
+            self._units[key] = np.column_stack(
+                [self.solve(rhs[:, j]) for j in range(len(key))])
+        return self._units[key]
 
 
 def sparse_krige(matrix, alpha: int, tau: float,
-                 indices: np.ndarray, y: np.ndarray) -> np.ndarray:
+                 indices: np.ndarray, y: np.ndarray,
+                 factor: PoweredFactor | None = None) -> np.ndarray:
     """Minimum-energy interpolation via factored solves (integer alpha).
 
     ``matrix`` is the scaled sparse base operator; the closed form
     u = A^{-1} R* (R A^{-1} R*)^{-1} y is evaluated by applying the factors
     of (matrix + tau^2 I) alpha times to unit node vectors.  The interpolant
     is invariant to the inner-product convention of the evaluation adjoint.
+    ``factor`` is a `PoweredFactor` of the same (matrix, alpha, tau).
     """
     if not float(alpha).is_integer() or alpha < 1:
         raise ValueError("sparse solvers require integer alpha >= 1")
     indices = np.asarray(indices)
     y = np.asarray(y, dtype=float)
-    n = matrix.shape[0]
-    _, solve_powered = _powered_solver(matrix, int(alpha), tau)
-    rhs = np.zeros((n, len(indices)))
-    rhs[indices, np.arange(len(indices))] = 1.0
-    B = np.column_stack([solve_powered(rhs[:, j]) for j in range(rhs.shape[1])])
+    if factor is None:
+        factor = PoweredFactor(matrix, int(alpha), tau)
+    B = factor.unit_solves(indices)
     gram = B[indices, :]
     c = _solve_gram(gram, y)
     return B @ c
@@ -378,7 +401,8 @@ def sparse_krige(matrix, alpha: int, tau: float,
 
 def sparse_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
                       pot: ProbitPotential, cfg: MapSolverConfig | None = None,
-                      init: np.ndarray | None = None) -> np.ndarray:
+                      init: np.ndarray | None = None,
+                      factor: PoweredFactor | None = None) -> np.ndarray:
     """Damped Newton minimization of the probit objective in node space.
 
     ``matrix`` is the (already scaled) sparse base operator and ``weights``
@@ -391,7 +415,8 @@ def sparse_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
     uses a Woodbury update of the once-factored prior operator; with many
     labels (continuum label regions) the full Hessian is refactored per step.
     Termination uses the Newton decrement, which is invariant to the extreme
-    scale spread of the powered operator.
+    scale spread of the powered operator.  ``factor`` is a `PoweredFactor` of
+    the same (matrix, alpha, tau).
     """
     if not float(alpha).is_integer() or alpha < 1:
         raise ValueError("sparse solvers require integer alpha >= 1")
@@ -400,7 +425,9 @@ def sparse_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
     w = np.asarray(weights, dtype=float)
     idx = pot.indices
     n_lab = len(idx)
-    A1, solve_powered = _powered_solver(matrix, int(alpha), tau)
+    if factor is None:
+        factor = PoweredFactor(matrix, int(alpha), tau)
+    A1, solve_powered = factor.A1, factor.solve
     use_woodbury = n_lab * n_lab <= n
 
     def apply_A(v):  # nested applications limit rounding at large alpha
@@ -409,17 +436,19 @@ def sparse_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
         return v
 
     if use_woodbury:
-        rhs = np.zeros((n, n_lab))
-        rhs[idx, np.arange(n_lab)] = 1.0
-        AiE = np.column_stack([solve_powered(rhs[:, j]) for j in range(n_lab)])
+        AiE = factor.unit_solves(idx)
         gram_lab = AiE[idx, :]  # E^T A^{-1} E
     else:
         A = A1
         for _ in range(int(alpha) - 1):
             A = (A @ A1).tocsr()
 
-    def objective(u, ul):
-        return 0.5 * float(np.sum(w * u * apply_A(u))) + pot.value_at_labeled(ul)
+    Av = None  # A v at the last objective evaluation: the next gradient
+
+    def objective(v):
+        nonlocal Av
+        Av = apply_A(v)
+        return 0.5 * float(np.sum(w * v * Av)) + pot.value_at_labeled(v[idx])
 
     def hessian_solve(grad, curv):
         if not use_woodbury:
@@ -435,17 +464,18 @@ def sparse_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
         return -(g1 - AiE[:, active] @ c)
 
     u = np.zeros(n) if init is None else np.asarray(init, dtype=float).copy()
+    J = objective(u)
     residual = math.inf
     for _ in range(cfg.max_iter):
         ul = u[idx]
-        grad = apply_A(u)
+        # the line search last evaluated the objective at u, so Av = A u
+        grad = Av
         grad[idx] += pot.grad_at_labeled(ul) / w[idx]
         curv = pot.curvature_at_labeled(ul) / w[idx]
         delta = hessian_solve(grad, curv)
-        decrement = float(np.sqrt(max(-np.sum(w * grad * delta), 0.0)))
         slope = float(np.sum(w * grad * delta))
-        t, u, _ = _armijo(lambda v: objective(v, v[idx]), u, delta,
-                          objective(u, ul), slope)
+        decrement = math.sqrt(max(-slope, 0.0))
+        t, u, J = _armijo(objective, u, delta, J, slope)
         residual = float(np.sqrt(np.sum(w * (t * delta) ** 2)))
         if residual <= cfg.tol or decrement <= cfg.tol:
             return u

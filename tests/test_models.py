@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +18,9 @@ from graphssl.models import (
     LevelSetPotential,
     MapSolverConfig,
     MapSolverError,
+    PoweredFactor,
     ProbitPotential,
+    _armijo,
     continuum_krige,
     continuum_labeled_nodes,
     continuum_probit_map,
@@ -215,6 +222,103 @@ class TestProbitMap:
             avg = 0.5 * (probit_objective(u, prior, pot) + probit_objective(v, prior, pot))
             assert mid < avg
 
+
+def _reference_sparse_probit_map(base, w, alpha, tau, pot, tol=1e-8, max_iter=200):
+    """The two-label node-space Newton loop written out plainly: its own
+    factorization, and the gradient and the objective at the current point
+    recomputed at the top of every iteration."""
+    n = base.shape[0]
+    idx = pot.indices
+    A1 = (sp.csr_matrix(base) + tau ** 2 * sp.identity(n, format="csr")).tocsr()
+    if A1.nnz > 0.05 * n * n:
+        chol = scipy.linalg.cho_factor(A1.toarray())
+
+        def solve1(v):
+            return scipy.linalg.cho_solve(chol, v)
+    else:
+        solve1 = spla.splu(A1.tocsc()).solve
+
+    def solve(v):
+        for _ in range(alpha):
+            v = solve1(v)
+        return v
+
+    def apply_A(v):
+        for _ in range(alpha):
+            v = A1 @ v
+        return v
+
+    def objective(v):
+        return 0.5 * float(np.sum(w * v * apply_A(v))) + pot.value_at_labeled(v[idx])
+
+    rhs = np.zeros((n, len(idx)))
+    rhs[idx, np.arange(len(idx))] = 1.0
+    AiE = np.column_stack([solve(rhs[:, j]) for j in range(len(idx))])
+    u = np.zeros(n)
+    for _ in range(max_iter):
+        ul = u[idx]
+        grad = apply_A(u)
+        grad[idx] += pot.grad_at_labeled(ul) / w[idx]
+        curv = pot.curvature_at_labeled(ul) / w[idx]
+        g1 = solve(grad)
+        active = curv > 0
+        M = np.diag(1.0 / curv[active]) + AiE[idx, :][np.ix_(active, active)]
+        c = scipy.linalg.solve(M, g1[idx[active]], assume_a="pos")
+        delta = -(g1 - AiE[:, active] @ c)
+        slope = float(np.sum(w * grad * delta))
+        t, u, _ = _armijo(objective, u, delta, objective(u), slope)
+        residual = float(np.sqrt(np.sum(w * (t * delta) ** 2)))
+        if residual <= tol or math.sqrt(max(-slope, 0.0)) <= tol:
+            return u
+    raise AssertionError("reference loop did not converge")
+
+
+class TestPoweredFactor:
+    """One factorization shared by the kriging and probit solvers."""
+
+    # epsilon 0.1 keeps A1 below the dense-fill threshold (SuperLU),
+    # 0.25 puts it above (dense Cholesky)
+    @pytest.mark.filterwarnings("ignore:graph is disconnected")
+    @pytest.mark.parametrize("eps, dense", [(0.1, False), (0.25, True)])
+    def test_shared_factor_matches_reference_loop(self, small_graph, eps, dense):
+        graph, labels = small_graph
+        g = build_graph(graph.cloud, Kernel(epsilon=eps, dim=2))
+        base = laplacian(g) * g.s_n
+        w = np.full(g.n, 1.0 / g.n)
+        pot = ProbitPotential.for_graph(labels, 0.01)
+        ref = _reference_sparse_probit_map(base, w, 2, 1.0, pot)
+        factor = PoweredFactor(base, 2, 1.0)
+        assert (factor.A1.nnz > 0.05 * g.n ** 2) == dense
+        u_krige = sparse_krige(base, 2, 1.0, labels.indices, labels.y, factor)
+        u_shared = sparse_probit_map(base, w, 2, 1.0, pot, factor=factor)
+        # bit for bit: sharing the factor and reusing the line search's last
+        # objective evaluation change no arithmetic
+        assert np.array_equal(u_shared, ref)
+        assert np.array_equal(sparse_probit_map(base, w, 2, 1.0, pot), ref)
+        assert np.array_equal(
+            u_krige, sparse_krige(base, 2, 1.0, labels.indices, labels.y))
+        assert np.allclose(u_krige[labels.indices], labels.y, atol=1e-10)
+
+    def test_unit_solves_cached_per_label_set(self, small_graph):
+        graph, labels = small_graph
+        factor = PoweredFactor(laplacian(graph) * graph.s_n, 2, 1.0)
+        B = factor.unit_solves(labels.indices)
+        assert factor.unit_solves(labels.indices) is B
+        other = np.array([3, 11, 40])
+        B2 = factor.unit_solves(other)
+        A2 = (factor.A1 @ factor.A1).toarray()
+        assert np.allclose(A2 @ B2, np.eye(graph.n)[:, other], atol=1e-10)
+
+    def test_dense_solve_rejects_nonfinite_rhs(self, small_graph):
+        # the Cholesky solve skips re-checking its finite factor but still
+        # checks the right-hand side, as scipy's default check did
+        graph, _ = small_graph
+        factor = PoweredFactor(laplacian(graph) * graph.s_n, 2, 1.0)
+        assert factor.A1.nnz > 0.05 * graph.n ** 2
+        v = np.ones(graph.n)
+        v[5] = np.nan
+        with pytest.raises(ValueError):
+            factor.solve(v)
 
 class TestLevelSetScaling:
     def test_zero_misfit_rescaling_decreases_objective(self, small_graph):

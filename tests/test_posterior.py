@@ -1,10 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphssl.density import Density, sample_cloud
 from graphssl.graph import Kernel, build_graph
-from graphssl.labels import Model2Spec, assign_labels
-from graphssl.models import IndicatorPotential, LevelSetPotential, ProbitPotential, krige
+from graphssl.labels import Model2Spec, assign_labels, sign
+from graphssl.models import (
+    IndicatorPotential,
+    LevelSetPotential,
+    ProbitPotential,
+    krige,
+    log_psi,
+)
 from graphssl.posterior import (
     PcnConfig,
     classification_stats,
@@ -58,6 +68,97 @@ class TestPcnMechanics:
         cfg = PcnConfig(beta=0.5, iterations=3000, burn_in=0, thinning=10)
         chain = run_pcn(prior, _free_potential(), cfg)
         assert chain.acceptance_rate == 1.0
+
+
+def _reference_pcn(prior, value, indices, cfg, r=1.0, init=None):
+    """Plain pCN loop with the potential value passed in: sqrt(1 - beta^2)
+    per step, draws and accept rule in the same order as run_pcn.
+    Returns (accepted, steps, sum_sign, final coefficients)."""
+    eig = prior.eig
+    rng = np.random.default_rng(cfg.seed)
+    std = prior_std(prior, r)
+    Q_lab = eig.vectors[indices, :]
+    a = np.zeros(eig.m) if init is None else eig.coeffs(init)
+    phi = value(Q_lab @ a)
+    accepted = 0
+    sum_sign = np.zeros(eig.vectors.shape[0])
+    for it in range(cfg.iterations):
+        xi = std * rng.standard_normal(len(a))
+        proposal = math.sqrt(1.0 - cfg.beta ** 2) * a + cfg.beta * xi
+        phi_new = value(Q_lab @ proposal)
+        log_u = math.log(rng.uniform())
+        if phi_new - phi < -log_u:
+            a, phi = proposal, phi_new
+            accepted += 1
+        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
+            sum_sign += sign(eig.reconstruct(a))
+    return accepted, cfg.iterations, sum_sign, a
+
+
+class TestReferenceChain:
+    """run_pcn must reproduce the reference loop step for step: same draws,
+    same accept decisions, same recorded sign sums, and a bit-identical
+    final state (the proposal arithmetic is unchanged)."""
+
+    CFG = PcnConfig(beta=0.3, iterations=3000, burn_in=300, thinning=5, seed=4)
+
+    @staticmethod
+    def _setup(small_graph):
+        graph, labels = small_graph
+        eig = decompose_graph(graph)
+        return labels, FractionalOperator(eig, alpha=2.0, tau=1.0, scale=graph.s_n)
+
+    def _check(self, prior, pot, value, r=1.0, init=None):
+        chain = run_pcn(prior, pot, self.CFG, r=r, init=init)
+        accepted, steps, sum_sign, coeffs = _reference_pcn(
+            prior, value, pot.indices, self.CFG, r=r, init=init)
+        assert 0 < chain.accepted < steps
+        assert chain.accepted == accepted
+        assert chain.steps == steps
+        assert np.array_equal(chain.sum_sign, sum_sign)
+        assert np.array_equal(chain.coeffs, coeffs)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e-4])
+    def test_probit(self, small_graph, gamma):
+        labels, prior = self._setup(small_graph)
+        pot = ProbitPotential.for_graph(labels, gamma)
+
+        def value(ul):
+            return float(-np.sum(pot.weights * log_psi(pot.y * ul, gamma)))
+
+        self._check(prior, pot, value, r=labels.r_n)
+
+    def test_levelset(self, small_graph):
+        labels, prior = self._setup(small_graph)
+        pot = LevelSetPotential.for_graph(labels, 0.1)
+
+        def value(ul):
+            misfit = np.abs(pot.y - sign(ul)) ** 2
+            return float(np.sum(pot.weights * misfit) / (2.0 * 0.1 ** 2))
+
+        self._check(prior, pot, value)
+
+    def test_indicator(self, small_graph):
+        labels, prior = self._setup(small_graph)
+        pot = IndicatorPotential.for_graph(labels)
+
+        def value(ul):
+            return 0.0 if np.all(pot.y * ul > 0) else math.inf
+
+        self._check(prior, pot, value, init=krige(prior, labels))
+
+
+@settings(deadline=None, max_examples=200)
+@given(labels=st.lists(st.tuples(st.floats(-40.0, 10.0), st.sampled_from([-1.0, 1.0]),
+                                  st.floats(0.01, 100.0)), min_size=1, max_size=6),
+       gamma=st.floats(1e-4, 10.0))
+def test_probit_value_matches_log_psi(labels, gamma):
+    # z = y u / gamma spans the deep tail, the central regime and Phi -> 1
+    z, y, w = map(np.array, zip(*labels))
+    ul = y * z * gamma
+    pot = ProbitPotential(gamma=gamma, indices=np.arange(len(z)), y=y, weights=w)
+    ref = -np.sum(w * log_psi(y * ul, gamma))
+    assert pot.value_at_labeled(ul) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 class TestPriorPreservation:
