@@ -23,7 +23,6 @@ out = Path("demo_output/sweet_spot")
 cfg = ExperimentConfig(
     experiment="rates-krige",
     out_dir=out,
-    threads=4,
     params={"n_values": [400, 1600], "n_seeds": 3, "eps_count": 40},
 )
 result = run(cfg)

@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default results/<experiment>)")
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for sweep points")
+                        help="accepted and echoed; runs nothing in parallel")
     return parser
 
 

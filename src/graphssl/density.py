@@ -8,7 +8,6 @@ two arcs with a configurable contrast ratio.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -191,20 +190,6 @@ class PointCloud:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def to_csv(self, path, labels: np.ndarray | None = None) -> None:
-        """Write one point per row; optionally an extra label column (0 = unlabeled)."""
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            header = [f"x{i+1}" for i in range(self.dim)]
-            if labels is not None:
-                header.append("label")
-            w.writerow(header)
-            for i in range(self.n):
-                row = [f"{v:.17g}" for v in self.points[i]]
-                if labels is not None:
-                    row.append(str(int(labels[i])))
-                w.writerow(row)
 
 
 def eval_density(rho: Density, x) -> float | np.ndarray:

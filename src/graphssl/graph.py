@@ -129,13 +129,6 @@ class WeightedGraph:
     def n(self) -> int:
         return self.cloud.n
 
-    def export_weights(self, path) -> None:
-        """Coordinate-triplet text dump (i, j, w_ij) of the upper triangle."""
-        coo = sp.triu(self.weights).tocoo()
-        with open(path, "w") as f:
-            for i, j, w in zip(coo.row, coo.col, coo.data):
-                f.write(f"{i} {j} {w:.17g}\n")
-
 
 @dataclass(frozen=True)
 class NeighborPairs:

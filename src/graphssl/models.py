@@ -3,16 +3,27 @@
 Potentials act on the labeled coordinates of a latent vector; each labeled
 point carries a multiplier that absorbs the fidelity weight r_n (graph
 setting) or the quadrature weight of the label region (continuum setting).
-MAP estimation uses damped Newton: in spectral coordinates on graphs (the
-prior term is diagonal there and the misfit Hessian is low rank), and in node
-space with sparse factorizations for continuum grids at integer alpha.
+
+On graphs every solve runs in label space: the potentials see u only at the
+L labeled nodes, so the minimizer of 1/2 <u, A u>_w + Phi(Ru) is u = K c with
+K = A^-1 W^-1 R* and c in R^L.  With G = R K, kriging is u = K G^-1 y (the
+closed form A^-1 R* (R A^-1 R*)^-1 y) and the probit MAP minimizes
+1/2 c^T G c + Phi(G c) by damped Newton.  A backend supplies G and c -> K c,
+from eigenpairs (`krige`, `probit_map`) or from one factorization at integer
+alpha (`sparse_krige`, `sparse_probit_map`).
+
+`continuum_probit_map` at integer alpha keeps a node-space Newton loop.
+Channel fields have nodes whose value is zero up to roundoff; stored
+references pin their signs, so that loop keeps its exact arithmetic until
+those references are regenerated.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -218,7 +229,8 @@ class MapSolverConfig:
 
 
 class MapSolverError(RuntimeError):
-    """Iteration budget exhausted; carries the last iterate and residual."""
+    """Iteration budget or line search exhausted; carries the last iterate
+    and residual (the Newton decrement, or the node-space step norm)."""
 
     def __init__(self, iterate: np.ndarray, residual: float):
         super().__init__(f"MAP solver did not converge, residual {residual:.3e}")
@@ -227,7 +239,8 @@ class MapSolverError(RuntimeError):
 
 
 def _armijo(objective, x, delta, J0, slope, scale=1e-12):
-    """Backtracking line search; returns (step length, new point, new value)."""
+    """Backtracking line search: (step length, new point, new value), or
+    None when no step length down to 1e-12 satisfies the Armijo condition."""
     t = 1.0
     while t > 1e-12:
         x_new = x + t * delta
@@ -235,60 +248,92 @@ def _armijo(objective, x, delta, J0, slope, scale=1e-12):
         if J_new <= J0 + 1e-4 * t * slope + scale * abs(J0):
             return t, x_new, J_new
         t *= 0.5
-    return t, x + t * delta, objective(x + t * delta)
+    return None
+
+
+@dataclass(frozen=True)
+class _LabelSpace:
+    """G = R K, the map c -> K c for K = A^-1 W^-1 R*, and the structure
+    the Gram solve assumes."""
+
+    gram: np.ndarray
+    apply: Callable[[np.ndarray], np.ndarray]
+    assume_a: str | None = None
+
+
+def _spectral_space(prior: FractionalOperator, indices: np.ndarray) -> _LabelSpace:
+    """K = Q diag(lam^-alpha) Q_lab^T from eigenpairs orthonormal in <.,.>_w."""
+    eig = prior.eig
+    lam_inv = prior.powered(-1.0)
+    Q_lab = eig.vectors[indices, :]
+    return _LabelSpace(gram=(Q_lab * lam_inv[None, :]) @ Q_lab.T,
+                       apply=lambda c: eig.reconstruct(lam_inv * (Q_lab.T @ c)),
+                       assume_a="pos")
+
+
+def _factored_space(factor: PoweredFactor, indices: np.ndarray,
+                    weights: np.ndarray | None = None) -> _LabelSpace:
+    """K from the unit solves A1^-alpha e_j, column j scaled by 1/w_j
+    (kriging passes no weights: its interpolant does not depend on them)."""
+    K = factor.unit_solves(indices)
+    if weights is not None:
+        K = K / np.asarray(weights, dtype=float)[indices]
+    return _LabelSpace(gram=K[indices, :], apply=lambda c: K @ c)
+
+
+def _krige(space: _LabelSpace, y: np.ndarray) -> np.ndarray:
+    return space.apply(_solve_gram(space.gram, y, assume_a=space.assume_a))
+
+
+def _label_space_map(space: _LabelSpace, pot: ProbitPotential,
+                     cfg: MapSolverConfig | None,
+                     init: np.ndarray | None) -> np.ndarray:
+    """Probit MAP u = K c by damped Newton on J(c) = 1/2 c^T G c + Phi(G c).
+
+    The gradient is G r with r = c + grad Phi(G c) and the Hessian
+    G (I + diag(Phi'') G), so a step solves (I + diag(Phi'') G) delta = -r.
+    J is strictly convex, so Armijo backtracking converges globally; the loop
+    stops once the Newton decrement is at most tol.  Only the labeled values
+    of ``init`` count: the start is their kriging interpolant.
+    """
+    cfg = cfg or MapSolverConfig()
+    G = space.gram
+
+    def objective(c):
+        v = G @ c
+        return 0.5 * float(c @ v) + pot.value_at_labeled(v)
+
+    c = np.zeros(len(G)) if init is None else _solve_gram(
+        G, np.asarray(init, dtype=float)[pot.indices], assume_a=space.assume_a)
+    J = objective(c)
+    decrement = math.inf
+    for _ in range(cfg.max_iter):
+        v = G @ c
+        r = c + pot.grad_at_labeled(v)
+        # Phi'' >= 0; deep in the wrong-sign tail (|z| ~ 1e5) roundoff can
+        # make the computed value negative, and then delta need not descend
+        curv = np.maximum(pot.curvature_at_labeled(v), 0.0)
+        delta = -np.linalg.solve(np.eye(len(r)) + curv[:, None] * G, r)
+        slope = float(r @ (G @ delta))
+        decrement = math.sqrt(max(-slope, 0.0))
+        step = _armijo(objective, c, delta, J, slope)
+        if step is None:
+            raise MapSolverError(space.apply(c), decrement)
+        _, c, J = step
+        if decrement <= cfg.tol:
+            return space.apply(c)
+    raise MapSolverError(space.apply(c), decrement)
 
 
 def probit_map(prior: FractionalOperator, pot: ProbitPotential,
                cfg: MapSolverConfig | None = None,
                init: np.ndarray | None = None) -> np.ndarray:
-    """Minimize the probit objective by damped Newton in spectral coordinates.
-
-    The objective J(a) = 1/2 sum_k lam_k^alpha a_k^2 + Phi(Q_lab a) is smooth
-    and strictly convex (tau > 0), so Newton with Armijo backtracking
-    converges globally.  The misfit Hessian has rank at most the number of
-    labels L, so each Newton system is solved by the Woodbury identity in
-    O(L^2 m) when that is cheaper than a dense m x m solve.  Termination when
-    the damped step norm or the Newton decrement falls below tolerance.
-    """
-    cfg = cfg or MapSolverConfig()
-    eig = prior.eig
-    lam_pow = prior.powered(1.0)
-    if prior.tau <= 0.0 or lam_pow.min() <= 0.0:
+    """Probit MAP over the span of the prior's eigenpairs, minimizing
+    1/2 sum_k lam_k^alpha a_k^2 + Phi(Q_lab a) in label space; every mode
+    needs positive precision (tau > 0)."""
+    if prior.tau <= 0.0 or prior.powered(1.0).min() <= 0.0:
         raise ValueError("probit MAP requires a strictly positive spectrum (tau > 0)")
-    Q_lab = eig.vectors[pot.indices, :]
-    L = Q_lab.shape[0]
-
-    def objective(a):
-        return float(0.5 * np.sum(lam_pow * a ** 2)) + pot.value_at_labeled(Q_lab @ a)
-
-    a = np.zeros(eig.m) if init is None else eig.coeffs(init)
-    J = objective(a)
-    residual = math.inf
-    for _ in range(cfg.max_iter):
-        ul = Q_lab @ a
-        g = lam_pow * a + Q_lab.T @ pot.grad_at_labeled(ul)
-        curv = pot.curvature_at_labeled(ul)
-        if L * L <= eig.m:
-            # Woodbury: (D + Q^T C Q)^{-1} with D diagonal, C = diag(curv)
-            Dg = g / lam_pow
-            QD = Q_lab / lam_pow[None, :]
-            active = curv > 0
-            if np.any(active):
-                Qa = Q_lab[active]
-                M = np.diag(1.0 / curv[active]) + QD[active] @ Qa.T
-                c = scipy.linalg.solve(M, Qa @ Dg, assume_a="pos")
-                delta = -(Dg - QD[active].T @ c)
-            else:
-                delta = -Dg
-        else:
-            H = np.diag(lam_pow) + (Q_lab.T * curv[None, :]) @ Q_lab
-            delta = -scipy.linalg.solve(H, g, assume_a="pos")
-        decrement = float(np.sqrt(max(-np.dot(g, delta), 0.0)))
-        t, a, J = _armijo(objective, a, delta, J, float(np.dot(g, delta)))
-        residual = float(t * np.linalg.norm(delta))
-        if residual <= cfg.tol or decrement <= cfg.tol:
-            return eig.reconstruct(a)
-    raise MapSolverError(eig.reconstruct(a), residual)
+    return _label_space_map(_spectral_space(prior, pot.indices), pot, cfg, init)
 
 
 def map_gradient_norm(prior: FractionalOperator, pot: ProbitPotential, u: np.ndarray) -> float:
@@ -310,12 +355,7 @@ def krige(prior: FractionalOperator, labels_or_indices, y: np.ndarray | None = N
         idx, yv = labels_or_indices.indices, labels_or_indices.y
     else:
         idx, yv = np.asarray(labels_or_indices), np.asarray(y, dtype=float)
-    eig = prior.eig
-    lam_inv = prior.powered(-1.0)
-    Q_lab = eig.vectors[idx, :]
-    gram = (Q_lab * lam_inv[None, :]) @ Q_lab.T
-    c = _solve_gram(gram, yv, assume_a="pos")
-    return eig.reconstruct(lam_inv * (Q_lab.T @ c))
+    return _krige(_spectral_space(prior, idx), yv)
 
 
 def _solve_gram(gram: np.ndarray, y: np.ndarray, **kwargs) -> np.ndarray:
@@ -332,7 +372,7 @@ _DENSE_FILL = 0.05  # above this nonzero fraction, dense Cholesky beats sparse L
 
 
 class PoweredFactor:
-    """A1 = matrix + tau^2 I factored once, with solves of A1^alpha.
+    """A1 = matrix + tau^2 I, factored on the first solve, with solves of A1^alpha.
 
     Sparse LU when the operator is truly sparse, dense Cholesky when fill-in
     would dominate (large-radius graphs are nearly complete).  ``solve``
@@ -343,9 +383,14 @@ class PoweredFactor:
     """
 
     def __init__(self, matrix, alpha: int, tau: float):
-        n = matrix.shape[0]
         self.alpha = int(alpha)
+        n = matrix.shape[0]
         self.A1 = (sp.csr_matrix(matrix) + tau ** 2 * sp.identity(n, format="csr")).tocsr()
+        self._solve1 = None
+        self._units = {}
+
+    def _factor(self):
+        n = self.A1.shape[0]
         if self.A1.nnz > _DENSE_FILL * n * n:
             factor = scipy.linalg.cho_factor(self.A1.toarray())
 
@@ -354,12 +399,12 @@ class PoweredFactor:
                 # side needs the finiteness check
                 return scipy.linalg.cho_solve(factor, np.asarray_chkfinite(v),
                                               check_finite=False)
-        else:
-            solve1 = spla.splu(self.A1.tocsc()).solve
-        self._solve1 = solve1
-        self._units = {}
+            return solve1
+        return spla.splu(self.A1.tocsc()).solve
 
     def solve(self, v):
+        if self._solve1 is None:
+            self._solve1 = self._factor()
         for _ in range(self.alpha):
             v = self._solve1(v)
         return v
@@ -389,52 +434,50 @@ def sparse_krige(matrix, alpha: int, tau: float,
     """
     if not float(alpha).is_integer() or alpha < 1:
         raise ValueError("sparse solvers require integer alpha >= 1")
-    indices = np.asarray(indices)
-    y = np.asarray(y, dtype=float)
     if factor is None:
         factor = PoweredFactor(matrix, int(alpha), tau)
-    B = factor.unit_solves(indices)
-    gram = B[indices, :]
-    c = _solve_gram(gram, y)
-    return B @ c
+    return _krige(_factored_space(factor, np.asarray(indices)),
+                  np.asarray(y, dtype=float))
 
 
 def sparse_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
                       pot: ProbitPotential, cfg: MapSolverConfig | None = None,
                       init: np.ndarray | None = None,
                       factor: PoweredFactor | None = None) -> np.ndarray:
-    """Damped Newton minimization of the probit objective in node space.
+    """Probit MAP in label space with the factored precision operator.
 
     ``matrix`` is the (already scaled) sparse base operator and ``weights``
-    the inner-product weights making it symmetric: on graphs pass s_n * L and
-    uniform 1/n weights, on continuum grids the discretized operator and its
-    quadrature weights.  For integer alpha the precision operator
-    (matrix + tau^2 I)^alpha stays sparse, so the objective can be minimized
-    without spectral truncation.  The misfit is convex, hence Newton with
-    Armijo backtracking converges globally.  With few labels the Hessian solve
-    uses a Woodbury update of the once-factored prior operator; with many
-    labels (continuum label regions) the full Hessian is refactored per step.
-    Termination uses the Newton decrement, which is invariant to the extreme
-    scale spread of the powered operator.  ``factor`` is a `PoweredFactor` of
-    the same (matrix, alpha, tau).
+    the inner-product weights making it symmetric: s_n * L and uniform 1/n
+    weights on graphs.  No spectral truncation is involved.  ``factor`` is a
+    `PoweredFactor` of the same (matrix, alpha, tau).
     """
     if not float(alpha).is_integer() or alpha < 1:
         raise ValueError("sparse solvers require integer alpha >= 1")
-    cfg = cfg or MapSolverConfig()
+    if factor is None:
+        factor = PoweredFactor(matrix, int(alpha), tau)
+    return _label_space_map(_factored_space(factor, pot.indices, weights),
+                            pot, cfg, init)
+
+
+def _node_space_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
+                           pot: ProbitPotential, cfg: MapSolverConfig,
+                           init: np.ndarray | None) -> np.ndarray:
+    """Damped Newton minimization of the probit objective in node space.
+
+    ``matrix`` is the discretized continuum operator and ``weights`` its
+    quadrature weights.  With few labels the Hessian solve uses a Woodbury
+    update of the once-factored prior operator; with many labels (label
+    regions) the full Hessian is refactored per step.  Termination uses the
+    Newton decrement, which is invariant to the extreme scale spread of the
+    powered operator, or the weighted norm of the damped step.
+    """
     n = matrix.shape[0]
     w = np.asarray(weights, dtype=float)
     idx = pot.indices
-    n_lab = len(idx)
-    if factor is None:
-        factor = PoweredFactor(matrix, int(alpha), tau)
-    A1, solve_powered = factor.A1, factor.solve
-    use_woodbury = n_lab * n_lab <= n
+    use_woodbury = len(idx) ** 2 <= n
 
-    def apply_A(v):  # nested applications limit rounding at large alpha
-        for _ in range(int(alpha)):
-            v = A1 @ v
-        return v
-
+    factor = PoweredFactor(matrix, int(alpha), tau)  # factored by Woodbury only
+    A1 = factor.A1
     if use_woodbury:
         AiE = factor.unit_solves(idx)
         gram_lab = AiE[idx, :]  # E^T A^{-1} E
@@ -442,6 +485,11 @@ def sparse_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
         A = A1
         for _ in range(int(alpha) - 1):
             A = (A @ A1).tocsr()
+
+    def apply_A(v):  # nested applications limit rounding at large alpha
+        for _ in range(int(alpha)):
+            v = A1 @ v
+        return v
 
     Av = None  # A v at the last objective evaluation: the next gradient
 
@@ -455,7 +503,7 @@ def sparse_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
             H = A + sp.csr_matrix((curv, (idx, idx)), shape=(n, n))
             return spla.splu(H.tocsc()).solve(-grad)
         # (A + E diag(curv) E^T)^{-1} via Woodbury on the factored A
-        g1 = solve_powered(grad)
+        g1 = factor.solve(grad)
         active = curv > 0
         if not np.any(active):
             return -g1
@@ -475,7 +523,10 @@ def sparse_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
         delta = hessian_solve(grad, curv)
         slope = float(np.sum(w * grad * delta))
         decrement = math.sqrt(max(-slope, 0.0))
-        t, u, J = _armijo(objective, u, delta, J, slope)
+        step = _armijo(objective, u, delta, J, slope)
+        if step is None:
+            raise MapSolverError(u, decrement)
+        t, u, J = step
         residual = float(np.sqrt(np.sum(w * (t * delta) ** 2)))
         if residual <= cfg.tol or decrement <= cfg.tol:
             return u
@@ -493,8 +544,6 @@ def continuum_krige(op: ContinuumOperator, alpha: float, tau: float,
     inner-product convention of the evaluation adjoint, so unit node vectors
     are used as right-hand sides.
     """
-    indices = np.asarray(indices)
-    y = np.asarray(y, dtype=float)
     if float(alpha).is_integer() and alpha >= 1 and m is None:
         return sparse_krige(op.matrix, int(alpha), tau, indices, y)
     prior = FractionalOperator(op.eigendecomposition(m=m), alpha=alpha, tau=tau, scale=1.0)
@@ -516,6 +565,7 @@ def continuum_probit_map(op: ContinuumOperator, alpha: float, tau: float,
     """
     cfg = cfg or MapSolverConfig()
     if m is None and float(alpha).is_integer() and alpha >= 1:
-        return sparse_probit_map(op.matrix, op.weights, int(alpha), tau, pot, cfg, init)
+        return _node_space_probit_map(op.matrix, op.weights, int(alpha), tau,
+                                      pot, cfg, init)
     prior = FractionalOperator(op.eigendecomposition(m=m), alpha=alpha, tau=tau, scale=1.0)
     return probit_map(prior, pot, cfg=cfg, init=init)

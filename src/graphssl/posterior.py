@@ -9,7 +9,6 @@ be compared on identical proposal streams.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -82,7 +81,7 @@ def pcn_step(chain: Chain, potential, rng: np.random.Generator, std: np.ndarray,
     proposal = c * a + beta * (std * rng.standard_normal(a.shape[0]))
     phi_new = potential.value_at_labeled(Q_lab @ proposal)
     # exp(phi_old - phi_new) >= uniform; handle infinities without overflow
-    if phi_new - chain.phi < -math.log(rng.uniform()):
+    if phi_new - chain.phi < -math.log(rng.random()):
         chain.coeffs = proposal
         chain.phi = phi_new
         chain.accepted += 1
@@ -141,16 +140,6 @@ def mean_sign_stderr(chain: Chain) -> np.ndarray:
         return np.std(B, axis=0, ddof=1) / math.sqrt(B.shape[0])
     var = np.clip(1.0 - mean ** 2, 0.0, None)
     return np.sqrt(var / chain.recorded)
-
-
-def export_chain_summary(chain: Chain, coords: np.ndarray, path) -> None:
-    mean, var = classification_stats(chain)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        d = coords.shape[1]
-        w.writerow([f"x{i+1}" for i in range(d)] + ["mean_sign", "variance"])
-        for x, m, v in zip(coords, mean, var):
-            w.writerow([f"{c:.17g}" for c in x] + [f"{m:.17g}", f"{v:.17g}"])
 
 
 def small_noise_agreement(prior: FractionalOperator, probit_pots: dict,

@@ -12,7 +12,6 @@ in the energy (1/2n) <u, A u> is absorbed consistently.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -60,13 +59,6 @@ class EigenDecomposition:
 
     def reconstruct(self, a: np.ndarray) -> np.ndarray:
         return self.vectors @ a
-
-    def export_spectrum(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["k", "lambda_k"])
-            for k, lam in enumerate(self.eigenvalues, start=1):
-                w.writerow([k, f"{lam:.17g}"])
 
 
 def decompose(op, weights=None, m: int | None = None) -> EigenDecomposition:

@@ -138,20 +138,6 @@ class TestSampling:
             sample_cloud(Density("uniform"), 0, seed=0)
 
 
-class TestPointCloud:
-    def test_csv_roundtrip(self, tmp_path):
-        cloud = sample_cloud(Density("uniform"), 10, seed=1)
-        path = tmp_path / "cloud.csv"
-        labels = np.zeros(10)
-        labels[3] = 1
-        cloud.to_csv(path, labels=labels)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "x1,x2,label"
-        assert len(rows) == 11
-        back = np.array([[float(v) for v in r.split(",")[:2]] for r in rows[1:]])
-        assert np.allclose(back, cloud.points)
-
-
 @settings(deadline=None, max_examples=50)
 @given(h=st.floats(0.0, 1.0), x=st.floats(0.0, 1.0))
 def test_channel_profile_bounded(h, x):

@@ -123,15 +123,6 @@ class TestBuildGraph:
         assert g.weights.nnz == 3
         assert np.allclose(g.weights.diagonal(), 0.05 ** -2)
 
-    def test_export_weights(self, tmp_path):
-        cloud = sample_cloud(Density("uniform"), 20, seed=5)
-        g = build_graph(cloud, Kernel(epsilon=0.4, dim=2))
-        path = tmp_path / "w.txt"
-        g.export_weights(path)
-        lines = path.read_text().strip().splitlines()
-        i, j, w = lines[0].split()
-        assert int(i) <= int(j) and float(w) > 0
-
 
 class TestLaplacian:
     def test_annihilates_constants(self):

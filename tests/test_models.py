@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphssl.models as models
 from graphssl.continuum import discretize
 from graphssl.density import Density, sample_cloud
 from graphssl.graph import Kernel, build_graph, laplacian
@@ -40,6 +42,11 @@ from graphssl.spectral import FractionalOperator, decompose_graph
 def _prior(graph, alpha=2.0, tau=1.0):
     eig = decompose_graph(graph)
     return FractionalOperator(eig, alpha=alpha, tau=tau, scale=graph.s_n)
+
+
+def _rel(u, ref):
+    """Largest deviation relative to the largest reference value."""
+    return float(np.max(np.abs(u - ref)) / np.max(np.abs(ref)))
 
 
 class TestLogPsi:
@@ -201,6 +208,16 @@ class TestProbitMap:
             probit_map(prior, pot, cfg=MapSolverConfig(tol=1e-14, max_iter=1))
         assert err.value.iterate.shape == (graph.n,)
 
+    def test_converges_from_deep_wrong_sign_tail(self, small_graph):
+        # at y*u/gamma = -1e5 the computed curvature comes out negative;
+        # clipped at zero, the Newton direction still descends
+        graph, labels = small_graph
+        prior = _prior(graph)
+        pot = ProbitPotential.for_graph(labels, 1e-4)
+        init = np.zeros(graph.n)
+        init[labels.indices] = -10.0 * labels.y
+        assert _rel(probit_map(prior, pot, init=init), probit_map(prior, pot)) <= 1e-9
+
     def test_sparse_route_matches_spectral(self, small_graph):
         graph, labels = small_graph
         prior = _prior(graph, alpha=3.0, tau=1.0)
@@ -224,9 +241,9 @@ class TestProbitMap:
 
 
 def _reference_sparse_probit_map(base, w, alpha, tau, pot, tol=1e-8, max_iter=200):
-    """The two-label node-space Newton loop written out plainly: its own
-    factorization, and the gradient and the objective at the current point
-    recomputed at the top of every iteration."""
+    """The node-space Newton loop with a Woodbury Hessian solve, written out
+    plainly: its own factorization, and the gradient and the objective at the
+    current point recomputed at the top of every iteration."""
     n = base.shape[0]
     idx = pot.indices
     A1 = (sp.csr_matrix(base) + tau ** 2 * sp.identity(n, format="csr")).tocsr()
@@ -266,7 +283,9 @@ def _reference_sparse_probit_map(base, w, alpha, tau, pot, tol=1e-8, max_iter=20
         c = scipy.linalg.solve(M, g1[idx[active]], assume_a="pos")
         delta = -(g1 - AiE[:, active] @ c)
         slope = float(np.sum(w * grad * delta))
-        t, u, _ = _armijo(objective, u, delta, objective(u), slope)
+        step = _armijo(objective, u, delta, objective(u), slope)
+        assert step is not None, "reference line search exhausted"
+        t, u, _ = step
         residual = float(np.sqrt(np.sum(w * (t * delta) ** 2)))
         if residual <= tol or math.sqrt(max(-slope, 0.0)) <= tol:
             return u
@@ -291,13 +310,49 @@ class TestPoweredFactor:
         assert (factor.A1.nnz > 0.05 * g.n ** 2) == dense
         u_krige = sparse_krige(base, 2, 1.0, labels.indices, labels.y, factor)
         u_shared = sparse_probit_map(base, w, 2, 1.0, pot, factor=factor)
-        # bit for bit: sharing the factor and reusing the line search's last
-        # objective evaluation change no arithmetic
-        assert np.array_equal(u_shared, ref)
-        assert np.array_equal(sparse_probit_map(base, w, 2, 1.0, pot), ref)
+        # the label-space Newton iteration takes the node-space loop's steps
+        # in other coordinates, so the two agree to rounding
+        assert _rel(u_shared, ref) <= 1e-9
+        # bit for bit: sharing the factor changes no arithmetic
+        assert np.array_equal(sparse_probit_map(base, w, 2, 1.0, pot), u_shared)
         assert np.array_equal(
             u_krige, sparse_krige(base, 2, 1.0, labels.indices, labels.y))
         assert np.allclose(u_krige[labels.indices], labels.y, atol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("labelling", ["model1", "model2"])
+    @pytest.mark.parametrize("h", [None, 0.0])
+    def test_continuum_map_matches_reference_loop(self, h, labelling, alpha):
+        # bit for bit: channel fields carry nodes whose sign is set by
+        # roundoff, so the continuum node-space loop must keep its arithmetic
+        rho = Density("uniform") if h is None else Density("channel", h=h, width=0.1)
+        op = discretize(rho, 32)
+        if labelling == "model1":
+            spec = Model1Spec(omega_plus=Ball((0.25, 0.25), 0.05),
+                              omega_minus=Ball((0.75, 0.75), 0.05))
+        else:
+            spec = Model2Spec(points=np.array([[0.25, 0.25], [0.75, 0.75]]),
+                              signs=np.array([1.0, -1.0]))
+        idx, y, w = continuum_labeled_nodes(op, spec)
+        assert len(idx) == (24 if labelling == "model1" else 2)
+        pot = ProbitPotential(gamma=0.01, indices=idx, y=y, weights=w)
+        ref = _reference_sparse_probit_map(op.matrix, op.weights, alpha, 10.0, pot)
+        assert np.array_equal(continuum_probit_map(op, alpha, 10.0, pot), ref)
+
+    @pytest.mark.filterwarnings("ignore:graph is disconnected")
+    def test_factors_on_first_solve(self, small_graph, monkeypatch):
+        # the solver that first uses a shared factor owns its factorization
+        graph, labels = small_graph
+        g = build_graph(graph.cloud, Kernel(epsilon=0.1, dim=2))
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+        factor = PoweredFactor(laplacian(g) * g.s_n, 2, 1.0)
+        assert calls == []
+        v = factor.solve(np.ones(g.n))
+        factor.solve(np.ones(g.n))
+        assert len(calls) == 1
+        assert np.allclose((factor.A1 @ (factor.A1 @ v)), 1.0)
 
     def test_unit_solves_cached_per_label_set(self, small_graph):
         graph, labels = small_graph
@@ -319,6 +374,132 @@ class TestPoweredFactor:
         v[5] = np.nan
         with pytest.raises(ValueError):
             factor.solve(v)
+
+class _FlippedGradient(ProbitPotential):
+    """Probit potential reporting the negated gradient: every Newton
+    direction computed from it climbs the true objective."""
+
+    def grad_at_labeled(self, ul):
+        return -super().grad_at_labeled(ul)
+
+
+class TestLineSearch:
+    @staticmethod
+    def _record_searches(monkeypatch):
+        """Spy on every line search: the objective at its start point, the
+        reference value it was given, its slope, the values it evaluated and
+        its result."""
+        searches = []
+        armijo = models._armijo
+
+        def spy(objective, x, delta, J0, slope, scale=1e-12):
+            # evaluate the start point first: the node-space objective keeps
+            # A v of its last evaluation, which must be the accepted point
+            J_here = objective(x)
+            evals = []
+
+            def recorded(v):
+                evals.append(objective(v))
+                return evals[-1]
+            step = armijo(recorded, x, delta, J0, slope, scale)
+            searches.append((J_here, J0, slope, evals, step))
+            return step
+        monkeypatch.setattr(models, "_armijo", spy)
+        return searches
+
+    def _check_backtracking(self, searches):
+        assert len(searches) >= 2
+        assert any(step[0] < 1.0 for *_, step in searches)
+        for J_here, J0, slope, evals, (t, _, J_new) in searches:
+            # the reference value is the objective at the current iterate
+            assert J0 == J_here
+            ts = 0.5 ** np.arange(len(evals))
+            accept = [J <= J0 + 1e-4 * s * slope + 1e-12 * abs(J0)
+                      for J, s in zip(evals, ts)]
+            assert accept == [False] * (len(evals) - 1) + [True]
+            assert t == ts[-1] and J_new == evals[-1]
+
+    def test_label_space_backtracks_against_current_objective(self, small_graph,
+                                                               monkeypatch):
+        # correct signs far above gamma: the first Newton step jumps to the
+        # origin, where the misfit is larger than at the start
+        graph, labels = small_graph
+        prior = _prior(graph)
+        pot = ProbitPotential.for_graph(labels, 1e-4)
+        init = np.zeros(graph.n)
+        init[labels.indices] = 0.01 * labels.y
+        searches = self._record_searches(monkeypatch)
+        u = probit_map(prior, pot, init=init)
+        self._check_backtracking(searches)
+        assert _rel(u, probit_map(prior, pot)) <= 1e-9
+
+    def test_node_space_backtracks_against_current_objective(self, monkeypatch):
+        op = discretize(Density("uniform"), 16)
+        spec = Model2Spec(points=np.array([[0.25, 0.25], [0.75, 0.75]]),
+                          signs=np.array([1.0, -1.0]))
+        idx, y, w = continuum_labeled_nodes(op, spec)
+        pot = ProbitPotential(gamma=1e-4, indices=idx, y=y, weights=w)
+        init = np.zeros(op.grid.size)
+        init[idx] = 0.01 * y
+        searches = self._record_searches(monkeypatch)
+        u = continuum_probit_map(op, 2.0, 1.0, pot, init=init)
+        self._check_backtracking(searches)
+        monkeypatch.undo()
+        assert _rel(u, continuum_probit_map(op, 2.0, 1.0, pot)) <= 1e-9
+
+    def test_ascent_direction_exhausts(self):
+        f = lambda x: float(x @ x)  # noqa: E731
+        x = np.ones(2)
+        assert _armijo(f, x, x, f(x), float(2 * x @ x)) is None
+
+    def test_exhausted_search_raises_with_current_iterate(self, small_graph):
+        # an exhausted search must not pass for convergence: its last step
+        # (t ~ 1e-12) is short enough to pass the step-norm test
+        graph, labels = small_graph
+        pot = _FlippedGradient(gamma=0.1, indices=labels.indices, y=labels.y,
+                               weights=np.ones(2))
+        base = laplacian(graph) * graph.s_n
+        solves = [lambda: probit_map(_prior(graph), pot),
+                  lambda: sparse_probit_map(base, np.full(graph.n, 1.0 / graph.n),
+                                            2, 1.0, pot)]
+        op = discretize(Density("uniform"), 16)
+        spec = Model2Spec(points=np.array([[0.25, 0.25], [0.75, 0.75]]),
+                          signs=np.array([1.0, -1.0]))
+        idx, y, w = continuum_labeled_nodes(op, spec)
+        cont_pot = _FlippedGradient(gamma=0.1, indices=idx, y=y, weights=w)
+        solves.append(lambda: continuum_probit_map(op, 2.0, 1.0, cont_pot))
+        for solve in solves:
+            with pytest.raises(MapSolverError) as err:
+                solve()
+            # the search failed at the start point, the zero field
+            assert not np.any(err.value.iterate)
+            assert err.value.residual > 1e-8
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(30, 80), seed=st.integers(0, 10 ** 6),
+       eps=st.floats(0.25, 0.5), alpha=st.sampled_from([1, 2, 3]),
+       gamma=st.floats(1e-4, 1.0))
+def test_label_space_backends_agree_property(n, seed, eps, alpha, gamma):
+    spec = Model2Spec(points=np.array([[0.25, 0.25], [0.75, 0.75]]),
+                      signs=np.array([1.0, -1.0]))
+    cloud, labels = assign_labels(sample_cloud(Density("uniform"), n, seed=seed), spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # disconnected graphs are fine
+        g = build_graph(cloud, Kernel(epsilon=eps, dim=2))
+    prior = _prior(g, alpha=float(alpha), tau=1.0)
+    base = laplacian(g) * g.s_n
+    w = np.full(g.n, 1.0 / g.n)
+    pot = ProbitPotential.for_graph(labels, gamma)
+    # the reference also stops on an absolute step norm, which at gamma = 1e-4
+    # (|u| ~ 5e-4) can end 1e-9 short of the minimizer; a tighter tolerance
+    # makes it the more accurate side
+    ref = _reference_sparse_probit_map(base, w, alpha, 1.0, pot, tol=1e-12)
+    assert _rel(probit_map(prior, pot), ref) <= 1e-9
+    assert _rel(sparse_probit_map(base, w, alpha, 1.0, pot), ref) <= 1e-9
+    u_krige = krige(prior, labels)
+    assert _rel(sparse_krige(base, alpha, 1.0, labels.indices, labels.y), u_krige) <= 1e-9
+
 
 class TestLevelSetScaling:
     def test_zero_misfit_rescaling_decreases_objective(self, small_graph):

@@ -18,7 +18,6 @@ from graphssl.models import (
 from graphssl.posterior import (
     PcnConfig,
     classification_stats,
-    export_chain_summary,
     mean_sign_stderr,
     run_pcn,
     small_noise_agreement,
@@ -217,15 +216,6 @@ class TestStatistics:
         chain2 = run_pcn(prior, _free_potential(), short_cfg)
         assert len(chain2.batch_sums) < 4
         assert np.all(np.isfinite(mean_sign_stderr(chain2)))
-
-    def test_export_chain_summary(self, tmp_path):
-        g, prior = _prior()
-        cfg = PcnConfig(beta=0.8, iterations=2000, burn_in=0, thinning=10)
-        chain = run_pcn(prior, _free_potential(), cfg)
-        path = tmp_path / "chain.csv"
-        export_chain_summary(chain, g.cloud.points, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "x1,x2,mean_sign,variance"
 
 
 class TestSmallNoiseAgreement:

@@ -54,13 +54,6 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(np.eye(5), m=6)
 
-    def test_export_spectrum(self, tmp_path):
-        g, prior = _random_graph_prior(30, seed=4)
-        path = tmp_path / "spec.csv"
-        prior.eig.export_spectrum(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k,lambda_k" and len(lines) == 31
-
 
 class TestFractionalOperator:
     def test_parameter_validation(self):
