@@ -49,7 +49,13 @@ from graphssl.posterior import (
     run_pcn,
     small_noise_agreement,
 )
-from graphssl.spectral import FractionalOperator, decompose, decompose_graph, weyl_exponent
+from graphssl.spectral import (
+    EigensolverError,
+    FractionalOperator,
+    decompose,
+    decompose_graph,
+    weyl_exponent,
+)
 from graphssl.graph import laplacian
 from graphssl.transport import discrete_vs_continuum_error
 
@@ -282,11 +288,17 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
+    """Header plus rows; a float ndarray is written row by row with the same
+    bytes that `_fmt` and csv.writer give, without per-cell Python calls."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        if isinstance(rows, np.ndarray):
+            f.writelines(",".join(map("{:.17g}".format, row)) + "\r\n"
+                         for row in rows.tolist())
+        else:
+            for row in rows:
+                w.writerow([_fmt(v) for v in row])
 
 
 def _echo_config(cfg: ExperimentConfig) -> None:
@@ -314,12 +326,6 @@ def _point_seed(base: int, *indices: int) -> int:
 
 # ---------------------------------------------------------------------------
 # channel
-
-
-def _field_rows(coords: np.ndarray, u: np.ndarray):
-    s = sign(u)
-    for x, ui, si in zip(coords, u, s):
-        yield [*x, ui, si]
 
 
 def run_channel(cfg: ExperimentConfig) -> dict:
@@ -355,7 +361,7 @@ def run_channel(cfg: ExperimentConfig) -> dict:
         vert = np.where(coords[:, 0] < 0.5, 1.0, -1.0)
         for alpha, u in fields.items():
             _write_csv(cfg.out_dir / f"field_h{h:g}_alpha{alpha:g}.csv",
-                       ["x1", "x2", "u", "sign"], _field_rows(coords, u))
+                       ["x1", "x2", "u", "sign"], np.column_stack([coords, u, sign(u)]))
             s = sign(u)
             boundary_rows.append([h, alpha,
                                   float(np.mean(s == diag)), float(np.mean(s == vert))])
@@ -427,7 +433,10 @@ def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
 
     One full-graph eigendecomposition per sweep point is shared by all
     requested models.  Emits seed-averaged error curves, detected sweet-spot
-    bounds per n, and log-log fits of the bounds against n.
+    bounds per n, and log-log fits of the bounds against n.  A sweep point
+    whose eigensolve or model solve fails is left out of the averages and
+    listed in ``result["dropped"]`` as {n, seed (of its cloud), epsilon,
+    model, exception}.
     """
     p = cfg.params
     models = [model] if model else [m.strip() for m in str(p["models"]).split(",")]
@@ -440,6 +449,12 @@ def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
     refs = {m: _continuum_reference(m, p) for m in models}
     label_pts = np.array([p["label_plus"], p["label_minus"]])
     spec = Model2Spec(points=label_pts, signs=np.array([1.0, -1.0]))
+    dropped = []
+
+    def drop(n, seed, eps, ms, exc):
+        for m in ms:
+            dropped.append({"n": n, "seed": seed, "epsilon": float(eps), "model": m,
+                            "exception": f"{type(exc).__name__}: {exc}"})
 
     def sweep_seed(n, seed_idx):
         seed = _point_seed(cfg.seed, n, seed_idx)
@@ -461,7 +476,8 @@ def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
                 else:
                     try:
                         eig = decompose_graph(g)
-                    except Exception:
+                    except (EigensolverError, np.linalg.LinAlgError) as exc:
+                        drop(n, seed, kern.epsilon, models, exc)
                         continue
                     prior = FractionalOperator(eig, alpha=p["alpha"],
                                                tau=p["tau"], scale=g.s_n)
@@ -484,7 +500,8 @@ def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
                         grid, u_ref = refs[m]
                         errs[m][k] = discrete_vs_continuum_error(
                             u, cloud.points, grid, u_ref)
-                    except (ValueError, RuntimeError):
+                    except (ValueError, RuntimeError) as exc:
+                        drop(n, seed, kern.epsilon, [m], exc)
                         continue
         return errs
 
@@ -521,7 +538,8 @@ def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
     _write_csv(cfg.out_dir / "fits.csv",
                ["model", "bound", "slope", "intercept"], fit_rows)
     _echo_config(cfg)
-    return {"eps": eps_grid, "errors": err_rows, "bounds": bounds, "fits": fit_rows}
+    return {"eps": eps_grid, "errors": err_rows, "bounds": bounds, "fits": fit_rows,
+            "dropped": dropped}
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +581,7 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
         rows.append([alpha, eps, score])
         _write_csv(cfg.out_dir / f"field_alpha{alpha:g}.csv",
                    [*(f"x{i+1}" for i in range(d)), "u"],
-                   ([*x, ui] for x, ui in zip(cloud.points, u)))
+                   np.column_stack([cloud.points, u]))
     _write_csv(cfg.out_dir / "spikes.csv", ["alpha", "epsilon", "spike_score"], rows)
     _echo_config(cfg)
     return {"scores": scores}
@@ -587,9 +605,10 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
     coords = op.grid.coordinates()
     eig = op.eigendecomposition(m=p["modes"])
 
-    fied, degenerate = fiedler_vector(op, m=8, positive_at=tuple(p["label_plus"]))
+    # the chains' decomposition also gives the Fiedler pair: no second eigensolve
+    fied, degenerate = fiedler_vector(op, m=p["modes"], positive_at=tuple(p["label_plus"]))
     _write_csv(cfg.out_dir / "fiedler.csv", ["x1", "x2", "fiedler"],
-               ([*x, v] for x, v in zip(coords, fied)))
+               np.column_stack([coords, fied]))
 
     spec = Model2Spec(points=np.array([p["label_plus"], p["label_minus"]]),
                       signs=np.array([1.0, -1.0]))
@@ -613,7 +632,7 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
             fields[(alpha, tau)] = mean
             _write_csv(cfg.out_dir / f"moons_alpha{alpha:g}_tau{tau:g}.csv",
                        ["x1", "x2", "mean_sign", "variance"],
-                       ([*x, m_, v_] for x, m_, v_ in zip(coords, mean, var)))
+                       np.column_stack([coords, mean, var]))
             summary.append([alpha, tau, chain.acceptance_rate,
                             float(mean[idx[0]]), float(mean[idx[1]]),
                             float(np.mean(np.abs(mean[off_curve])))])

@@ -519,10 +519,13 @@ def _node_space_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
         # the line search last evaluated the objective at u, so Av = A u
         grad = Av
         grad[idx] += pot.grad_at_labeled(ul) / w[idx]
-        curv = pot.curvature_at_labeled(ul) / w[idx]
+        # clipped as in the label-space core: the tail curvature can be roundoff
+        curv = np.maximum(pot.curvature_at_labeled(ul), 0.0) / w[idx]
         delta = hessian_solve(grad, curv)
         slope = float(np.sum(w * grad * delta))
-        decrement = math.sqrt(max(-slope, 0.0))
+        if slope > 0.0:  # an ascent direction: no step can be a descent
+            raise MapSolverError(u, residual)
+        decrement = math.sqrt(-slope)
         step = _armijo(objective, u, delta, J, slope)
         if step is None:
             raise MapSolverError(u, decrement)

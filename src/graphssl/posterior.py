@@ -17,6 +17,8 @@ import numpy as np
 from graphssl.labels import sign
 from graphssl.spectral import FractionalOperator, prior_std
 
+RECORD_BLOCK = 64  # most kept states whose fields one matrix product rebuilds
+
 
 @dataclass(frozen=True)
 class PcnConfig:
@@ -51,21 +53,29 @@ class Chain:
     def acceptance_rate(self) -> float:
         return self.accepted / max(self.steps, 1)
 
-    def record(self, u: np.ndarray, store: bool, batch_size: int) -> None:
-        s = sign(u)
+    def record(self, U: np.ndarray, store: bool, batch_size: int) -> None:
+        """Add a field, or a k x n block of fields (one per row, in chain
+        order), to the running statistics.  A block must lie within one
+        batch-means batch."""
+        U = np.atleast_2d(U)
+        k = U.shape[0]
+        if self.batch_count + k > batch_size:
+            raise ValueError("a record block may not span two batches")
+        # sign sums are exact integers, so summing a block first is exact
+        s = sign(U).sum(axis=0)
         if self.sum_sign is None:
-            self.sum_sign = np.zeros_like(u)
-            self._batch_acc = np.zeros_like(u)
+            self.sum_sign = np.zeros_like(s)
+            self._batch_acc = np.zeros_like(s)
         self.sum_sign += s
-        self.recorded += 1
+        self.recorded += k
         self._batch_acc += s
-        self.batch_count += 1
+        self.batch_count += k
         if self.batch_count == batch_size:
             self.batch_sums.append(self._batch_acc / batch_size)
-            self._batch_acc = np.zeros_like(u)
+            self._batch_acc = np.zeros_like(s)
             self.batch_count = 0
         if store:
-            self.samples.append(u.copy())
+            self.samples.extend(U.copy())
 
 
 def pcn_step(chain: Chain, potential, rng: np.random.Generator, std: np.ndarray,
@@ -78,7 +88,11 @@ def pcn_step(chain: Chain, potential, rng: np.random.Generator, std: np.ndarray,
     computed once per chain.
     """
     a = chain.coeffs
-    proposal = c * a + beta * (std * rng.standard_normal(a.shape[0]))
+    # one buffer, scaled in place: c*a + beta*(std*xi) in the same rounding order
+    proposal = rng.standard_normal(a.shape[0])
+    proposal *= std
+    proposal *= beta
+    proposal += c * a
     phi_new = potential.value_at_labeled(Q_lab @ proposal)
     # exp(phi_old - phi_new) >= uniform; handle infinities without overflow
     if phi_new - chain.phi < -math.log(rng.random()):
@@ -112,11 +126,26 @@ def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig,
     batch_size = max(kept // cfg.batches, 1)
     beta = cfg.beta
     c = math.sqrt(1.0 - beta ** 2)
+    # kept states wait in a block whose fields are rebuilt by one matrix
+    # product; it is flushed when full, at each batch boundary and at the end
+    block = np.empty((min(RECORD_BLOCK, batch_size), eig.m))
+    rows = 0
+
+    def flush():
+        # one field per row: with the column-major eigenbasis this order of
+        # the product runs about twice as fast as eig.vectors @ block.T
+        chain.record(block[:rows] @ eig.vectors.T, cfg.store_samples, batch_size)
+
     for it in range(cfg.iterations):
         pcn_step(chain, potential, rng, std, Q_lab, beta, c)
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
-            u = eig.reconstruct(chain.coeffs)
-            chain.record(u, cfg.store_samples, batch_size)
+            block[rows] = chain.coeffs
+            rows += 1
+            if rows == len(block) or chain.batch_count + rows == batch_size:
+                flush()
+                rows = 0
+    if rows:
+        flush()
     return chain
 
 

@@ -98,3 +98,24 @@ class TestFiedler:
         v1, _ = fiedler_vector(op, positive_at=(0.25, 0.5))
         v2, _ = fiedler_vector(op, positive_at=(0.75, 0.5))
         assert np.allclose(v1, -v2)
+
+    @pytest.mark.parametrize("modes", [20, 150])  # ARPACK and dense eigh
+    def test_more_modes_give_the_same_vector(self, modes):
+        # mcmc-moons takes the Fiedler pair from its chains' decomposition
+        op = discretize(Density("two_moons"), 32)
+        few, deg_few = fiedler_vector(op, m=8, positive_at=(0.35, 0.70))
+        many, deg_many = fiedler_vector(op, m=modes, positive_at=(0.35, 0.70))
+        assert deg_few == deg_many and not deg_many
+        assert np.max(np.abs(few - many)) <= 1e-10
+
+    @pytest.mark.parametrize("modes", [20, 150])
+    def test_more_modes_same_degenerate_eigenspace(self, modes):
+        # lambda_2 = lambda_3: each call returns some member of the eigenspace,
+        # so the vectors themselves need not agree
+        op = discretize(Density("uniform"), 32)
+        lam2 = op.eigendecomposition(m=8).eigenvalues[1]
+        for m in (8, modes):
+            vec, degenerate = fiedler_vector(op, m=m, positive_at=(0.35, 0.70))
+            assert degenerate
+            assert op.inner(vec, vec) == pytest.approx(1.0, rel=1e-10)
+            assert np.max(np.abs(op.matrix @ vec - lam2 * vec)) <= 1e-8 * lam2

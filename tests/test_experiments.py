@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+import graphssl.experiments as experiments
 from graphssl.experiments import (
     EXPERIMENT_IDS,
     ConfigError,
     ExperimentConfig,
     _detect_bounds,
     _point_seed,
+    _write_csv,
     load_config,
     run,
     run_extrapolation,
+    run_rates,
 )
+from graphssl.spectral import EigensolverError
 
 
 class TestConfig:
@@ -119,6 +123,68 @@ class TestPointSeeds:
         assert _point_seed(1, 3, 4) != _point_seed(0, 3, 4)
 
 
+class TestWriteCsv:
+    def test_array_rows_write_the_same_bytes(self, tmp_path):
+        cells = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-300,
+                 0.1, 1.0, -3.0, 2.0 ** 60, 1.0 / 3.0, 123456789.125]
+        rows = np.array(cells).reshape(-1, 2)
+        _write_csv(tmp_path / "array.csv", ["a", "b"], rows)
+        _write_csv(tmp_path / "rows.csv", ["a", "b"], (list(r) for r in rows))
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert (tmp_path / "array.csv").read_bytes().startswith(b"a,b\r\n-0,0\r\ninf,-inf\r\n")
+
+
+class TestRatesDroppedPoints:
+    PARAMS = {"n_values": [40], "n_seeds": 2, "eps_min": 0.2, "eps_max": 0.5,
+              "eps_count": 4, "continuum_grid_n": 16}
+
+    def test_failed_eigensolves_are_listed(self, tmp_path, monkeypatch):
+        # alpha = 1.5 takes the spectral route through decompose_graph
+        def failing(g, m=None, normalized=False):
+            raise EigensolverError("no convergence")
+        monkeypatch.setattr(experiments, "decompose_graph", failing)
+        cfg = ExperimentConfig(experiment="rates-krige", out_dir=tmp_path,
+                               params={**self.PARAMS, "models": "krige,probit",
+                                       "alpha": 1.5})
+        result = run_rates(cfg)
+        assert len(result["dropped"]) == 2 * 4 * 2  # seeds x epsilons x models
+        first = result["dropped"][0]
+        assert first == {"n": 40, "seed": _point_seed(0, 40, 0), "epsilon": 0.2,
+                         "model": "krige", "exception": "EigensolverError: no convergence"}
+        assert [d["model"] for d in result["dropped"][:2]] == ["krige", "probit"]
+        # errors.csv rows and result["errors"] keep their 5-tuples (NaN here)
+        assert all(len(row) == 5 and np.isnan(row[3]) for row in result["errors"])
+
+    def test_failed_model_solves_are_listed(self, tmp_path, monkeypatch):
+        solve = experiments.sparse_probit_map
+        calls = []
+
+        def failing_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("singular kriging Gram matrix")
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(experiments, "sparse_probit_map", failing_once)
+        cfg = ExperimentConfig(experiment="rates-krige", out_dir=tmp_path,
+                               params={**self.PARAMS, "models": "krige,probit"})
+        result = run_rates(cfg)
+        eps = float(np.linspace(0.2, 0.5, 4)[1])
+        assert result["dropped"] == [{
+            "n": 40, "seed": _point_seed(0, 40, 0), "epsilon": eps, "model": "probit",
+            "exception": "ValueError: singular kriging Gram matrix"}]
+        probit_rows = [row for row in result["errors"] if row[0] == "probit"]
+        assert all(np.isfinite(row[3]) for row in probit_rows)  # the other seed
+
+    def test_other_eigensolver_exceptions_propagate(self, tmp_path, monkeypatch):
+        def broken(g, m=None, normalized=False):
+            raise TypeError("a bug, not a numerical failure")
+        monkeypatch.setattr(experiments, "decompose_graph", broken)
+        cfg = ExperimentConfig(experiment="rates-krige", out_dir=tmp_path,
+                               params={**self.PARAMS, "alpha": 1.5})
+        with pytest.raises(TypeError):
+            run_rates(cfg)
+
+
 class TestRunners:
     def test_extrapolation_outputs(self, tmp_path):
         cfg = ExperimentConfig(experiment="extrapolation", out_dir=tmp_path,
@@ -139,6 +205,24 @@ class TestRunners:
             run(cfg)
             outs.append((tmp_path / name / "spikes.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_moons_runs_one_eigensolve(self, tmp_path, monkeypatch):
+        # the Fiedler pair comes from the chains' decomposition
+        import graphssl.continuum as continuum
+        calls = []
+        decompose = continuum.decompose
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("m"))
+            return decompose(*args, **kwargs)
+        monkeypatch.setattr(continuum, "decompose", counted)
+        cfg = ExperimentConfig(experiment="mcmc-moons", out_dir=tmp_path, params={
+            "grid_n": 16, "modes": 20, "alpha_values": [2.0], "tau_values": [1.0],
+            "iterations": 1100, "burn_in": 100})
+        result = run(cfg)
+        assert calls == [20]
+        assert not result["degenerate"]
+        assert (tmp_path / "fiedler.csv").exists()
 
     def test_dispatch_covers_all_ids(self):
         from graphssl.experiments import _RUNNERS

@@ -475,6 +475,46 @@ class TestLineSearch:
             assert not np.any(err.value.iterate)
             assert err.value.residual > 1e-8
 
+    def test_node_space_ascent_direction_raises_before_search(self, monkeypatch):
+        # the full-Hessian path (24 labels on 256 nodes) with a Hessian solve
+        # that returns the ascent direction: the loop must raise before any
+        # line search, whose slack would accept a tiny step up
+        op = discretize(Density("uniform"), 16)
+        spec = Model1Spec(omega_plus=Ball((0.25, 0.25), 0.1),
+                          omega_minus=Ball((0.75, 0.75), 0.1))
+        idx, y, w = continuum_labeled_nodes(op, spec)
+        pot = ProbitPotential(gamma=0.1, indices=idx, y=y, weights=w)
+        splu = spla.splu
+
+        class _Climbing:
+            def __init__(self, H):
+                self.lu = splu(H)
+
+            def solve(self, b):
+                return -self.lu.solve(b)
+        monkeypatch.setattr(spla, "splu", _Climbing)
+        searches = self._record_searches(monkeypatch)
+        with pytest.raises(MapSolverError) as err:
+            continuum_probit_map(op, 2.0, 1.0, pot)
+        assert searches == []
+        assert not np.any(err.value.iterate)
+
+    def test_node_space_deep_wrong_sign_start(self):
+        # at y u / gamma ~ -1e5 the computed curvature is negative roundoff;
+        # unclipped, the Newton direction climbs and a tiny ascent step
+        # passed the line search's slack as convergence, 1.6e4 max|u| away
+        op = discretize(Density("uniform"), 16)
+        spec = Model1Spec(omega_plus=Ball((0.25, 0.25), 0.1),
+                          omega_minus=Ball((0.75, 0.75), 0.1))
+        idx, y, w = continuum_labeled_nodes(op, spec)
+        assert len(idx) == 24
+        pot = ProbitPotential(gamma=1e-4, indices=idx, y=y, weights=w)
+        init = np.zeros(op.grid.size)
+        init[idx] = -10.0 * y
+        assert np.any(pot.curvature_at_labeled(init[idx]) < 0.0)
+        u = continuum_probit_map(op, 2.0, 1.0, pot, init=init)
+        assert _rel(u, continuum_probit_map(op, 2.0, 1.0, pot)) <= 1e-12
+
 
 @settings(deadline=None, max_examples=30)
 @given(n=st.integers(30, 80), seed=st.integers(0, 10 ** 6),

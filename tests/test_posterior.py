@@ -71,8 +71,9 @@ class TestPcnMechanics:
 
 def _reference_pcn(prior, value, indices, cfg, r=1.0, init=None):
     """Plain pCN loop with the potential value passed in: sqrt(1 - beta^2)
-    per step, draws and accept rule in the same order as run_pcn.
-    Returns (accepted, steps, sum_sign, final coefficients)."""
+    per step, draws and accept rule in the same order as run_pcn, and one
+    field rebuilt and recorded per kept sample.  Returns (accepted, steps,
+    sum_sign, final coefficients, per-batch mean signs, kept fields)."""
     eig = prior.eig
     rng = np.random.default_rng(cfg.seed)
     std = prior_std(prior, r)
@@ -81,6 +82,9 @@ def _reference_pcn(prior, value, indices, cfg, r=1.0, init=None):
     phi = value(Q_lab @ a)
     accepted = 0
     sum_sign = np.zeros(eig.vectors.shape[0])
+    batch_size = max(max((cfg.iterations - cfg.burn_in) // cfg.thinning, 1)
+                     // cfg.batches, 1)
+    batch_acc, batch_means, fields = np.zeros_like(sum_sign), [], []
     for it in range(cfg.iterations):
         xi = std * rng.standard_normal(len(a))
         proposal = math.sqrt(1.0 - cfg.beta ** 2) * a + cfg.beta * xi
@@ -90,8 +94,14 @@ def _reference_pcn(prior, value, indices, cfg, r=1.0, init=None):
             a, phi = proposal, phi_new
             accepted += 1
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
-            sum_sign += sign(eig.reconstruct(a))
-    return accepted, cfg.iterations, sum_sign, a
+            u = eig.reconstruct(a)
+            sum_sign += sign(u)
+            batch_acc += sign(u)
+            fields.append(u)
+            if len(fields) % batch_size == 0:
+                batch_means.append(batch_acc / batch_size)
+                batch_acc = np.zeros_like(sum_sign)
+    return accepted, cfg.iterations, sum_sign, a, batch_means, fields
 
 
 class TestReferenceChain:
@@ -109,7 +119,7 @@ class TestReferenceChain:
 
     def _check(self, prior, pot, value, r=1.0, init=None):
         chain = run_pcn(prior, pot, self.CFG, r=r, init=init)
-        accepted, steps, sum_sign, coeffs = _reference_pcn(
+        accepted, steps, sum_sign, coeffs, _, _ = _reference_pcn(
             prior, value, pot.indices, self.CFG, r=r, init=init)
         assert 0 < chain.accepted < steps
         assert chain.accepted == accepted
@@ -145,6 +155,51 @@ class TestReferenceChain:
             return 0.0 if np.all(pot.y * ul > 0) else math.inf
 
         self._check(prior, pot, value, init=krige(prior, labels))
+
+
+class TestBlockedRecords:
+    """Kept states are rebuilt into fields a block at a time; the recorded
+    statistics must be those of recording every sample on its own."""
+
+    @pytest.mark.parametrize("iterations, burn_in, thinning, batches, batch_size", [
+        (2000, 0, 3, 20, 33),     # 667 kept: 20 batches of 33 and 7 left over
+        (3000, 100, 2, 7, 207),   # 1450 kept: each batch spans four blocks
+        (2000, 200, 1, 1, 1800),  # one batch
+    ])
+    def test_matches_per_sample_records(self, small_graph, iterations, burn_in,
+                                        thinning, batches, batch_size):
+        graph, labels = small_graph
+        prior = FractionalOperator(decompose_graph(graph), alpha=2.0, tau=1.0,
+                                   scale=graph.s_n)
+        pot = ProbitPotential.for_graph(labels, 1.0)
+        cfg = PcnConfig(beta=0.3, iterations=iterations, burn_in=burn_in,
+                        thinning=thinning, seed=5, batches=batches, store_samples=True)
+        chain = run_pcn(prior, pot, cfg, r=labels.r_n)
+        _, _, sum_sign, _, batch_means, fields = _reference_pcn(
+            prior, pot.value_at_labeled, pot.indices, cfg, r=labels.r_n)
+        assert len(fields) // batch_size == len(batch_means) == len(chain.batch_sums)
+        assert chain.recorded == len(chain.samples) == len(fields)
+        assert np.array_equal(chain.sum_sign, sum_sign)
+        assert np.array_equal(np.array(chain.batch_sums), np.array(batch_means))
+        # a block of fields is one matrix product, which rounds differently
+        # from one matrix-vector product per field
+        scale = np.max(np.abs(fields))
+        assert np.max(np.abs(np.array(chain.samples) - np.array(fields))) <= 1e-13 * scale
+
+    def test_record_takes_one_field_or_a_block(self):
+        from graphssl.posterior import Chain
+        U = np.array([[1.0, -1.0], [-2.0, -3.0], [0.0, 4.0]])  # 3 fields, 2 nodes
+        single, block = Chain(coeffs=np.zeros(1), phi=0.0), Chain(coeffs=np.zeros(1), phi=0.0)
+        for u in U:
+            single.record(u, store=True, batch_size=3)
+        block.record(U, store=True, batch_size=3)
+        for chain in (single, block):
+            assert chain.recorded == 3 and chain.batch_count == 0
+            assert np.array_equal(chain.sum_sign, [0.0, -1.0])
+            assert np.array_equal(chain.batch_sums[0], [0.0, -1.0 / 3.0])
+            assert np.array_equal(np.array(chain.samples), U)
+        with pytest.raises(ValueError, match="span"):
+            block.record(np.ones((4, 2)), store=False, batch_size=3)
 
 
 @settings(deadline=None, max_examples=200)
