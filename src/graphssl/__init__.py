@@ -11,7 +11,8 @@ The package provides:
 * labelling models (``labels``),
 * probit / Bayesian level-set / kriging objectives and MAP solvers
   (``models``),
-* pCN MCMC posterior sampling (``posterior``),
+* pCN MCMC posterior sampling, in spectral coefficients or in label space
+  (``posterior``),
 * TL^p-style discrete-to-continuum comparison metrics (``transport``),
 * reproducible experiment drivers and a CLI (``experiments``, ``cli``).
 """
@@ -54,7 +55,8 @@ from graphssl.models import (
     krige,
     continuum_probit_map,
 )
-from graphssl.posterior import PcnConfig, Chain, pcn_step, run_pcn, classification_stats, small_noise_agreement
+from graphssl.posterior import (PcnConfig, Chain, pcn_step, run_pcn, run_label_pcn,
+                                classification_stats, small_noise_agreement)
 from graphssl.transport import TlpPair, tlp_exact, tlp_map_bound, discrete_vs_continuum_error
 
 __version__ = "0.1.0"
@@ -70,6 +72,7 @@ __all__ = [
     "ProbitPotential", "LevelSetPotential", "MapSolverConfig", "PoweredFactor", "log_psi",
     "probit_objective", "probit_map", "sparse_krige", "sparse_probit_map",
     "levelset_objective", "krige", "continuum_probit_map",
-    "PcnConfig", "Chain", "pcn_step", "run_pcn", "classification_stats", "small_noise_agreement",
+    "PcnConfig", "Chain", "pcn_step", "run_pcn", "run_label_pcn", "classification_stats",
+    "small_noise_agreement",
     "TlpPair", "tlp_exact", "tlp_map_bound", "discrete_vs_continuum_error",
 ]

@@ -19,8 +19,10 @@ runtimes CI-friendly; ``paper_scale`` restores the larger study sizes.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,9 +45,10 @@ from graphssl.models import (
     sparse_krige,
     sparse_probit_map,
 )
-from graphssl.posterior import (
+from graphssl.posterior import (  # noqa: F401  run_pcn: bench/test_bench.py looks it up here
     PcnConfig,
     classification_stats,
+    run_label_pcn,
     run_pcn,
     small_noise_agreement,
 )
@@ -324,6 +327,16 @@ def _point_seed(base: int, *indices: int) -> int:
     return int(s.generate_state(1)[0])
 
 
+@contextlib.contextmanager
+def _counted_warnings(counts: Counter):
+    """Catch every warning raised in the block and count it in ``counts``
+    under "Category: message", instead of printing it."""
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        yield
+    counts.update(f"{w.category.__name__}: {w.message}" for w in records)
+
+
 # ---------------------------------------------------------------------------
 # channel
 
@@ -436,7 +449,9 @@ def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
     bounds per n, and log-log fits of the bounds against n.  A sweep point
     whose eigensolve or model solve fails is left out of the averages and
     listed in ``result["dropped"]`` as {n, seed (of its cloud), epsilon,
-    model, exception}.
+    model, exception}.  Warnings raised by the sweep (disconnected graphs,
+    all-NaN averages) are counted in ``result["warnings"]`` under
+    "Category: message".
     """
     p = cfg.params
     models = [model] if model else [m.strip() for m in str(p["models"]).split(",")]
@@ -450,6 +465,7 @@ def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
     label_pts = np.array([p["label_plus"], p["label_minus"]])
     spec = Model2Spec(points=label_pts, signs=np.array([1.0, -1.0]))
     dropped = []
+    caught = Counter()
 
     def drop(n, seed, eps, ms, exc):
         for m in ms:
@@ -460,8 +476,7 @@ def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
         seed = _point_seed(cfg.seed, n, seed_idx)
         cloud = sample_cloud(Density("uniform"), n - 2, seed=seed)
         use_sparse = float(p["alpha"]).is_integer() and p["alpha"] >= 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with _counted_warnings(caught):
             cloud, labels = assign_labels(cloud, spec)
             errs = {m: np.full(len(eps_grid), np.nan) for m in models}
             kernels = [Kernel(epsilon=eps, dim=2) for eps in eps_grid]
@@ -511,8 +526,7 @@ def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
         results = [sweep_seed(n, s) for s in range(p["n_seeds"])]
         for m in models:
             stack = np.vstack([r[m] for r in results])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with _counted_warnings(caught):
                 mean = np.nanmean(stack, axis=0)
                 sd = np.nanstd(stack, axis=0)
             for k, eps in enumerate(eps_grid):
@@ -539,7 +553,7 @@ def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
                ["model", "bound", "slope", "intercept"], fit_rows)
     _echo_config(cfg)
     return {"eps": eps_grid, "errors": err_rows, "bounds": bounds, "fits": fit_rows,
-            "dropped": dropped}
+            "dropped": dropped, "warnings": dict(caught)}
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +565,8 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
 
     For orders at or below d/2 the interpolant degenerates to spikes at the
     labeled points; the spike score is the fraction of unlabeled nodes with
-    |u| below the threshold.
+    |u| below the threshold.  Graph-build warnings are counted in
+    ``result["warnings"]``.
     """
     p = cfg.params
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -566,11 +581,11 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
     eigs = {}
     rows = []
     scores = {}
+    caught = Counter()
     for alpha in p["alpha_values"]:
         eps = p["eps_low_alpha"] if alpha <= d / 2 else p["eps_high_alpha"]
         if eps not in eigs:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with _counted_warnings(caught):
                 g = build_graph(cloud, Kernel(epsilon=eps, dim=d))
             eigs[eps] = (g.s_n, decompose_graph(g))
         s_n, eig = eigs[eps]
@@ -584,7 +599,7 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
                    np.column_stack([cloud.points, u]))
     _write_csv(cfg.out_dir / "spikes.csv", ["alpha", "epsilon", "spike_score"], rows)
     _echo_config(cfg)
-    return {"scores": scores}
+    return {"scores": scores, "warnings": dict(caught)}
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +610,9 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
     """Sign-posterior pCN sampling on the two-moons density.
 
     Chains target the indicator (hard-constraint) potential over the spectral
-    truncation of the continuum operator; emits mean-sign/variance fields per
-    (alpha, tau), the Fiedler vector, and a summary of chain statistics.
+    truncation of the continuum operator, sampled in label space
+    (`run_label_pcn`); emits mean-sign/variance fields per (alpha, tau), the
+    Fiedler vector, and a summary of chain statistics.
     """
     p = cfg.params
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -627,7 +643,7 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
             pcn = PcnConfig(beta=p["beta"], iterations=p["iterations"],
                             burn_in=p["burn_in"], thinning=p["thinning"],
                             seed=_point_seed(cfg.seed, int(alpha * 10), int(tau * 10)))
-            chain = run_pcn(prior, pot, pcn, init=init)
+            chain = run_label_pcn(prior, pot, pcn, init=init)
             mean, var = classification_stats(chain)
             fields[(alpha, tau)] = mean
             _write_csv(cfg.out_dir / f"moons_alpha{alpha:g}_tau{tau:g}.csv",
@@ -654,7 +670,8 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
 
     Graph eigenvalues use the degree-normalized Laplacian scaled by
     s_n * (mean degree), which cancels the boundary-degree bias of the
-    unnormalized variant for a uniform density.
+    unnormalized variant for a uniform density.  Graph-build warnings are
+    counted in ``result["warnings"]``.
     """
     p = cfg.params
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -668,6 +685,7 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
     mean_errors = {}
     max_errors = {}
     graph_lams = {}
+    caught = Counter()
     m_graph = max(p["graph_weyl_k_max"] + 5, k_max + 1)
     m_cont = p["cont_weyl_k_max"] + 5
 
@@ -676,8 +694,7 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
         for s in range(p["n_seeds"]):
             cloud = sample_cloud(Density("uniform"), n,
                                  seed=_point_seed(cfg.seed, n, s))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with _counted_warnings(caught):
                 g = build_graph(cloud, Kernel(epsilon=p["eps"], dim=2))
             eig = decompose(laplacian(g, normalized=True), m=min(m_graph, n))
             scale = g.s_n * float(np.mean(g.degrees))
@@ -713,7 +730,8 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
     _write_csv(cfg.out_dir / "weyl.csv", ["setting", "slope"], weyl_rows)
     _echo_config(cfg)
     return {"analytic": analytic, "graph": graph_lams, "mean_errors": mean_errors,
-            "max_errors": max_errors, "weyl": {r[0]: r[1] for r in weyl_rows}}
+            "max_errors": max_errors, "weyl": {r[0]: r[1] for r in weyl_rows},
+            "warnings": dict(caught)}
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +739,10 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
 
 
 def run_smallnoise(cfg: ExperimentConfig) -> dict:
-    """Probit/level-set chains against the indicator chain as gamma -> 0."""
+    """Probit/level-set chains against the indicator chain as gamma -> 0.
+
+    Warnings from the graph build are counted in ``report["warnings"]``.
+    """
     p = cfg.params
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     spec = Model2Spec(points=np.array([p["label_plus"], p["label_minus"]]),
@@ -729,8 +750,8 @@ def run_smallnoise(cfg: ExperimentConfig) -> dict:
     cloud = sample_cloud(Density("uniform"), p["n"] - 2,
                          seed=_point_seed(cfg.seed, 0))
     cloud, labels = assign_labels(cloud, spec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    caught = Counter()
+    with _counted_warnings(caught):
         g = build_graph(cloud, Kernel(epsilon=p["eps"], dim=2))
     eig = decompose_graph(g)
     prior = FractionalOperator(eig, alpha=p["alpha"], tau=p["tau"], scale=g.s_n)
@@ -749,6 +770,7 @@ def run_smallnoise(cfg: ExperimentConfig) -> dict:
                     seed=_point_seed(cfg.seed, 1), batches=p["batches"])
     report = small_noise_agreement(prior, probit_pots, levelset_pots, indicator,
                                    pcn, r_n=labels.r_n, indicator_init=init)
+    report["warnings"] = dict(caught)
 
     rows = [["indicator", "", "", "", "", report["indicator_acceptance"]]]
     for name in ("probit", "levelset"):

@@ -1,10 +1,14 @@
-"""pCN MCMC over spectral coefficients, with running classification statistics.
+"""pCN MCMC posteriors, with running classification statistics.
 
-The chain state lives in the coefficients of the prior's eigenbasis, where
-both the Gaussian reference measure and the pCN proposal are diagonal.  The
-acceptance rule depends on the potential only through differences, so the
-three supported potentials (probit, level-set, sign-constraint indicator) can
-be compared on identical proposal streams.
+The reference sampler `run_pcn` keeps its state in the coefficients of the
+prior's eigenbasis, where both the Gaussian reference measure and the pCN
+proposal are diagonal.  The three supported potentials (probit, level-set,
+sign-constraint indicator) see u only at the L labeled nodes, so
+`run_label_pcn` runs the same pCN on u_lab in R^L, whose prior is N(0, rG),
+and averages each node's exact conditional mean sign given u_lab
+(Rao-Blackwellization) instead of rebuilding fields.  The acceptance rule
+depends on the potential only through differences, so the potentials can be
+compared on identical proposal streams.
 """
 
 from __future__ import annotations
@@ -13,11 +17,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import erf
 
 from graphssl.labels import sign
 from graphssl.spectral import FractionalOperator, prior_std
 
 RECORD_BLOCK = 64  # most kept states whose fields one matrix product rebuilds
+DRAW_CHUNK = 4096  # label-space steps whose normals and uniforms are drawn at once
 
 
 @dataclass(frozen=True)
@@ -37,7 +43,10 @@ class PcnConfig:
 
 @dataclass
 class Chain:
-    """Running pCN state plus accumulated per-node classification statistics."""
+    """Running pCN state plus accumulated per-node classification statistics.
+
+    ``coeffs`` is the state: spectral coefficients for `run_pcn`, the values
+    at the labeled nodes for `run_label_pcn`."""
 
     coeffs: np.ndarray
     phi: float
@@ -53,16 +62,15 @@ class Chain:
     def acceptance_rate(self) -> float:
         return self.accepted / max(self.steps, 1)
 
-    def record(self, U: np.ndarray, store: bool, batch_size: int) -> None:
-        """Add a field, or a k x n block of fields (one per row, in chain
-        order), to the running statistics.  A block must lie within one
-        batch-means batch."""
-        U = np.atleast_2d(U)
-        k = U.shape[0]
+    def accumulate(self, S: np.ndarray, batch_size: int) -> None:
+        """Add a k x n block of per-state node values (signs, or conditional
+        mean signs), one state per row in chain order, to the running mean
+        and the batch means.  A block must lie within one batch-means batch."""
+        k = S.shape[0]
         if self.batch_count + k > batch_size:
             raise ValueError("a record block may not span two batches")
-        # sign sums are exact integers, so summing a block first is exact
-        s = sign(U).sum(axis=0)
+        # sums of signs are exact integers, so summing a block first is exact
+        s = S.sum(axis=0)
         if self.sum_sign is None:
             self.sum_sign = np.zeros_like(s)
             self._batch_acc = np.zeros_like(s)
@@ -74,6 +82,13 @@ class Chain:
             self.batch_sums.append(self._batch_acc / batch_size)
             self._batch_acc = np.zeros_like(s)
             self.batch_count = 0
+
+    def record(self, U: np.ndarray, store: bool, batch_size: int) -> None:
+        """Add a field, or a k x n block of fields (one per row, in chain
+        order), to the running statistics.  A block must lie within one
+        batch-means batch."""
+        U = np.atleast_2d(U)
+        self.accumulate(sign(U), batch_size)
         if store:
             self.samples.extend(U.copy())
 
@@ -149,8 +164,122 @@ def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig,
     return chain
 
 
+class LabelConditional:
+    """The law of u given its values v at the labeled nodes, u ~ N(0, C).
+
+    With C = V diag(S) V^T the covariance of N(0, r * A^{-1}) truncated to
+    the eigenbasis, K = C[:, idx] and G = K[idx], node i given u_lab = v is
+    Gaussian with mean (M v)_i, M = K G^{-1}, and variance
+    s2_i = C_ii - (M K^T)_ii.  The labeled rows are exact: M is the identity
+    there and s2 is 0.  ``chol`` is the lower Cholesky factor of G, the prior
+    covariance of u_lab.
+    """
+
+    def __init__(self, prior: FractionalOperator, indices: np.ndarray, r: float = 1.0):
+        V = prior.eig.vectors
+        S = prior_std(prior, r) ** 2
+        idx = np.asarray(indices, dtype=int)
+        # V @ (S Q_lab^T): no n x m temporary
+        K = V @ (S[:, None] * V[idx, :].T)
+        G = K[idx]
+        try:
+            chol = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            chol = np.zeros_like(G)
+        tiny = idx.size * np.finfo(float).eps * np.max(np.diag(G), initial=0.0)
+        if np.any(np.diag(chol) ** 2 <= tiny):
+            raise ValueError("the prior covariance G of the labeled values is singular")
+        M = np.linalg.solve(G, K.T).T
+        s2 = np.clip(np.einsum("ij,ij,j->i", V, V, S) - np.einsum("ij,ij->i", M, K),
+                     0.0, None)
+        M[idx] = np.eye(idx.size)
+        s2[idx] = 0.0
+        self.chol, self.M, self.s2 = chol, M, s2
+        self._exact = np.flatnonzero(s2 == 0.0)
+        self._inv_scale = np.zeros_like(s2)
+        pos = s2 > 0.0
+        self._inv_scale[pos] = 1.0 / np.sqrt(2.0 * s2[pos])
+
+    def mean_sign(self, states: np.ndarray) -> np.ndarray:
+        """E[S(u_i) | u_lab = v] = erf(mu_i / (s_i sqrt 2)) with mu = M v, one
+        row per row v of ``states`` (k x L); sign(mu_i) where s_i = 0."""
+        out = states @ self.M.T
+        exact = np.sign(out[:, self._exact])
+        out *= self._inv_scale
+        erf(out, out=out)
+        out[:, self._exact] = exact
+        return out
+
+
+def run_label_pcn(prior: FractionalOperator, potential, cfg: PcnConfig,
+                  r: float = 1.0, init: np.ndarray | None = None) -> Chain:
+    """pCN on the labeled values u_lab, with Rao-Blackwellized mean signs.
+
+    Targets the same posterior as `run_pcn` (prior r * A^{-1} truncated to
+    the eigenbasis, potential seen at the labeled nodes), but the state is
+    v = u_lab in R^L with prior N(0, rG): the proposal c v + beta L_G xi
+    costs O(L), and each kept v adds every node's exact conditional mean
+    sign (`LabelConditional.mean_sign`) instead of the sign of a rebuilt
+    field.  ``init`` is projected as in `run_pcn`.  No fields are kept, so
+    ``cfg.store_samples`` must be False.
+    """
+    if cfg.store_samples:
+        raise ValueError("run_label_pcn keeps no fields; store_samples must be False")
+    eig = prior.eig
+    idx = np.asarray(potential.indices, dtype=int)
+    cond = LabelConditional(prior, idx, r)
+    rng = np.random.default_rng(cfg.seed)
+
+    v = np.zeros(idx.size) if init is None else eig.vectors[idx, :] @ eig.coeffs(init)
+    value = potential.value_at_labeled
+    phi = value(v)
+    if not np.isfinite(phi):
+        raise ValueError("initial state has infinite potential")
+    chain = Chain(coeffs=v, phi=phi)
+
+    kept = max((cfg.iterations - cfg.burn_in) // cfg.thinning, 1)
+    batch_size = max(kept // cfg.batches, 1)
+    c = math.sqrt(1.0 - cfg.beta ** 2)
+    step_factor = cfg.beta * cond.chol.T
+    block = np.empty((min(RECORD_BLOCK, batch_size), idx.size))
+    rows = accepted = 0
+    cv = c * v  # changes only when a proposal is accepted
+    keep = cfg.burn_in  # next step whose state is kept
+    for start in range(0, cfg.iterations, DRAW_CHUNK):
+        k = min(DRAW_CHUNK, cfg.iterations - start)
+        noise = rng.standard_normal((k, idx.size)) @ step_factor
+        # log of a uniform on (0, 1]: finite, so an infinite potential never passes
+        log_u = np.log1p(-rng.random(k)).tolist()
+        for j in range(k):
+            proposal = noise[j] + cv
+            phi_new = value(proposal)
+            if phi - phi_new >= log_u[j]:
+                v, phi = proposal, phi_new
+                cv = c * v
+                accepted += 1
+            if start + j == keep:
+                keep += cfg.thinning
+                block[rows] = v
+                rows += 1
+                if rows == len(block) or chain.batch_count + rows == batch_size:
+                    chain.accumulate(cond.mean_sign(block[:rows]), batch_size)
+                    rows = 0
+    if rows:
+        chain.accumulate(cond.mean_sign(block[:rows]), batch_size)
+    chain.coeffs, chain.phi = v, phi
+    chain.accepted, chain.steps = accepted, cfg.iterations
+    return chain
+
+
 def classification_stats(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node mean of S(u) and its variance 1 - mean^2."""
+    """Per-node mean of S(u) and its variance 1 - mean^2.
+
+    For a Rao-Blackwellized chain (`run_label_pcn`) the mean averages the
+    conditional mean signs E[S(u_i) | u_lab], and the variance column is
+    still the posterior variance of S(u_i): S(u_i) is +-1 almost surely, so
+    Var S(u_i) = 1 - (E S(u_i))^2 whichever estimator gives the mean.  It is
+    not the variance of the averaged conditional means, which is smaller.
+    """
     if chain.recorded < 100:
         raise ValueError("need at least 100 recorded samples")
     mean = chain.sum_sign / chain.recorded
@@ -161,7 +290,10 @@ def mean_sign_stderr(chain: Chain) -> np.ndarray:
     """Batch-means MC standard error of the per-node mean sign.
 
     Robust to autocorrelation at the batch scale; falls back to the naive
-    i.i.d. estimate when too few batches completed.
+    i.i.d. estimate sqrt((1 - mean^2) / N) when fewer than 4 batches
+    completed.  For a Rao-Blackwellized chain that fallback is an upper
+    bound, not the estimate: each state adds a conditional mean sign h in
+    [-1, 1], and Var h = E h^2 - mean^2 <= 1 - mean^2.
     """
     mean = chain.sum_sign / chain.recorded
     if len(chain.batch_sums) >= 4:
@@ -184,13 +316,15 @@ def small_noise_agreement(prior: FractionalOperator, probit_pots: dict,
 
     The sign field of the constrained measure is invariant to the prior
     covariance scaling r, so each chain may use its own natural convention
-    (probit: r_n * A^{-1}; level-set and indicator: A^{-1}).
+    (probit: r_n * A^{-1}; level-set and indicator: A^{-1}).  Every chain is
+    a `run_label_pcn` chain with the same ``cfg.seed``: the comparison uses
+    common random numbers.
     """
     gammas = sorted(probit_pots, reverse=True)
     if sorted(levelset_pots, reverse=True) != gammas:
         raise ValueError("probit and level-set gamma lists must match")
 
-    ind_chain = run_pcn(prior, indicator_pot, cfg, r=1.0, init=indicator_init)
+    ind_chain = run_label_pcn(prior, indicator_pot, cfg, r=1.0, init=indicator_init)
     ind_mean, _ = classification_stats(ind_chain)
     ind_se = mean_sign_stderr(ind_chain)
 
@@ -199,7 +333,7 @@ def small_noise_agreement(prior: FractionalOperator, probit_pots: dict,
     for gamma in gammas:
         for name, pot, rr in (("probit", probit_pots[gamma], r_n),
                               ("levelset", levelset_pots[gamma], 1.0)):
-            ch = run_pcn(prior, pot, cfg, r=rr)
+            ch = run_label_pcn(prior, pot, cfg, r=rr)
             mean, _ = classification_stats(ch)
             se = mean_sign_stderr(ch)
             comb = np.sqrt(se ** 2 + ind_se ** 2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,15 @@ class TestRatesDroppedPoints:
             "exception": "ValueError: singular kriging Gram matrix"}]
         probit_rows = [row for row in result["errors"] if row[0] == "probit"]
         assert all(np.isfinite(row[3]) for row in probit_rows)  # the other seed
+
+    def test_disconnected_graphs_are_counted(self, tmp_path):
+        cfg = ExperimentConfig(experiment="rates-krige", out_dir=tmp_path,
+                               params={**self.PARAMS, "eps_min": 0.05})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning that escapes fails the test
+            result = run_rates(cfg)
+        key = "UserWarning: graph is disconnected; tau=0 models are ill-posed"
+        assert result["warnings"][key] > 0
 
     def test_other_eigensolver_exceptions_propagate(self, tmp_path, monkeypatch):
         def broken(g, m=None, normalized=False):

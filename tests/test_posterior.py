@@ -16,9 +16,12 @@ from graphssl.models import (
     log_psi,
 )
 from graphssl.posterior import (
+    Chain,
+    LabelConditional,
     PcnConfig,
     classification_stats,
     mean_sign_stderr,
+    run_label_pcn,
     run_pcn,
     small_noise_agreement,
 )
@@ -30,6 +33,12 @@ def _prior(n=60, seed=0, alpha=2.0, tau=1.0):
     g = build_graph(cloud, Kernel(epsilon=0.35, dim=2))
     eig = decompose_graph(g)
     return g, FractionalOperator(eig, alpha=alpha, tau=tau, scale=g.s_n)
+
+
+def _small_prior(small_graph):
+    graph, labels = small_graph
+    eig = decompose_graph(graph)
+    return labels, FractionalOperator(eig, alpha=2.0, tau=1.0, scale=graph.s_n)
 
 
 def _free_potential():
@@ -111,12 +120,6 @@ class TestReferenceChain:
 
     CFG = PcnConfig(beta=0.3, iterations=3000, burn_in=300, thinning=5, seed=4)
 
-    @staticmethod
-    def _setup(small_graph):
-        graph, labels = small_graph
-        eig = decompose_graph(graph)
-        return labels, FractionalOperator(eig, alpha=2.0, tau=1.0, scale=graph.s_n)
-
     def _check(self, prior, pot, value, r=1.0, init=None):
         chain = run_pcn(prior, pot, self.CFG, r=r, init=init)
         accepted, steps, sum_sign, coeffs, _, _ = _reference_pcn(
@@ -129,7 +132,7 @@ class TestReferenceChain:
 
     @pytest.mark.parametrize("gamma", [1.0, 1e-4])
     def test_probit(self, small_graph, gamma):
-        labels, prior = self._setup(small_graph)
+        labels, prior = _small_prior(small_graph)
         pot = ProbitPotential.for_graph(labels, gamma)
 
         def value(ul):
@@ -138,7 +141,7 @@ class TestReferenceChain:
         self._check(prior, pot, value, r=labels.r_n)
 
     def test_levelset(self, small_graph):
-        labels, prior = self._setup(small_graph)
+        labels, prior = _small_prior(small_graph)
         pot = LevelSetPotential.for_graph(labels, 0.1)
 
         def value(ul):
@@ -148,7 +151,7 @@ class TestReferenceChain:
         self._check(prior, pot, value)
 
     def test_indicator(self, small_graph):
-        labels, prior = self._setup(small_graph)
+        labels, prior = _small_prior(small_graph)
         pot = IndicatorPotential.for_graph(labels)
 
         def value(ul):
@@ -200,6 +203,123 @@ class TestBlockedRecords:
             assert np.array_equal(np.array(chain.samples), U)
         with pytest.raises(ValueError, match="span"):
             block.record(np.ones((4, 2)), store=False, batch_size=3)
+
+
+class TestLabelConditional:
+    """The label-space sampler's conditioning against a dense oracle."""
+
+    @pytest.mark.parametrize("extra", [0, 6])
+    def test_matches_dense_schur_complement(self, small_graph, extra):
+        labels, prior = _small_prior(small_graph)
+        rng = np.random.default_rng(0)
+        others = np.setdiff1d(np.arange(prior.eig.vectors.shape[0]), labels.indices)
+        idx = np.concatenate([labels.indices, rng.choice(others, extra, replace=False)])
+        r = labels.r_n
+        cond = LabelConditional(prior, idx, r)
+        V = prior.eig.vectors
+        C = V @ np.diag(prior_std(prior, r) ** 2) @ V.T
+        cross = C[:, idx]
+        M = np.linalg.solve(C[np.ix_(idx, idx)], cross.T).T
+        schur = C - M @ cross.T
+        assert np.max(np.abs(cond.M - M)) <= 1e-12
+        assert np.max(np.abs(cond.s2 - np.clip(np.diag(schur), 0.0, None))) <= 1e-12
+        assert np.all(cond.s2[idx] == 0.0) and np.all(cond.s2[others[:5]] > 0.0)
+
+    def test_labeled_values_are_signs_of_the_state(self, small_graph):
+        labels, prior = _small_prior(small_graph)
+        cond = LabelConditional(prior, labels.indices)
+        states = np.random.default_rng(1).standard_normal((50, labels.size)) * 1e-3
+        states[0, 0] = 0.0
+        h = cond.mean_sign(states)
+        assert np.array_equal(h[:, labels.indices], np.sign(states))
+        assert np.all(np.abs(h) <= 1.0)
+
+    def test_free_potential_gives_zero_mean(self):
+        _, prior = _prior()
+        cfg = PcnConfig(beta=0.5, iterations=3000, burn_in=0, thinning=10)
+        chain = run_label_pcn(prior, _free_potential(), cfg)
+        mean, _ = classification_stats(chain)
+        assert np.all(mean == 0.0)
+        assert chain.acceptance_rate == 1.0
+
+    def test_store_samples_rejected(self, small_graph):
+        labels, prior = _small_prior(small_graph)
+        cfg = PcnConfig(iterations=500, burn_in=0, store_samples=True)
+        with pytest.raises(ValueError, match="store_samples"):
+            run_label_pcn(prior, ProbitPotential.for_graph(labels, 0.5), cfg)
+
+    def test_repeated_label_index_is_singular(self, small_graph):
+        labels, prior = _small_prior(small_graph)
+        idx = np.repeat(labels.indices[:1], 2)
+        pot = ProbitPotential(gamma=0.5, indices=idx, y=np.ones(2), weights=np.ones(2))
+        with pytest.raises(ValueError, match="singular"):
+            run_label_pcn(prior, pot, PcnConfig(iterations=500, burn_in=0))
+
+    def test_infinite_initial_potential_rejected(self, small_graph):
+        labels, prior = _small_prior(small_graph)
+        with pytest.raises(ValueError, match="infinite potential"):
+            run_label_pcn(prior, IndicatorPotential.for_graph(labels),
+                          PcnConfig(iterations=500, burn_in=0))
+
+    def test_deterministic_and_batched_like_run_pcn(self, small_graph):
+        labels, prior = _small_prior(small_graph)
+        pot = ProbitPotential.for_graph(labels, 0.5)
+        # 3 draw chunks, the last one partial; 1450 kept in 7 batches of 207
+        cfg = PcnConfig(beta=0.3, iterations=9000, burn_in=300, thinning=6, seed=9,
+                        batches=7)
+        c1, c2 = run_label_pcn(prior, pot, cfg), run_label_pcn(prior, pot, cfg)
+        assert np.array_equal(c1.sum_sign, c2.sum_sign)
+        assert c1.accepted == c2.accepted and c1.steps == 9000
+        assert c1.recorded == 1450 and len(c1.batch_sums) == 7
+        # the 1450th state is in no batch; it adds a value in [-1, 1]
+        rest = c1.sum_sign - np.sum(c1.batch_sums, axis=0) * 207
+        assert np.all(np.abs(rest) <= 1.0 + 1e-9) and np.any(rest != 0.0)
+
+
+class TestLabelChainAgainstReference:
+    """run_label_pcn targets the posterior run_pcn samples: three independent
+    chains of each sampler, pooled per sampler, must agree within their
+    combined batch-means standard errors, node by node, and each pair of
+    chains in acceptance rate.
+
+    Node fields are smooth, so nodes beyond 3 SE come in clusters, and the
+    bounds below are a tail event, not a certainty, when both samplers are
+    right.  At probit gamma = 0.1 two reference chains of different seeds,
+    compared pair by pair, put up to 2.5 % of the nodes beyond 3 SE (max z
+    3.6 in 4 pairs); pooled three against three as here, 20 disjoint seed
+    sets gave at most 1 % beyond 3 SE and max z 3.83, and none failed.
+    """
+
+    SEEDS = ((7000, 8000), (7001, 8001), (7002, 8002))  # (run_pcn, run_label_pcn)
+
+    @pytest.mark.parametrize("case", ["probit1", "probit0.1", "levelset0.5", "indicator"])
+    def test_mean_sign_and_acceptance_agree(self, small_graph, case):
+        labels, prior = _small_prior(small_graph)
+        init, r = None, 1.0
+        if case.startswith("probit"):
+            pot, r = ProbitPotential.for_graph(labels, float(case[6:])), labels.r_n
+        elif case.startswith("levelset"):
+            pot = LevelSetPotential.for_graph(labels, float(case[8:]))
+        else:
+            pot, init = IndicatorPotential.for_graph(labels), krige(prior, labels)
+        pooled = []
+        for sampler, seeds in ((run_pcn, [s for s, _ in self.SEEDS]),
+                               (run_label_pcn, [s for _, s in self.SEEDS])):
+            chains = [sampler(prior, pot, PcnConfig(beta=0.4, iterations=40_000,
+                                                    burn_in=4000, thinning=10, seed=s),
+                              r=r, init=init) for s in seeds]
+            means = [classification_stats(ch)[0] for ch in chains]
+            se = np.sqrt(sum(mean_sign_stderr(ch) ** 2 for ch in chains)) / len(chains)
+            pooled.append((np.mean(means, axis=0), se, [ch.acceptance_rate for ch in chains]))
+        (m1, se1, acc1), (m2, se2, acc2) = pooled
+        comb, diff = np.hypot(se1, se2), np.abs(m1 - m2)
+        # nodes with zero SE in both samplers (labels under the indicator)
+        # must agree exactly
+        assert np.all(diff[comb == 0.0] == 0.0)
+        z = diff[comb > 0.0] / comb[comb > 0.0]
+        assert np.mean(z <= 3.0) >= 0.99, np.sort(z)[-5:]
+        assert np.max(z) <= 4.5
+        assert np.max(np.abs(np.subtract(acc1, acc2))) <= 0.03
 
 
 @settings(deadline=None, max_examples=200)
@@ -271,6 +391,47 @@ class TestStatistics:
         chain2 = run_pcn(prior, _free_potential(), short_cfg)
         assert len(chain2.batch_sums) < 4
         assert np.all(np.isfinite(mean_sign_stderr(chain2)))
+
+
+class TestRaoBlackwellizedStatistics:
+    """What classification_stats and mean_sign_stderr report for chains that
+    average conditional mean signs h = E[S(u) | u_lab] instead of signs."""
+
+    @staticmethod
+    def _states(small_graph, k):
+        labels, prior = _small_prior(small_graph)
+        cond = LabelConditional(prior, labels.indices)
+        states = np.random.default_rng(3).standard_normal((k, labels.size)) @ cond.chol.T
+        return cond, states
+
+    def test_fallback_stderr_is_an_upper_bound(self, small_graph):
+        cond, states = self._states(small_graph, 300)
+        h = cond.mean_sign(states)
+        chain = Chain(coeffs=np.zeros(2), phi=0.0)
+        chain.accumulate(h, batch_size=1000)  # no batch completes: fallback
+        se = mean_sign_stderr(chain)
+        iid = h.std(axis=0) / math.sqrt(len(h))  # the i.i.d. SE of the h average
+        # a bound, not the estimate: strictly above it wherever |h| < 1, and
+        # equal to it only at the labeled nodes, where h is a sign
+        unlabeled = cond.s2 > 0.0
+        assert np.all(se[unlabeled] > iid[unlabeled])
+        assert np.allclose(se[~unlabeled], iid[~unlabeled], rtol=1e-12, atol=0.0)
+
+    def test_variance_column_is_the_variance_of_the_sign(self, small_graph):
+        cond, states = self._states(small_graph, 200)
+        h = cond.mean_sign(states)
+        chain = Chain(coeffs=np.zeros(2), phi=0.0)
+        chain.accumulate(h, batch_size=len(h))
+        mean, var = classification_stats(chain)
+        # S(u) itself: 100 draws of u from its conditional law per state
+        rng = np.random.default_rng(4)
+        mu = states @ cond.M.T
+        u = mu[:, None, :] + np.sqrt(cond.s2) * rng.standard_normal((200, 100, len(mu[0])))
+        signs = np.sign(u).reshape(-1, len(mu[0]))
+        assert np.max(np.abs(var - signs.var(axis=0))) < 0.02
+        # not the variance of the averaged conditional means, which is smaller
+        unlabeled = cond.s2 > 0.0
+        assert np.all(var[unlabeled] > h.var(axis=0)[unlabeled])
 
 
 class TestSmallNoiseAgreement:
