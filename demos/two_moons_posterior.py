@@ -1,9 +1,8 @@
 """Bayesian classification uncertainty on the two-moons density.
 
 Two labeled points, one per moon, and a hard sign-constraint likelihood.
-The posterior lives on the spectral truncation of the density-weighted
-continuum operator; the pCN sampler walks the two labeled values and
-averages every node's exact conditional mean sign (`run_label_pcn`).  The posterior mean sign recovers the
+The pCN sampler explores the posterior over the spectral truncation of the
+density-weighted continuum operator.  The posterior mean sign recovers the
 two clusters; the interesting quantity is the *uncertainty* off the moons:
 lowering tau widens the prior's spatial correlation, so certainty (|mean
 sign|) spreads farther from the data into the low-density background.
@@ -11,7 +10,7 @@ sign|) spreads farther from the data into the low-density background.
 The unsupervised baseline is the Fiedler vector, whose sign pattern already
 separates the two moons without any labels.
 
-Run:  python3 demos/two_moons_posterior.py         (about 12 s on a 2-core VM)
+Run:  python3 demos/two_moons_posterior.py         (about 15 s on a 2-core VM)
 """
 
 from pathlib import Path

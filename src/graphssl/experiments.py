@@ -45,10 +45,9 @@ from graphssl.models import (
     sparse_krige,
     sparse_probit_map,
 )
-from graphssl.posterior import (  # noqa: F401  run_pcn: bench/test_bench.py looks it up here
+from graphssl.posterior import (
     PcnConfig,
     classification_stats,
-    run_label_pcn,
     run_pcn,
     small_noise_agreement,
 )
@@ -610,9 +609,8 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
     """Sign-posterior pCN sampling on the two-moons density.
 
     Chains target the indicator (hard-constraint) potential over the spectral
-    truncation of the continuum operator, sampled in label space
-    (`run_label_pcn`); emits mean-sign/variance fields per (alpha, tau), the
-    Fiedler vector, and a summary of chain statistics.
+    truncation of the continuum operator; emits mean-sign/variance fields per
+    (alpha, tau), the Fiedler vector, and a summary of chain statistics.
     """
     p = cfg.params
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -643,7 +641,7 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
             pcn = PcnConfig(beta=p["beta"], iterations=p["iterations"],
                             burn_in=p["burn_in"], thinning=p["thinning"],
                             seed=_point_seed(cfg.seed, int(alpha * 10), int(tau * 10)))
-            chain = run_label_pcn(prior, pot, pcn, init=init)
+            chain = run_pcn(prior, pot, pcn, init=init)
             mean, var = classification_stats(chain)
             fields[(alpha, tau)] = mean
             _write_csv(cfg.out_dir / f"moons_alpha{alpha:g}_tau{tau:g}.csv",

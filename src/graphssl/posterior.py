@@ -69,7 +69,9 @@ class Chain:
         k = S.shape[0]
         if self.batch_count + k > batch_size:
             raise ValueError("a record block may not span two batches")
-        # sums of signs are exact integers, so summing a block first is exact
+        # sums of signs (from `record`) are exact integers, so summing a block
+        # first is exact; sums of conditional mean signs depend on the
+        # blocking at roundoff level
         s = S.sum(axis=0)
         if self.sum_sign is None:
             self.sum_sign = np.zeros_like(s)

