@@ -76,9 +76,9 @@ def _bump(t: np.ndarray) -> np.ndarray:
 class Density:
     """A normalized probability density on (0,1)^d.
 
-    kind is one of "uniform", "channel", "two_moons".  The cached
-    ``normalization`` is the integral of the unnormalized density over the
-    box; evaluations divide by it.
+    kind is one of "uniform", "channel", "two_moons".  ``normalization``,
+    computed on construction, is the integral of the unnormalized density
+    over the box; evaluations divide by it.
     """
 
     kind: str
@@ -89,7 +89,7 @@ class Density:
     bandwidth: float = 0.04
     radius: float = _TWO_MOONS_RADIUS
     centers: tuple = _TWO_MOONS_CENTERS
-    normalization: float = field(default=0.0)
+    normalization: float = field(init=False)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -98,8 +98,7 @@ class Density:
             raise ValueError(f"unknown density kind {self.kind!r}")
         if self.kind == "two_moons" and self.dim != 2:
             raise ValueError("two_moons density is only defined for d=2")
-        if self.normalization == 0.0:
-            object.__setattr__(self, "normalization", self._integral())
+        object.__setattr__(self, "normalization", self._integral())
 
     # -- unnormalized evaluation ------------------------------------------
 
@@ -116,20 +115,20 @@ class Density:
         d = np.minimum(d0, d1)
         return 1.0 + (self.contrast - 1.0) * _bump(d / self.bandwidth)
 
-    def _integral(self, cells_per_side: int = 256, gauss_order: int = 4) -> float:
+    def _integral(self) -> float:
         """Integral of the unnormalized density over the box.
 
-        Composite Gauss-Legendre quadrature; for the channel density the
-        integral factorizes and only the first coordinate needs quadrature.
+        Composite 4-point Gauss-Legendre quadrature on 256 cells per side; the
+        channel density's integral factorizes, so only x1 needs quadrature.
         """
         if self.kind == "uniform":
             return 1.0
-        nodes, weights = np.polynomial.legendre.leggauss(gauss_order)
-        edges = np.linspace(0.0, 1.0, cells_per_side + 1)
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        edges = np.linspace(0.0, 1.0, 257)
         mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 / cells_per_side
+        half = 0.5 / 256
         x = (mid[:, None] + half * nodes[None, :]).ravel()
-        w = np.tile(half * weights, cells_per_side)
+        w = np.tile(half * weights, 256)
         if self.kind == "channel":
             vals = _channel_profile(x, self.h, self.width)
             return float(np.sum(w * vals))

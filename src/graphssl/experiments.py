@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from graphssl.continuum import ContinuumOperator, discretize, fiedler_vector
+from graphssl.continuum import discretize, fiedler_vector
 from graphssl.density import Density, sample_cloud
-from graphssl.graph import Kernel, build_graph, neighbor_pairs
+from graphssl.graph import Kernel, build_graph, laplacian, neighbor_pairs
 from graphssl.labels import Ball, Model1Spec, Model2Spec, assign_labels, sign
 from graphssl.models import (
     IndicatorPotential,
@@ -58,7 +58,6 @@ from graphssl.spectral import (
     decompose_graph,
     weyl_exponent,
 )
-from graphssl.graph import laplacian
 from graphssl.transport import discrete_vs_continuum_error
 
 EXPERIMENT_IDS = (
@@ -174,9 +173,6 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_IDS:
-            raise ConfigError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENT_IDS}")
         self.out_dir = Path(self.out_dir)
         defaults = _defaults(self.experiment, self.paper_scale)
         unknown = set(self.params) - set(defaults)
@@ -190,14 +186,12 @@ class ExperimentConfig:
 
     def _validate(self):
         p = self.params
-        for key in ("alpha", "tau", "gamma"):
-            if key in p:
-                if key == "alpha" and p[key] <= 0:
-                    raise ConfigError("alpha must be positive")
-                if key == "tau" and p[key] < 0:
-                    raise ConfigError("tau must be nonnegative")
-                if key == "gamma" and p[key] <= 0:
-                    raise ConfigError("gamma must be positive")
+        if "alpha" in p and p["alpha"] <= 0:
+            raise ConfigError("alpha must be positive")
+        if "tau" in p and p["tau"] < 0:
+            raise ConfigError("tau must be nonnegative")
+        if "gamma" in p and p["gamma"] <= 0:
+            raise ConfigError("gamma must be positive")
         if "alpha_values" in p and any(a <= 0 for a in p["alpha_values"]):
             raise ConfigError("alpha values must be positive")
         if "n" in p and p["n"] < 4:
@@ -256,8 +250,6 @@ def load_config(path, experiment: str | None = None, out_dir=None,
         if len(sections) != 1:
             raise ConfigError("experiment not specified and not inferable from config")
         experiment = sections[0]
-    if experiment not in EXPERIMENT_IDS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
     if paper_scale is None:
         paper_scale = _parse_value(run.get("paper_scale", "false"), True) \
             if "paper_scale" in run else False
@@ -271,10 +263,9 @@ def load_config(path, experiment: str | None = None, out_dir=None,
     defaults = _defaults(experiment, paper_scale)
     params = {}
     if parser.has_section(experiment):
+        # ExperimentConfig rejects unknown keys; they stay strings here
         for key, raw in parser[experiment].items():
-            if key not in defaults:
-                raise ConfigError(f"unknown config key {key!r} for {experiment!r}")
-            params[key] = _parse_value(raw, defaults[key])
+            params[key] = _parse_value(raw, defaults.get(key))
     return ExperimentConfig(experiment=experiment, out_dir=out_dir, seed=seed,
                             threads=threads, paper_scale=paper_scale, params=params)
 
@@ -353,22 +344,14 @@ def run_channel(cfg: ExperimentConfig) -> dict:
         omega_minus=Ball((0.75, 0.75), p["label_radius"]),
     )
     boundary_rows, pair_rows = [], []
-    result = {}
-
-    def solve_h(h):
+    for h in p["h_values"]:
         rho = Density("channel", h=h, width=p["channel_width"])
         op = discretize(rho, p["grid_n"])
         idx, y, w = continuum_labeled_nodes(op, spec)
         pot = ProbitPotential(gamma=p["gamma"], indices=idx, y=y, weights=w)
         coords = op.grid.coordinates()
-        fields = {}
-        for alpha in p["alpha_values"]:
-            u = continuum_probit_map(op, alpha=alpha, tau=p["tau"], pot=pot)
-            fields[alpha] = u
-        return coords, fields
-
-    for h in p["h_values"]:
-        coords, fields = solve_h(h)
+        fields = {alpha: continuum_probit_map(op, alpha=alpha, tau=p["tau"], pot=pot)
+                  for alpha in p["alpha_values"]}
         diag = np.where(coords[:, 0] + coords[:, 1] < 1.0, 1.0, -1.0)
         vert = np.where(coords[:, 0] < 0.5, 1.0, -1.0)
         for alpha, u in fields.items():
@@ -382,7 +365,6 @@ def run_channel(cfg: ExperimentConfig) -> dict:
             for j in range(i + 1, len(alphas)):
                 agree = float(np.mean(sign(fields[alphas[i]]) == sign(fields[alphas[j]])))
                 pair_rows.append([h, alphas[i], alphas[j], agree])
-        result[h] = {(a): fields[a] for a in fields}
 
     _write_csv(cfg.out_dir / "agreement_boundary.csv",
                ["h", "alpha", "diag_agreement", "vert_agreement"], boundary_rows)
@@ -426,12 +408,16 @@ def _detect_bounds(eps: np.ndarray, err: np.ndarray, window: int):
     return lower, upper
 
 
+def _two_labels(p: dict) -> Model2Spec:
+    """Model-2 labels: +1 at ``label_plus`` and -1 at ``label_minus``."""
+    return Model2Spec(points=np.array([p["label_plus"], p["label_minus"]]),
+                      signs=np.array([1.0, -1.0]))
+
+
 def _continuum_reference(model: str, p: dict) -> tuple:
     rho = Density("uniform")
     op = discretize(rho, p["continuum_grid_n"])
-    pts = np.array([p["label_plus"], p["label_minus"]])
-    spec = Model2Spec(points=pts, signs=np.array([1.0, -1.0]))
-    idx, y, w = continuum_labeled_nodes(op, spec)
+    idx, y, w = continuum_labeled_nodes(op, _two_labels(p))
     if model == "krige":
         u = continuum_krige(op, p["alpha"], p["tau"], idx, y)
     else:
@@ -440,7 +426,7 @@ def _continuum_reference(model: str, p: dict) -> tuple:
     return op.grid, u
 
 
-def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
+def run_rates(cfg: ExperimentConfig) -> dict:
     """Discrete-vs-continuum error sweeps over (n, epsilon) for kriging/probit.
 
     One full-graph eigendecomposition per sweep point is shared by all
@@ -453,7 +439,7 @@ def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
     "Category: message".
     """
     p = cfg.params
-    models = [model] if model else [m.strip() for m in str(p["models"]).split(",")]
+    models = [m.strip() for m in str(p["models"]).split(",")]
     for m in models:
         if m not in ("krige", "probit"):
             raise ConfigError(f"unknown rates model {m!r}")
@@ -461,8 +447,7 @@ def run_rates(cfg: ExperimentConfig, model: str | None = None) -> dict:
 
     eps_grid = np.linspace(p["eps_min"], p["eps_max"], p["eps_count"])
     refs = {m: _continuum_reference(m, p) for m in models}
-    label_pts = np.array([p["label_plus"], p["label_minus"]])
-    spec = Model2Spec(points=label_pts, signs=np.array([1.0, -1.0]))
+    spec = _two_labels(p)
     dropped = []
     caught = Counter()
 
@@ -569,11 +554,9 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
     """
     p = cfg.params
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    label_pts = np.array([p["label_plus"], p["label_minus"]])
-    spec = Model2Spec(points=label_pts, signs=np.array([1.0, -1.0]))
     cloud = sample_cloud(Density("uniform"), p["n"] - 2,
                          seed=_point_seed(cfg.seed, 0))
-    cloud, labels = assign_labels(cloud, spec)
+    cloud, labels = assign_labels(cloud, _two_labels(p))
     unlabeled = np.setdiff1d(np.arange(cloud.n), labels.indices)
 
     d = cloud.dim
@@ -624,9 +607,7 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
     _write_csv(cfg.out_dir / "fiedler.csv", ["x1", "x2", "fiedler"],
                np.column_stack([coords, fied]))
 
-    spec = Model2Spec(points=np.array([p["label_plus"], p["label_minus"]]),
-                      signs=np.array([1.0, -1.0]))
-    idx, y, _ = continuum_labeled_nodes(op, spec)
+    idx, y, _ = continuum_labeled_nodes(op, _two_labels(p))
     pot = IndicatorPotential(indices=idx, y=y)
     off_curve = op.rho_at_nodes < p["offcurve_density"]
 
@@ -743,11 +724,9 @@ def run_smallnoise(cfg: ExperimentConfig) -> dict:
     """
     p = cfg.params
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    spec = Model2Spec(points=np.array([p["label_plus"], p["label_minus"]]),
-                      signs=np.array([1.0, -1.0]))
     cloud = sample_cloud(Density("uniform"), p["n"] - 2,
                          seed=_point_seed(cfg.seed, 0))
-    cloud, labels = assign_labels(cloud, spec)
+    cloud, labels = assign_labels(cloud, _two_labels(p))
     caught = Counter()
     with _counted_warnings(caught):
         g = build_graph(cloud, Kernel(epsilon=p["eps"], dim=2))

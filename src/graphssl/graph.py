@@ -215,6 +215,6 @@ def laplacian(g: WeightedGraph, normalized: bool = False) -> sp.csr_matrix:
     return (sp.identity(n, format="csr") - dinv @ g.weights @ dinv).tocsr()
 
 
-def default_epsilon(n: int, d: int = 2, multiplier: float = 2.0) -> float:
-    """Connectivity-scale bandwidth for smoke tests: C * (log n / n)^{1/d}."""
-    return multiplier * (math.log(n) / n) ** (1.0 / d)
+def default_epsilon(n: int, d: int = 2) -> float:
+    """Connectivity-scale bandwidth for smoke tests: 2 (log n / n)^{1/d}."""
+    return 2.0 * (math.log(n) / n) ** (1.0 / d)

@@ -99,6 +99,15 @@ def _as_regions(spec) -> tuple:
     return spec if isinstance(spec, (tuple, list)) else (spec,)
 
 
+def region_labels(spec: Model1Spec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the points lying in a model-1 spec's regions, and their
+    labels: +1 in omega_plus, -1 in omega_minus.  Separation is not checked."""
+    in_plus = np.any([r.contains(pts) for r in _as_regions(spec.omega_plus)], axis=0)
+    in_minus = np.any([r.contains(pts) for r in _as_regions(spec.omega_minus)], axis=0)
+    idx = np.flatnonzero(in_plus | in_minus)
+    return idx, np.where(in_plus[idx], 1.0, -1.0)
+
+
 def assign_labels(cloud: PointCloud, spec) -> tuple[PointCloud, LabelSet]:
     """Apply a labelling model; returns the (possibly augmented) cloud and labels.
 
@@ -112,13 +121,9 @@ def assign_labels(cloud: PointCloud, spec) -> tuple[PointCloud, LabelSet]:
         gap = min(p.distance(m) for p in plus for m in minus)
         if gap <= 0:
             raise LabelValidationError("labelled regions must have positive separation")
-        pts = cloud.points
-        in_plus = np.any([r.contains(pts) for r in plus], axis=0)
-        in_minus = np.any([r.contains(pts) for r in minus], axis=0)
-        idx = np.flatnonzero(in_plus | in_minus)
+        idx, y = region_labels(spec, cloud.points)
         if len(idx) == 0:
             warnings.warn("no samples fell in the labelled regions", stacklevel=2)
-        y = np.where(in_plus[idx], 1.0, -1.0)
         return cloud, LabelSet(model=1, indices=idx, y=y, r_n=1.0 / cloud.n)
 
     if isinstance(spec, Model2Spec):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -32,26 +32,26 @@ import scipy.sparse.linalg as spla
 from scipy.special import erfc, log_ndtr
 
 from graphssl.continuum import ContinuumOperator
-from graphssl.labels import LabelSet, Model1Spec, Model2Spec
+from graphssl.labels import LabelSet, Model1Spec, Model2Spec, region_labels
 from graphssl.spectral import FractionalOperator, quadratic_form
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _ASYMPTOTIC_CUT = -8.0
 
 
-def _log_ndtr_series(z: np.ndarray, max_terms: int = 25) -> np.ndarray:
+def _log_ndtr_series(z: np.ndarray) -> np.ndarray:
     """log Phi(z) for z <= -8 via the Mills-ratio asymptotic expansion.
 
     log Phi(z) = -z^2/2 - log(-z sqrt(2 pi)) + log(1 - 1/z^2 + 3/z^4 - ...)
-    The series is truncated when terms fall below 1e-14 (it is asymptotic;
-    terms decrease monotonically in this regime).
+    The series is truncated when terms fall below 1e-14, or after 25 terms
+    (it is asymptotic; terms decrease monotonically in this regime).
     """
     z = np.asarray(z, dtype=float)
     inv_z2 = 1.0 / (z * z)
     series = np.zeros_like(z)
     term = np.ones_like(z)
     coeff = 1.0
-    for k in range(1, max_terms + 1):
+    for k in range(1, 26):
         coeff *= 2 * k - 1
         term = term * (-inv_z2)
         contrib = coeff * term
@@ -105,25 +105,31 @@ def psi_ratio(v, gamma: float = 1.0):
 
 
 @dataclass(frozen=True)
-class ProbitPotential:
-    """Negative log-likelihood of probit labels, with per-label multipliers."""
+class _LabelPotential:
+    """A potential that sees u only at the labeled nodes ``indices``, with
+    labels ``y``, noise level ``gamma`` and per-label multipliers ``weights``."""
 
     gamma: float
     indices: np.ndarray
     y: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-
     @classmethod
-    def for_graph(cls, labels: LabelSet, gamma: float) -> "ProbitPotential":
+    def for_graph(cls, labels: LabelSet, gamma: float):
         w = np.full(labels.size, labels.r_n)
         return cls(gamma=gamma, indices=labels.indices, y=labels.y, weights=w)
 
     def value(self, u: np.ndarray) -> float:
         return self.value_at_labeled(u[self.indices])
+
+
+@dataclass(frozen=True)
+class ProbitPotential(_LabelPotential):
+    """Negative log-likelihood of probit labels, with per-label multipliers."""
+
+    def __post_init__(self):
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
 
     def value_at_labeled(self, ul: np.ndarray) -> float:
         # log_ndtr is one ufunc call where log_psi makes about fifteen numpy
@@ -142,40 +148,25 @@ class ProbitPotential:
 
 
 @dataclass(frozen=True)
-class LevelSetPotential:
+class LevelSetPotential(_LabelPotential):
     """Misfit (1/2 gamma^2) sum |y_j - S(u_j)|^2, piecewise constant in u."""
-
-    gamma: float
-    indices: np.ndarray
-    y: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def for_graph(cls, labels: LabelSet, gamma: float) -> "LevelSetPotential":
-        w = np.full(labels.size, labels.r_n)
-        return cls(gamma=gamma, indices=labels.indices, y=labels.y, weights=w)
-
-    def value(self, u: np.ndarray) -> float:
-        return self.value_at_labeled(u[self.indices])
 
     def value_at_labeled(self, ul: np.ndarray) -> float:
         misfit = (self.y - np.sign(ul)) ** 2
-        return float(np.sum(self.weights * misfit) / (2.0 * self.gamma ** 2))
+        return float(self.weights.dot(misfit) / (2.0 * self.gamma ** 2))
 
 
 @dataclass(frozen=True)
-class IndicatorPotential:
-    """0 on the sign-consistency set {y_j u_j > 0 for all labeled j}, +inf off it."""
+class IndicatorPotential(_LabelPotential):
+    """0 on the sign-consistency set {y_j u_j > 0 for all labeled j}, +inf off
+    it: the gamma -> 0 limit, which has no noise level or multipliers to set."""
 
-    indices: np.ndarray
-    y: np.ndarray
+    gamma: float = field(default=0.0, init=False)
+    weights: None = field(default=None, init=False)
 
     @classmethod
     def for_graph(cls, labels: LabelSet) -> "IndicatorPotential":
         return cls(indices=labels.indices, y=labels.y)
-
-    def value(self, u: np.ndarray) -> float:
-        return self.value_at_labeled(u[self.indices])
 
     def value_at_labeled(self, ul: np.ndarray) -> float:
         return 0.0 if (self.y * ul > 0).all() else math.inf
@@ -190,12 +181,7 @@ def continuum_labeled_nodes(op: ContinuumOperator, spec) -> tuple[np.ndarray, np
     """
     coords = op.grid.coordinates()
     if isinstance(spec, Model1Spec):
-        plus = spec.omega_plus if isinstance(spec.omega_plus, (tuple, list)) else (spec.omega_plus,)
-        minus = spec.omega_minus if isinstance(spec.omega_minus, (tuple, list)) else (spec.omega_minus,)
-        in_plus = np.any([r.contains(coords) for r in plus], axis=0)
-        in_minus = np.any([r.contains(coords) for r in minus], axis=0)
-        idx = np.flatnonzero(in_plus | in_minus)
-        y = np.where(in_plus[idx], 1.0, -1.0)
+        idx, y = region_labels(spec, coords)
         return idx, y, op.weights[idx]
     if isinstance(spec, Model2Spec):
         pts = np.atleast_2d(np.asarray(spec.points, dtype=float))
@@ -238,14 +224,14 @@ class MapSolverError(RuntimeError):
         self.residual = residual
 
 
-def _armijo(objective, x, delta, J0, slope, scale=1e-12):
+def _armijo(objective, x, delta, J0, slope):
     """Backtracking line search: (step length, new point, new value), or
     None when no step length down to 1e-12 satisfies the Armijo condition."""
     t = 1.0
     while t > 1e-12:
         x_new = x + t * delta
         J_new = objective(x_new)
-        if J_new <= J0 + 1e-4 * t * slope + scale * abs(J0):
+        if J_new <= J0 + 1e-4 * t * slope + 1e-12 * abs(J0):
             return t, x_new, J_new
         t *= 0.5
     return None
@@ -372,17 +358,20 @@ _DENSE_FILL = 0.05  # above this nonzero fraction, dense Cholesky beats sparse L
 
 
 class PoweredFactor:
-    """A1 = matrix + tau^2 I, factored on the first solve, with solves of A1^alpha.
+    """A1 = matrix + tau^2 I, factored on the first solve, with solves of A1^alpha
+    for an integer alpha >= 1.
 
-    Sparse LU when the operator is truly sparse, dense Cholesky when fill-in
-    would dominate (large-radius graphs are nearly complete).  ``solve``
-    applies the single-factor inverse alpha times, which bounds rounding at
-    large alpha.  One factor can serve the kriging and probit solvers of the
+    Dense Cholesky when fill-in would dominate (large-radius graphs are nearly
+    complete) and A1 is symmetric, sparse LU otherwise.  ``solve`` applies the
+    single-factor inverse alpha times, which bounds rounding at large alpha.
+    One factor can serve the kriging and probit solvers of the
     same operator (pass it as ``factor``); ``unit_solves`` caches A1^-alpha
     applied to the unit vectors of a label set for them.
     """
 
     def __init__(self, matrix, alpha: int, tau: float):
+        if not float(alpha).is_integer() or alpha < 1:
+            raise ValueError("sparse solvers require integer alpha >= 1")
         self.alpha = int(alpha)
         n = matrix.shape[0]
         self.A1 = (sp.csr_matrix(matrix) + tau ** 2 * sp.identity(n, format="csr")).tocsr()
@@ -392,14 +381,18 @@ class PoweredFactor:
     def _factor(self):
         n = self.A1.shape[0]
         if self.A1.nnz > _DENSE_FILL * n * n:
-            factor = scipy.linalg.cho_factor(self.A1.toarray())
+            a = self.A1.toarray()
+            # the Cholesky reads one triangle only; a finite-volume operator
+            # is symmetric only in its rho-weighted inner product
+            if np.array_equal(a, a.T):
+                factor = scipy.linalg.cho_factor(a)
 
-            def solve1(v):
-                # the factor is finite once computed; only the right-hand
-                # side needs the finiteness check
-                return scipy.linalg.cho_solve(factor, np.asarray_chkfinite(v),
-                                              check_finite=False)
-            return solve1
+                def solve1(v):
+                    # the factor is finite once computed; only the right-hand
+                    # side needs the finiteness check
+                    return scipy.linalg.cho_solve(factor, np.asarray_chkfinite(v),
+                                                  check_finite=False)
+                return solve1
         return spla.splu(self.A1.tocsc()).solve
 
     def solve(self, v):
@@ -432,10 +425,8 @@ def sparse_krige(matrix, alpha: int, tau: float,
     is invariant to the inner-product convention of the evaluation adjoint.
     ``factor`` is a `PoweredFactor` of the same (matrix, alpha, tau).
     """
-    if not float(alpha).is_integer() or alpha < 1:
-        raise ValueError("sparse solvers require integer alpha >= 1")
     if factor is None:
-        factor = PoweredFactor(matrix, int(alpha), tau)
+        factor = PoweredFactor(matrix, alpha, tau)
     return _krige(_factored_space(factor, np.asarray(indices)),
                   np.asarray(y, dtype=float))
 
@@ -451,10 +442,8 @@ def sparse_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
     weights on graphs.  No spectral truncation is involved.  ``factor`` is a
     `PoweredFactor` of the same (matrix, alpha, tau).
     """
-    if not float(alpha).is_integer() or alpha < 1:
-        raise ValueError("sparse solvers require integer alpha >= 1")
     if factor is None:
-        factor = PoweredFactor(matrix, int(alpha), tau)
+        factor = PoweredFactor(matrix, alpha, tau)
     return _label_space_map(_factored_space(factor, pot.indices, weights),
                             pot, cfg, init)
 

@@ -45,10 +45,10 @@ class PcnConfig:
 class Chain:
     """Running pCN state plus accumulated per-node classification statistics.
 
-    ``coeffs`` is the state: spectral coefficients for `run_pcn`, the values
-    at the labeled nodes for `run_label_pcn`."""
+    ``state`` holds spectral coefficients for `run_pcn` and the values at
+    the labeled nodes for `run_label_pcn`."""
 
-    coeffs: np.ndarray
+    state: np.ndarray
     phi: float
     accepted: int = 0
     steps: int = 0
@@ -104,7 +104,7 @@ def pcn_step(chain: Chain, potential, rng: np.random.Generator, std: np.ndarray,
     min(1, exp(phi(u) - phi(u'))).  The caller passes c so that it is
     computed once per chain.
     """
-    a = chain.coeffs
+    a = chain.state
     # one buffer, scaled in place: c*a + beta*(std*xi) in the same rounding order
     proposal = rng.standard_normal(a.shape[0])
     proposal *= std
@@ -113,7 +113,7 @@ def pcn_step(chain: Chain, potential, rng: np.random.Generator, std: np.ndarray,
     phi_new = potential.value_at_labeled(Q_lab @ proposal)
     # exp(phi_old - phi_new) >= uniform; handle infinities without overflow
     if phi_new - chain.phi < -math.log(rng.random()):
-        chain.coeffs = proposal
+        chain.state = proposal
         chain.phi = phi_new
         chain.accepted += 1
     chain.steps += 1
@@ -137,7 +137,7 @@ def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig,
     phi0 = potential.value_at_labeled(Q_lab @ a0)
     if not np.isfinite(phi0):
         raise ValueError("initial state has infinite potential")
-    chain = Chain(coeffs=a0, phi=phi0)
+    chain = Chain(state=a0, phi=phi0)
 
     kept = max((cfg.iterations - cfg.burn_in) // cfg.thinning, 1)
     batch_size = max(kept // cfg.batches, 1)
@@ -156,7 +156,7 @@ def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig,
     for it in range(cfg.iterations):
         pcn_step(chain, potential, rng, std, Q_lab, beta, c)
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
-            block[rows] = chain.coeffs
+            block[rows] = chain.state
             rows += 1
             if rows == len(block) or chain.batch_count + rows == batch_size:
                 flush()
@@ -237,7 +237,7 @@ def run_label_pcn(prior: FractionalOperator, potential, cfg: PcnConfig,
     phi = value(v)
     if not np.isfinite(phi):
         raise ValueError("initial state has infinite potential")
-    chain = Chain(coeffs=v, phi=phi)
+    chain = Chain(state=v, phi=phi)
 
     kept = max((cfg.iterations - cfg.burn_in) // cfg.thinning, 1)
     batch_size = max(kept // cfg.batches, 1)
@@ -268,7 +268,7 @@ def run_label_pcn(prior: FractionalOperator, potential, cfg: PcnConfig,
                     rows = 0
     if rows:
         chain.accumulate(cond.mean_sign(block[:rows]), batch_size)
-    chain.coeffs, chain.phi = v, phi
+    chain.state, chain.phi = v, phi
     chain.accepted, chain.steps = accepted, cfg.iterations
     return chain
 

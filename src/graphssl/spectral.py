@@ -47,9 +47,6 @@ class EigenDecomposition:
     def n(self) -> int:
         return self.vectors.shape[0]
 
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.sum(a * b * self.weights))
-
     def norm(self, a: np.ndarray) -> float:
         return float(np.sqrt(np.sum(a * a * self.weights)))
 
@@ -110,11 +107,11 @@ def decompose(op, weights=None, m: int | None = None) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=lam, vectors=Q, weights=weights)
 
 
-def decompose_graph(g, m: int | None = None, normalized: bool = False) -> EigenDecomposition:
-    """Eigendecomposition of a graph Laplacian in the empirical inner product."""
+def decompose_graph(g, m: int | None = None) -> EigenDecomposition:
+    """Eigendecomposition of the unnormalized Laplacian in the empirical inner product."""
     from graphssl.graph import laplacian
 
-    return decompose(laplacian(g, normalized=normalized), weights=None, m=m)
+    return decompose(laplacian(g), m=m)
 
 
 @dataclass(frozen=True)
@@ -174,21 +171,12 @@ def sample_prior(A: FractionalOperator, rng: np.random.Generator, r: float = 1.0
 
     With tau = 0 the sample lies in the orthogonal complement of constants.
     """
-    return A.eig.reconstruct(sample_prior_coeffs(A, rng, r))
-
-
-def sample_prior_coeffs(A: FractionalOperator, rng: np.random.Generator, r: float = 1.0) -> np.ndarray:
-    std = prior_std(A, r)
-    return std * rng.standard_normal(A.eig.m)
+    return A.eig.reconstruct(prior_std(A, r) * rng.standard_normal(A.eig.m))
 
 
 def prior_std(A: FractionalOperator, r: float = 1.0) -> np.ndarray:
     """Per-mode standard deviations of N(0, r*A^{-1})."""
-    base = A.base_eigenvalues()
-    std = np.zeros_like(base)
-    pos = base > 0
-    std[pos] = np.sqrt(r) * base[pos] ** (-A.alpha / 2.0)
-    return std
+    return np.sqrt(r) * A.powered(-0.5)
 
 
 def sobolev_norm(eig: EigenDecomposition, u: np.ndarray, s: float) -> float:

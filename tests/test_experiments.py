@@ -49,10 +49,18 @@ class TestConfig:
         ("rates-krige", {"eps_min": 0.9}),
         ("rates-krige", {"eps_count": 2}),
         ("channel", {"alpha_values": [1.0, -2.0]}),
+        ("channel", {"gamma": 0.0}),
+        ("rates-krige", {"n_values": [100, 3]}),
     ])
     def test_invalid_parameters(self, exp, params):
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment=exp, out_dir="/tmp/x", params=params)
+
+    def test_unknown_rates_model(self, tmp_path):
+        cfg = ExperimentConfig(experiment="rates-krige", out_dir=tmp_path,
+                               params={"models": "krige,svm"})
+        with pytest.raises(ConfigError, match="unknown rates model"):
+            run_rates(cfg)
 
     def test_thread_validation(self):
         with pytest.raises(ConfigError, match="threads"):
@@ -93,6 +101,13 @@ class TestLoadConfig:
         p.write_text("[run]\nseed = 1\n")
         with pytest.raises(ConfigError, match="not inferable"):
             load_config(p)
+
+    def test_paper_scale_from_run_section(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text("[run]\nexperiment = channel\npaper_scale = yes\n")
+        cfg = load_config(p)
+        assert cfg.paper_scale is True
+        assert cfg.params["grid_n"] == 256
 
     def test_defaults_without_file(self):
         cfg = load_config(None, experiment="channel")
@@ -142,7 +157,7 @@ class TestRatesDroppedPoints:
 
     def test_failed_eigensolves_are_listed(self, tmp_path, monkeypatch):
         # alpha = 1.5 takes the spectral route through decompose_graph
-        def failing(g, m=None, normalized=False):
+        def failing(g, m=None):
             raise EigensolverError("no convergence")
         monkeypatch.setattr(experiments, "decompose_graph", failing)
         cfg = ExperimentConfig(experiment="rates-krige", out_dir=tmp_path,
@@ -187,7 +202,7 @@ class TestRatesDroppedPoints:
         assert result["warnings"][key] > 0
 
     def test_other_eigensolver_exceptions_propagate(self, tmp_path, monkeypatch):
-        def broken(g, m=None, normalized=False):
+        def broken(g, m=None):
             raise TypeError("a bug, not a numerical failure")
         monkeypatch.setattr(experiments, "decompose_graph", broken)
         cfg = ExperimentConfig(experiment="rates-krige", out_dir=tmp_path,

@@ -54,6 +54,24 @@ class TestModel1:
         with pytest.raises(LabelValidationError):
             assign_labels(cloud, spec)
 
+    def test_separated_boxes(self):
+        cloud = sample_cloud(Density("uniform"), 200, seed=0)
+        spec = Model1Spec(omega_plus=Box((0.1, 0.1), (0.3, 0.3)),
+                          omega_minus=Box((0.5, 0.1), (0.9, 0.3)))
+        assert spec.omega_plus.distance(spec.omega_minus) == pytest.approx(0.2)
+        _, labels = assign_labels(cloud, spec)
+        in_plus = spec.omega_plus.contains(cloud.points)
+        in_minus = spec.omega_minus.contains(cloud.points)
+        assert np.array_equal(labels.indices, np.flatnonzero(in_plus | in_minus))
+        assert np.array_equal(labels.y, np.where(in_plus[labels.indices], 1.0, -1.0))
+
+    def test_overlapping_boxes_rejected(self):
+        cloud = sample_cloud(Density("uniform"), 50, seed=0)
+        spec = Model1Spec(omega_plus=Box((0.1, 0.1), (0.5, 0.5)),
+                          omega_minus=Box((0.4, 0.4), (0.9, 0.9)))
+        with pytest.raises(LabelValidationError):
+            assign_labels(cloud, spec)
+
     def test_empty_region_warns(self):
         cloud = PointCloud(points=np.array([[0.9, 0.9]]), seed=0)
         spec = Model1Spec(omega_plus=Ball((0.1, 0.1), 0.01),

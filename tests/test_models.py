@@ -375,6 +375,28 @@ class TestPoweredFactor:
         with pytest.raises(ValueError):
             factor.solve(v)
 
+    @pytest.mark.parametrize("alpha", [1.5, 0, -1])
+    def test_rejects_alpha_that_is_not_a_positive_integer(self, alpha):
+        with pytest.raises(ValueError, match="integer alpha"):
+            PoweredFactor(sp.identity(4, format="csr"), alpha, 1.0)
+
+    @pytest.mark.parametrize("N", [8, 9])
+    def test_small_nonuniform_grid_matches_spectral(self, N):
+        # a 5-point stencil on N <= 9 fills more than the dense threshold, but
+        # the finite-volume operator is not symmetric: it must not reach the
+        # Cholesky, which reads one triangle
+        op = discretize(Density("channel", h=0.3, width=0.1), N)
+        assert PoweredFactor(op.matrix, 2, 1.0).A1.nnz > 0.05 * op.grid.size ** 2
+        spec = Model1Spec(omega_plus=Ball((0.25, 0.25), 0.1),
+                          omega_minus=Ball((0.75, 0.75), 0.1))
+        idx, y, w = continuum_labeled_nodes(op, spec)
+        u = continuum_krige(op, 2, 1.0, idx, y)
+        assert _rel(u, continuum_krige(op, 2, 1.0, idx, y, m=op.grid.size)) <= 1e-10
+        pot = ProbitPotential(gamma=0.1, indices=idx, y=y, weights=w)
+        u = continuum_probit_map(op, 2, 1.0, pot)
+        assert _rel(u, continuum_probit_map(op, 2, 1.0, pot, m=op.grid.size)) <= 1e-10
+
+
 class _FlippedGradient(ProbitPotential):
     """Probit potential reporting the negated gradient: every Newton
     direction computed from it climbs the true objective."""
@@ -392,7 +414,7 @@ class TestLineSearch:
         searches = []
         armijo = models._armijo
 
-        def spy(objective, x, delta, J0, slope, scale=1e-12):
+        def spy(objective, x, delta, J0, slope):
             # evaluate the start point first: the node-space objective keeps
             # A v of its last evaluation, which must be the accepted point
             J_here = objective(x)
@@ -401,7 +423,7 @@ class TestLineSearch:
             def recorded(v):
                 evals.append(objective(v))
                 return evals[-1]
-            step = armijo(recorded, x, delta, J0, slope, scale)
+            step = armijo(recorded, x, delta, J0, slope)
             searches.append((J_here, J0, slope, evals, step))
             return step
         monkeypatch.setattr(models, "_armijo", spy)

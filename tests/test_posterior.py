@@ -128,7 +128,7 @@ class TestReferenceChain:
         assert chain.accepted == accepted
         assert chain.steps == steps
         assert np.array_equal(chain.sum_sign, sum_sign)
-        assert np.array_equal(chain.coeffs, coeffs)
+        assert np.array_equal(chain.state, coeffs)
 
     @pytest.mark.parametrize("gamma", [1.0, 1e-4])
     def test_probit(self, small_graph, gamma):
@@ -192,7 +192,7 @@ class TestBlockedRecords:
     def test_record_takes_one_field_or_a_block(self):
         from graphssl.posterior import Chain
         U = np.array([[1.0, -1.0], [-2.0, -3.0], [0.0, 4.0]])  # 3 fields, 2 nodes
-        single, block = Chain(coeffs=np.zeros(1), phi=0.0), Chain(coeffs=np.zeros(1), phi=0.0)
+        single, block = Chain(state=np.zeros(1), phi=0.0), Chain(state=np.zeros(1), phi=0.0)
         for u in U:
             single.record(u, store=True, batch_size=3)
         block.record(U, store=True, batch_size=3)
@@ -376,7 +376,7 @@ class TestPriorPreservation:
 class TestStatistics:
     def test_classification_stats_needs_samples(self):
         from graphssl.posterior import Chain
-        chain = Chain(coeffs=np.zeros(3), phi=0.0)
+        chain = Chain(state=np.zeros(3), phi=0.0)
         chain.record(np.array([1.0, -1.0]), store=False, batch_size=10)
         with pytest.raises(ValueError, match="100"):
             classification_stats(chain)
@@ -417,7 +417,7 @@ class TestRaoBlackwellizedStatistics:
     def test_fallback_stderr_is_an_upper_bound(self, small_graph):
         cond, states = self._states(small_graph, 300)
         h = cond.mean_sign(states)
-        chain = Chain(coeffs=np.zeros(2), phi=0.0)
+        chain = Chain(state=np.zeros(2), phi=0.0)
         chain.accumulate(h, batch_size=1000)  # no batch completes: fallback
         se = mean_sign_stderr(chain)
         iid = h.std(axis=0) / math.sqrt(len(h))  # the i.i.d. SE of the h average
@@ -430,7 +430,7 @@ class TestRaoBlackwellizedStatistics:
     def test_variance_column_is_the_variance_of_the_sign(self, small_graph):
         cond, states = self._states(small_graph, 200)
         h = cond.mean_sign(states)
-        chain = Chain(coeffs=np.zeros(2), phi=0.0)
+        chain = Chain(state=np.zeros(2), phi=0.0)
         chain.accumulate(h, batch_size=len(h))
         mean, var = classification_stats(chain)
         # S(u) itself: 100 draws of u from its conditional law per state
