@@ -4,9 +4,6 @@ The operator is L u = -(1/rho) div(rho^2 grad u) with zero-flux boundary
 conditions on the unit box, discretized on a uniform cell-centered grid.
 Fluxes use rho^2 at face midpoints and 1/rho at cell centers, which makes the
 matrix symmetric in the rho-weighted inner product by construction.
-
-The normalized variant is L u = -rho^{-3/2} div(rho^2 grad(u rho^{-1/2})),
-realized as diag(rho^{-1/2}) L diag(rho^{-1/2}).
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ class ContinuumOperator:
     rho: Density
     matrix: sp.csr_matrix
     rho_at_nodes: np.ndarray
-    normalized: bool = False
     _eig_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -69,7 +65,7 @@ class ContinuumOperator:
         return self._eig_cache[key]
 
 
-def discretize(rho: Density, N: int, normalized: bool = False) -> ContinuumOperator:
+def discretize(rho: Density, N: int) -> ContinuumOperator:
     """Assemble the flux-form discretization on an N^d cell-centered grid."""
     if N < 8:
         raise ValueError("N must be at least 8")
@@ -106,12 +102,7 @@ def discretize(rho: Density, N: int, normalized: bool = False) -> ContinuumOpera
     cols = np.concatenate(cols)
     data = np.concatenate(data)
     L = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-    if normalized:
-        r = sp.diags(rho_nodes ** (-0.5))
-        L = (r @ L @ r).tocsr()
-    return ContinuumOperator(grid=grid, rho=rho, matrix=L,
-                             rho_at_nodes=rho_nodes, normalized=normalized)
+    return ContinuumOperator(grid=grid, rho=rho, matrix=L, rho_at_nodes=rho_nodes)
 
 
 def interpolate_to_points(grid: Grid, values: np.ndarray, cloud_or_points) -> np.ndarray:

@@ -3,13 +3,13 @@
 All densities live on Omega = (0,1)^d and are normalized to integrate to one.
 Three families are supported: uniform, a "channel" density that dips to a
 value h on a vertical strip, and a two-moons density concentrating mass on
-two arcs with a configurable contrast ratio.
+two arcs with a fixed contrast ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -24,9 +24,6 @@ class DomainError(ValueError):
 # elliptic.
 CHANNEL_RAMP = 0.02
 CHANNEL_FLOOR = 1e-3
-
-_TWO_MOONS_RADIUS = 0.25
-_TWO_MOONS_CENTERS = ((0.35, 0.45), (0.65, 0.55))
 
 
 def _channel_profile(x1: np.ndarray, h: float, width: float) -> np.ndarray:
@@ -85,11 +82,13 @@ class Density:
     dim: int = 2
     h: float = 1.0
     width: float = 0.1
-    contrast: float = 100.0
-    bandwidth: float = 0.04
-    radius: float = _TWO_MOONS_RADIUS
-    centers: tuple = _TWO_MOONS_CENTERS
     normalization: float = field(init=False)
+    # two-moons geometry: arc radius and centers, the peak-to-floor density
+    # ratio, and the width of the bump around each arc
+    radius: ClassVar[float] = 0.25
+    centers: ClassVar[tuple] = ((0.35, 0.45), (0.65, 0.55))
+    contrast: ClassVar[float] = 100.0
+    bandwidth: ClassVar[float] = 0.04
 
     def __post_init__(self):
         if self.dim < 2:

@@ -206,6 +206,19 @@ class ExperimentConfig:
             raise ConfigError("gammas must be positive")
         if "beta" in p and not 0 < p["beta"] <= 1:
             raise ConfigError("beta must lie in (0, 1]")
+        if "thinning" in p and p["thinning"] < 1:
+            raise ConfigError("thinning must be at least 1")
+        if "batches" in p and p["batches"] < 1:
+            raise ConfigError("batches must be at least 1")
+        if "iterations" in p and (p["iterations"] - p["burn_in"]) // p["thinning"] < 100:
+            raise ConfigError("(iterations - burn_in) // thinning must be at least 100")
+        if any(p.get(k, 8) < 8 for k in ("grid_n", "continuum_grid_n", "weyl_grid_n_3d")):
+            raise ConfigError("grids need at least 8 cells per side")
+        if "n_seeds" in p and p["n_seeds"] < 1:
+            raise ConfigError("n_seeds must be at least 1")
+        for m in str(p.get("models", "krige")).split(","):
+            if m.strip() not in ("krige", "probit"):
+                raise ConfigError(f"unknown rates model {m.strip()!r}")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
 
@@ -338,7 +351,6 @@ def run_channel(cfg: ExperimentConfig) -> dict:
     summaries.  Returns the summary as a dict for programmatic use.
     """
     p = cfg.params
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     spec = Model1Spec(
         omega_plus=Ball((0.25, 0.25), p["label_radius"]),
         omega_minus=Ball((0.75, 0.75), p["label_radius"]),
@@ -370,7 +382,6 @@ def run_channel(cfg: ExperimentConfig) -> dict:
                ["h", "alpha", "diag_agreement", "vert_agreement"], boundary_rows)
     _write_csv(cfg.out_dir / "agreement_alpha.csv",
                ["h", "alpha_i", "alpha_j", "sign_agreement"], pair_rows)
-    _echo_config(cfg)
     return {"boundary": boundary_rows, "pairs": pair_rows}
 
 
@@ -440,11 +451,6 @@ def run_rates(cfg: ExperimentConfig) -> dict:
     """
     p = cfg.params
     models = [m.strip() for m in str(p["models"]).split(",")]
-    for m in models:
-        if m not in ("krige", "probit"):
-            raise ConfigError(f"unknown rates model {m!r}")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-
     eps_grid = np.linspace(p["eps_min"], p["eps_max"], p["eps_count"])
     refs = {m: _continuum_reference(m, p) for m in models}
     spec = _two_labels(p)
@@ -535,7 +541,6 @@ def run_rates(cfg: ExperimentConfig) -> dict:
                ["model", "n", "eps_lower", "eps_upper"], bound_rows)
     _write_csv(cfg.out_dir / "fits.csv",
                ["model", "bound", "slope", "intercept"], fit_rows)
-    _echo_config(cfg)
     return {"eps": eps_grid, "errors": err_rows, "bounds": bounds, "fits": fit_rows,
             "dropped": dropped, "warnings": dict(caught)}
 
@@ -553,7 +558,6 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
     ``result["warnings"]``.
     """
     p = cfg.params
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     cloud = sample_cloud(Density("uniform"), p["n"] - 2,
                          seed=_point_seed(cfg.seed, 0))
     cloud, labels = assign_labels(cloud, _two_labels(p))
@@ -580,7 +584,6 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
                    [*(f"x{i+1}" for i in range(d)), "u"],
                    np.column_stack([cloud.points, u]))
     _write_csv(cfg.out_dir / "spikes.csv", ["alpha", "epsilon", "spike_score"], rows)
-    _echo_config(cfg)
     return {"scores": scores, "warnings": dict(caught)}
 
 
@@ -596,7 +599,6 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
     (alpha, tau), the Fiedler vector, and a summary of chain statistics.
     """
     p = cfg.params
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     rho = Density("two_moons")
     op = discretize(rho, p["grid_n"])
     coords = op.grid.coordinates()
@@ -634,7 +636,6 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
     _write_csv(cfg.out_dir / "summary.csv",
                ["alpha", "tau", "acceptance", "mean_sign_label_plus",
                 "mean_sign_label_minus", "offcurve_certainty"], summary)
-    _echo_config(cfg)
     return {"summary": summary, "fiedler": fied, "degenerate": degenerate,
             "fields": fields, "coords": coords, "rho": op.rho_at_nodes,
             "label_indices": idx}
@@ -653,7 +654,6 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
     counted in ``result["warnings"]``.
     """
     p = cfg.params
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     k_max = p["k_max"]
     analytic = np.sort([np.pi ** 2 * (i * i + j * j)
                         for i in range(k_max + 2) for j in range(k_max + 2)])[:k_max]
@@ -707,7 +707,6 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
     _write_csv(cfg.out_dir / "eigenvalues.csv", ["source", "n", "k", "lambda"], eig_rows)
     _write_csv(cfg.out_dir / "errors.csv", ["n", "k", "rel_error"], err_rows)
     _write_csv(cfg.out_dir / "weyl.csv", ["setting", "slope"], weyl_rows)
-    _echo_config(cfg)
     return {"analytic": analytic, "graph": graph_lams, "mean_errors": mean_errors,
             "max_errors": max_errors, "weyl": {r[0]: r[1] for r in weyl_rows},
             "warnings": dict(caught)}
@@ -723,7 +722,6 @@ def run_smallnoise(cfg: ExperimentConfig) -> dict:
     Warnings from the graph build are counted in ``report["warnings"]``.
     """
     p = cfg.params
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     cloud = sample_cloud(Density("uniform"), p["n"] - 2,
                          seed=_point_seed(cfg.seed, 0))
     cloud, labels = assign_labels(cloud, _two_labels(p))
@@ -758,7 +756,6 @@ def run_smallnoise(cfg: ExperimentConfig) -> dict:
     _write_csv(cfg.out_dir / "smallnoise.csv",
                ["model", "gamma", "max_discrepancy", "mean_discrepancy",
                 "max_excess_over_3se", "acceptance"], rows)
-    _echo_config(cfg)
     return report
 
 
@@ -778,5 +775,8 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> dict:
-    """Run an experiment; returns its summary dict and writes CSVs."""
+    """Run an experiment; returns its summary dict and writes its CSVs and the
+    resolved configuration into ``cfg.out_dir``."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    _echo_config(cfg)
     return _RUNNERS[cfg.experiment](cfg)

@@ -36,38 +36,13 @@ from graphssl.labels import LabelSet, Model1Spec, Model2Spec, region_labels
 from graphssl.spectral import FractionalOperator, quadratic_form
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_ASYMPTOTIC_CUT = -8.0
-
-
-def _log_ndtr_series(z: np.ndarray) -> np.ndarray:
-    """log Phi(z) for z <= -8 via the Mills-ratio asymptotic expansion.
-
-    log Phi(z) = -z^2/2 - log(-z sqrt(2 pi)) + log(1 - 1/z^2 + 3/z^4 - ...)
-    The series is truncated when terms fall below 1e-14, or after 25 terms
-    (it is asymptotic; terms decrease monotonically in this regime).
-    """
-    z = np.asarray(z, dtype=float)
-    inv_z2 = 1.0 / (z * z)
-    series = np.zeros_like(z)
-    term = np.ones_like(z)
-    coeff = 1.0
-    for k in range(1, 26):
-        coeff *= 2 * k - 1
-        term = term * (-inv_z2)
-        contrib = coeff * term
-        series += contrib
-        if np.max(np.abs(contrib)) < 1e-14:
-            break
-    return -0.5 * z * z - np.log(-z) - _LOG_SQRT_2PI + np.log1p(series)
 
 
 def log_psi(v, gamma: float = 1.0):
     """Numerically stable log Psi(v; gamma) = log Phi(v / gamma).
 
-    Three regimes: the asymptotic Mills-ratio expansion in the deep left
-    tail, erfc in the central regime, and log1p of the upper tail mass for
-    z >= 0 (where log(Phi) would lose all relative accuracy as Phi -> 1).
-    Relative error below 1e-10 for v/gamma in [-30, 8].
+    scipy's log_ndtr below zero, and log1p of the upper tail mass for z >= 0
+    (where log(Phi) would lose all relative accuracy as Phi -> 1).
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -75,15 +50,11 @@ def log_psi(v, gamma: float = 1.0):
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     out = np.empty_like(z)
-    tail = z < _ASYMPTOTIC_CUT
-    upper = z >= 0.0
-    mid = ~tail & ~upper
-    if np.any(tail):
-        out[tail] = _log_ndtr_series(z[tail])
-    if np.any(mid):
-        out[mid] = np.log(0.5 * erfc(-z[mid] / math.sqrt(2.0)))
-    if np.any(upper):
-        out[upper] = np.log1p(-0.5 * erfc(z[upper] / math.sqrt(2.0)))
+    lower = z < 0.0
+    out[lower] = log_ndtr(z[lower])
+    # Keeps log1p rather than log_ndtr: an ulp-level change here flips the
+    # signs of channel MAP nodes whose value is zero up to roundoff.
+    out[~lower] = np.log1p(-0.5 * erfc(z[~lower] / math.sqrt(2.0)))
     return float(out[0]) if scalar else out
 
 
@@ -93,8 +64,6 @@ def psi_ratio(v, gamma: float = 1.0):
     Computed as exp(log pdf - log cdf); stays finite far into the left tail
     where both factors underflow individually.
     """
-    # Keeps log_psi rather than log_ndtr: an ulp-level change here flips the
-    # signs of channel MAP nodes whose value is zero up to roundoff.
     z = np.asarray(v, dtype=float) / gamma
     log_pdf = -0.5 * z * z - _LOG_SQRT_2PI
     return np.exp(log_pdf - np.asarray(log_psi(v, gamma))) / gamma
@@ -296,8 +265,8 @@ def _label_space_map(space: _LabelSpace, pot: ProbitPotential,
     for _ in range(cfg.max_iter):
         v = G @ c
         r = c + pot.grad_at_labeled(v)
-        # Phi'' >= 0; deep in the wrong-sign tail (|z| ~ 1e5) roundoff can
-        # make the computed value negative, and then delta need not descend
+        # Phi'' >= 0; past |z| ~ 1e4 in the wrong-sign tail roundoff can make
+        # the computed value negative, and then delta need not descend
         curv = np.maximum(pot.curvature_at_labeled(v), 0.0)
         delta = -np.linalg.solve(np.eye(len(r)) + curv[:, None] * G, r)
         slope = float(r @ (G @ delta))

@@ -39,6 +39,8 @@ class PcnConfig:
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
+        if self.thinning < 1 or self.batches < 1:
+            raise ValueError("thinning and batches must be at least 1")
 
 
 @dataclass

@@ -107,11 +107,11 @@ def decompose(op, weights=None, m: int | None = None) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=lam, vectors=Q, weights=weights)
 
 
-def decompose_graph(g, m: int | None = None) -> EigenDecomposition:
+def decompose_graph(g) -> EigenDecomposition:
     """Eigendecomposition of the unnormalized Laplacian in the empirical inner product."""
     from graphssl.graph import laplacian
 
-    return decompose(laplacian(g), m=m)
+    return decompose(laplacian(g))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,11 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.strip() != ""
 
+    def test_zero_thinning_exits_2(self, tmp_path):
+        cfg = _write_cfg(tmp_path, "[smallnoise]\nthinning = 0\n")
+        assert cli.main(["smallnoise", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = _write_cfg(tmp_path, "[extrapolation]\nbogus = 1\n")
         assert cli.main(["extrapolation", "--config", str(cfg),

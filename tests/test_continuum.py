@@ -38,9 +38,8 @@ class TestUniformSpectrum:
 
 
 class TestOperatorStructure:
-    @pytest.mark.parametrize("normalized", [False, True])
-    def test_symmetric_in_weighted_inner_product(self, normalized):
-        op = discretize(Density("channel", h=0.3), 24, normalized=normalized)
+    def test_symmetric_in_weighted_inner_product(self):
+        op = discretize(Density("channel", h=0.3), 24)
         rng = np.random.default_rng(0)
         u, v = rng.standard_normal((2, op.grid.size))
         lhs = op.inner(op.matrix @ u, v)

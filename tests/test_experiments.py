@@ -13,7 +13,6 @@ from graphssl.experiments import (
     _write_csv,
     load_config,
     run,
-    run_extrapolation,
     run_rates,
 )
 from graphssl.spectral import EigensolverError
@@ -51,16 +50,26 @@ class TestConfig:
         ("channel", {"alpha_values": [1.0, -2.0]}),
         ("channel", {"gamma": 0.0}),
         ("rates-krige", {"n_values": [100, 3]}),
+        ("smallnoise", {"thinning": 0}),
+        ("mcmc-moons", {"thinning": 0}),
+        ("smallnoise", {"batches": 0}),
+        ("channel", {"grid_n": 4}),
+        ("mcmc-moons", {"grid_n": 7}),
+        ("rates-krige", {"continuum_grid_n": 4}),
+        ("spectra", {"weyl_grid_n_3d": 4}),
+        ("rates-krige", {"n_seeds": 0}),
+        ("smallnoise", {"iterations": 100}),
+        ("mcmc-moons", {"iterations": 1000, "burn_in": 100}),
     ])
     def test_invalid_parameters(self, exp, params):
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment=exp, out_dir="/tmp/x", params=params)
 
     def test_unknown_rates_model(self, tmp_path):
-        cfg = ExperimentConfig(experiment="rates-krige", out_dir=tmp_path,
-                               params={"models": "krige,svm"})
+        # rejected with the config, before run() creates the output directory
         with pytest.raises(ConfigError, match="unknown rates model"):
-            run_rates(cfg)
+            ExperimentConfig(experiment="rates-krige", out_dir=tmp_path,
+                             params={"models": "krige,svm"})
 
     def test_thread_validation(self):
         with pytest.raises(ConfigError, match="threads"):
@@ -215,7 +224,7 @@ class TestRunners:
     def test_extrapolation_outputs(self, tmp_path):
         cfg = ExperimentConfig(experiment="extrapolation", out_dir=tmp_path,
                                params={"n": 150, "alpha_values": [0.5, 2.0]})
-        result = run_extrapolation(cfg)
+        result = run(cfg)
         assert set(result["scores"]) == {0.5, 2.0}
         spikes = (tmp_path / "spikes.csv").read_text().splitlines()
         assert spikes[0] == "alpha,epsilon,spike_score"

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc, log_ndtr
 
 import graphssl.models as models
 from graphssl.continuum import discretize
@@ -77,6 +78,15 @@ class TestLogPsi:
             h = 1e-6
             num = (log_psi(z + h, 1.0) - log_psi(z - h, 1.0)) / (2 * h)
             assert psi_ratio(z, 1.0) == pytest.approx(num, rel=1e-6)
+
+    def test_branches_pinned_bit_for_bit(self):
+        # below zero, the same log Phi as the pCN potential's log_ndtr; at and
+        # above zero, the log1p form whose bits the channel references pin
+        neg = np.linspace(-200.0, 0.0, 100_000, endpoint=False)
+        pos = np.linspace(0.0, 40.0, 100_000)
+        expected = np.concatenate([log_ndtr(neg),
+                                   np.log1p(-0.5 * erfc(pos / math.sqrt(2.0)))])
+        assert np.array_equal(log_psi(np.concatenate([neg, pos]), 1.0), expected)
 
     def test_ratio_finite_deep_tail(self):
         r = psi_ratio(np.array([-50.0, -200.0]), 1.0)
@@ -209,8 +219,8 @@ class TestProbitMap:
         assert err.value.iterate.shape == (graph.n,)
 
     def test_converges_from_deep_wrong_sign_tail(self, small_graph):
-        # at y*u/gamma = -1e5 the computed curvature comes out negative;
-        # clipped at zero, the Newton direction still descends
+        # far into the wrong-sign tail the computed curvature can come out
+        # negative; clipped at zero, the Newton direction still descends
         graph, labels = small_graph
         prior = _prior(graph)
         pot = ProbitPotential.for_graph(labels, 1e-4)
@@ -522,9 +532,9 @@ class TestLineSearch:
         assert not np.any(err.value.iterate)
 
     def test_node_space_deep_wrong_sign_start(self):
-        # at y u / gamma ~ -1e5 the computed curvature is negative roundoff;
-        # unclipped, the Newton direction climbs and a tiny ascent step
-        # passed the line search's slack as convergence, 1.6e4 max|u| away
+        # at y u / gamma = -1.65e4 the computed curvature is negative
+        # roundoff; unclipped, the Newton direction climbs and a tiny ascent
+        # step passed the line search's slack as convergence
         op = discretize(Density("uniform"), 16)
         spec = Model1Spec(omega_plus=Ball((0.25, 0.25), 0.1),
                           omega_minus=Ball((0.75, 0.75), 0.1))
@@ -532,7 +542,7 @@ class TestLineSearch:
         assert len(idx) == 24
         pot = ProbitPotential(gamma=1e-4, indices=idx, y=y, weights=w)
         init = np.zeros(op.grid.size)
-        init[idx] = -10.0 * y
+        init[idx] = -1.65 * y
         assert np.any(pot.curvature_at_labeled(init[idx]) < 0.0)
         u = continuum_probit_map(op, 2.0, 1.0, pot, init=init)
         assert _rel(u, continuum_probit_map(op, 2.0, 1.0, pot)) <= 1e-12

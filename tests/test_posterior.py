@@ -47,10 +47,9 @@ def _free_potential():
 
 class TestPcnMechanics:
     def test_beta_validation(self):
-        with pytest.raises(ValueError):
-            PcnConfig(beta=0.0)
-        with pytest.raises(ValueError):
-            PcnConfig(beta=1.5)
+        for bad in ({"beta": 0.0}, {"beta": 1.5}, {"thinning": 0}, {"batches": 0}):
+            with pytest.raises(ValueError):
+                PcnConfig(**bad)
 
     def test_deterministic_given_seed(self, small_graph):
         graph, labels = small_graph
