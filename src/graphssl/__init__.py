@@ -19,7 +19,7 @@ The package provides:
 
 from graphssl.density import Density, PointCloud, eval_density, sample_cloud
 from graphssl.graph import (Kernel, NeighborPairs, WeightedGraph, kernel_constants, build_graph,
-                            laplacian, neighbor_pairs)
+                            laplacian, neighbor_pairs, EpsilonSweep)
 from graphssl.spectral import (
     EigenDecomposition,
     FractionalOperator,
@@ -64,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Density", "PointCloud", "eval_density", "sample_cloud",
     "Kernel", "WeightedGraph", "kernel_constants", "build_graph", "laplacian",
-    "NeighborPairs", "neighbor_pairs",
+    "NeighborPairs", "neighbor_pairs", "EpsilonSweep",
     "EigenDecomposition", "FractionalOperator", "decompose", "decompose_graph",
     "apply_power", "quadratic_form", "sample_prior", "sobolev_norm", "weyl_exponent",
     "Grid", "ContinuumOperator", "discretize", "interpolate_to_points", "fiedler_vector",

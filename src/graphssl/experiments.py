@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from graphssl.continuum import discretize, fiedler_vector
+from graphssl.continuum import discretize, fiedler_vector, interpolate_to_points
 from graphssl.density import Density, sample_cloud
-from graphssl.graph import Kernel, build_graph, laplacian, neighbor_pairs
+from graphssl.graph import EpsilonSweep, Kernel, build_graph, laplacian, neighbor_pairs
 from graphssl.labels import Ball, Model1Spec, Model2Spec, assign_labels, sign
 from graphssl.models import (
     IndicatorPotential,
@@ -58,7 +58,6 @@ from graphssl.spectral import (
     decompose_graph,
     weyl_exponent,
 )
-from graphssl.transport import discrete_vs_continuum_error
 
 EXPERIMENT_IDS = (
     "channel", "rates-krige", "rates-probit", "extrapolation",
@@ -188,8 +187,12 @@ class ExperimentConfig:
         p = self.params
         if "alpha" in p and p["alpha"] <= 0:
             raise ConfigError("alpha must be positive")
-        if "tau" in p and p["tau"] < 0:
-            raise ConfigError("tau must be nonnegative")
+        # at tau = 0 the kriging and MAP operators are singular; mcmc-moons
+        # can run at tau = 0, so only tau < 0 is rejected there
+        if "tau" in p and p["tau"] <= 0:
+            raise ConfigError("tau must be positive")
+        if "tau_values" in p and any(t < 0 for t in p["tau_values"]):
+            raise ConfigError("tau values must be nonnegative")
         if "gamma" in p and p["gamma"] <= 0:
             raise ConfigError("gamma must be positive")
         if "alpha_values" in p and any(a <= 0 for a in p["alpha_values"]):
@@ -425,23 +428,31 @@ def _two_labels(p: dict) -> Model2Spec:
                       signs=np.array([1.0, -1.0]))
 
 
-def _continuum_reference(model: str, p: dict) -> tuple:
-    rho = Density("uniform")
-    op = discretize(rho, p["continuum_grid_n"])
+def _continuum_references(models: list, p: dict) -> tuple:
+    """The continuum kriging and probit fields of each model on one grid; at
+    integer alpha one factorization serves both."""
+    op = discretize(Density("uniform"), p["continuum_grid_n"])
     idx, y, w = continuum_labeled_nodes(op, _two_labels(p))
-    if model == "krige":
-        u = continuum_krige(op, p["alpha"], p["tau"], idx, y)
-    else:
-        pot = ProbitPotential(gamma=p["gamma"], indices=idx, y=y, weights=w)
-        u = continuum_probit_map(op, p["alpha"], p["tau"], pot)
-    return op.grid, u
+    factor = None
+    if float(p["alpha"]).is_integer() and p["alpha"] >= 1:
+        factor = PoweredFactor(op.matrix, int(p["alpha"]), p["tau"])
+    refs = {}
+    for m in models:
+        if m == "krige":
+            refs[m] = continuum_krige(op, p["alpha"], p["tau"], idx, y, factor=factor)
+        else:
+            pot = ProbitPotential(gamma=p["gamma"], indices=idx, y=y, weights=w)
+            refs[m] = continuum_probit_map(op, p["alpha"], p["tau"], pot, factor=factor)
+    return op.grid, refs
 
 
 def run_rates(cfg: ExperimentConfig) -> dict:
     """Discrete-vs-continuum error sweeps over (n, epsilon) for kriging/probit.
 
-    One full-graph eigendecomposition per sweep point is shared by all
-    requested models.  Emits seed-averaged error curves, detected sweet-spot
+    At integer alpha one factorization of s_n L + tau^2 I per sweep point is
+    shared by all requested models, and `EpsilonSweep` builds the operators
+    of a cloud's sweep; otherwise one full-graph eigendecomposition per sweep
+    point is.  Emits seed-averaged error curves, detected sweet-spot
     bounds per n, and log-log fits of the bounds against n.  A sweep point
     whose eigensolve or model solve fails is left out of the averages and
     listed in ``result["dropped"]`` as {n, seed (of its cloud), epsilon,
@@ -452,7 +463,7 @@ def run_rates(cfg: ExperimentConfig) -> dict:
     p = cfg.params
     models = [m.strip() for m in str(p["models"]).split(",")]
     eps_grid = np.linspace(p["eps_min"], p["eps_max"], p["eps_count"])
-    refs = {m: _continuum_reference(m, p) for m in models}
+    grid, refs = _continuum_references(models, p)
     spec = _two_labels(p)
     dropped = []
     caught = Counter()
@@ -468,17 +479,24 @@ def run_rates(cfg: ExperimentConfig) -> dict:
         use_sparse = float(p["alpha"]).is_integer() and p["alpha"] >= 1
         with _counted_warnings(caught):
             cloud, labels = assign_labels(cloud, spec)
+            # the empirical L^2 error of discrete_vs_continuum_error, with each
+            # reference interpolated at the cloud once
+            at_cloud = {m: interpolate_to_points(grid, refs[m], cloud.points)
+                        for m in models}
             errs = {m: np.full(len(eps_grid), np.nan) for m in models}
             kernels = [Kernel(epsilon=eps, dim=2) for eps in eps_grid]
-            # one range search at the largest radius serves the whole sweep
-            neighbors = neighbor_pairs(cloud, max(kern.radius for kern in kernels))
+            if use_sparse:
+                sweep = EpsilonSweep(cloud, kernels)
+            else:
+                # one range search at the largest radius serves the whole sweep
+                neighbors = neighbor_pairs(cloud, max(kern.radius for kern in kernels))
             for k, kern in enumerate(kernels):
-                g = build_graph(cloud, kern, neighbors)
                 if use_sparse:
-                    base = laplacian(g) * g.s_n
+                    base = sweep.scaled_laplacian(kern)
                     # factored on first use; the factorization serves both models
                     factor = PoweredFactor(base, int(p["alpha"]), p["tau"])
                 else:
+                    g = build_graph(cloud, kern, neighbors)
                     try:
                         eig = decompose_graph(g)
                     except (EigensolverError, np.linalg.LinAlgError) as exc:
@@ -502,9 +520,7 @@ def run_rates(cfg: ExperimentConfig) -> dict:
                                                       factor=factor)
                             else:
                                 u = probit_map(prior, pot)
-                        grid, u_ref = refs[m]
-                        errs[m][k] = discrete_vs_continuum_error(
-                            u, cloud.points, grid, u_ref)
+                        errs[m][k] = float(np.sqrt(np.mean((u - at_cloud[m]) ** 2)))
                     except (ValueError, RuntimeError) as exc:
                         drop(n, seed, kern.epsilon, [m], exc)
                         continue

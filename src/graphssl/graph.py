@@ -7,6 +7,7 @@ scaled discrete Dirichlet energy comparable with its continuum counterpart.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 import scipy.integrate
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
 from graphssl.density import PointCloud
@@ -155,25 +156,12 @@ def neighbor_pairs(cloud: PointCloud, radius: float) -> NeighborPairs:
     return NeighborPairs(cloud=cloud, radius=radius, i=i, j=j, dists=dists)
 
 
-def build_graph(cloud: PointCloud, k: Kernel,
-                neighbors: NeighborPairs | None = None) -> WeightedGraph:
-    """Assemble the weighted graph by fixed-radius range search.
-
-    The search radius is epsilon times the profile support.  ``neighbors``,
-    from `neighbor_pairs` on the same cloud at a radius at least as large,
-    replaces the search.  Weights are stored as a symmetric CSR matrix built
-    from the upper triangle so that W = W^T holds bit-exactly.
-    """
-    n = cloud.n
-    radius = k.radius
-    if neighbors is None:
-        neighbors = neighbor_pairs(cloud, radius)
-    elif neighbors.cloud is not cloud or neighbors.radius < radius:
-        raise ValueError("neighbor pairs must come from the same cloud at a "
-                         "radius at least the kernel's")
+def _weights(n: int, k: Kernel, neighbors: NeighborPairs) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Symmetric CSR weights (self-loops included) from the pairs within the
+    kernel's radius, and the degrees."""
     i, j, dists = neighbors.i, neighbors.j, neighbors.dists
-    if radius < neighbors.radius:
-        inside = dists <= radius
+    if k.radius < neighbors.radius:
+        inside = dists <= k.radius
         i, j, dists = i[inside], j[inside], dists[inside]
     vals = k.weight(dists)
     keep = vals > 0
@@ -187,7 +175,29 @@ def build_graph(cloud: PointCloud, k: Kernel,
     cols = np.concatenate([i, diag, j])
     data = np.concatenate([vals, loop, vals])
     W = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    degrees = np.asarray(W.sum(axis=1)).ravel()
+    return W, np.asarray(W.sum(axis=1)).ravel()
+
+
+def _warn_disconnected() -> None:
+    warnings.warn("graph is disconnected; tau=0 models are ill-posed", stacklevel=3)
+
+
+def build_graph(cloud: PointCloud, k: Kernel,
+                neighbors: NeighborPairs | None = None) -> WeightedGraph:
+    """Assemble the weighted graph by fixed-radius range search.
+
+    The search radius is epsilon times the profile support.  ``neighbors``,
+    from `neighbor_pairs` on the same cloud at a radius at least as large,
+    replaces the search.  Weights are stored as a symmetric CSR matrix built
+    from the upper triangle so that W = W^T holds bit-exactly.
+    """
+    n = cloud.n
+    if neighbors is None:
+        neighbors = neighbor_pairs(cloud, k.radius)
+    elif neighbors.cloud is not cloud or neighbors.radius < k.radius:
+        raise ValueError("neighbor pairs must come from the same cloud at a "
+                         "radius at least the kernel's")
+    W, degrees = _weights(n, k, neighbors)
 
     sigma_eta, _ = kernel_constants(k)
     s_n = 2.0 / (sigma_eta * n * k.epsilon ** 2)
@@ -195,7 +205,7 @@ def build_graph(cloud: PointCloud, k: Kernel,
     ncomp, _ = connected_components(W, directed=False)
     disconnected = ncomp > 1
     if disconnected:
-        warnings.warn("graph is disconnected; tau=0 models are ill-posed", stacklevel=2)
+        _warn_disconnected()
     return WeightedGraph(
         cloud=cloud, weights=W, degrees=degrees, epsilon=k.epsilon,
         s_n=s_n, sigma_eta=sigma_eta, disconnected=disconnected,
@@ -213,6 +223,75 @@ def laplacian(g: WeightedGraph, normalized: bool = False) -> sp.csr_matrix:
     dinv = sp.diags(1.0 / np.sqrt(g.degrees))
     n = g.n
     return (sp.identity(n, format="csr") - dinv @ g.weights @ dinv).tocsr()
+
+
+# above this nonzero fraction of s_n L + tau^2 I, a dense assembly and
+# Cholesky beat the pair filter, CSR assembly and sparse LU: measured near
+# 0.017 at n = 400 and 0.026 at n = 1600, where more is at stake
+_DENSE_FILL = 0.025
+
+
+class EpsilonSweep:
+    """The scaled Laplacians s_n L of one cloud's graphs over an epsilon sweep.
+
+    What does not depend on epsilon is computed once: the pairs within the
+    largest radius, the n x n distance matrix (the formula of
+    `neighbor_pairs`, so every weight is the one `build_graph` computes), the
+    kernel moments, and the longest edge of a minimum spanning tree of the
+    pairs.  The kernels of a sweep may differ only in epsilon.
+    """
+
+    def __init__(self, cloud: PointCloud, kernels):
+        first = kernels[0]
+        if any((k.dim, k.profile, k.support) != (first.dim, first.profile, first.support)
+               for k in kernels):
+            raise ValueError("the kernels of a sweep may differ only in epsilon")
+        n = cloud.n
+        self.cloud = cloud
+        self.neighbors = nb = neighbor_pairs(cloud, max(k.radius for k in kernels))
+        pts = cloud.points
+        self.dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        self.sigma_eta, _ = kernel_constants(first)
+        self._sorted = np.sort(nb.dists)
+        # csgraph reads a zero distance as a missing edge
+        mst = minimum_spanning_tree(sp.csr_matrix(
+            (np.maximum(nb.dists, np.finfo(float).tiny), (nb.i, nb.j)), shape=(n, n)))
+        # a graph is connected iff it has this edge: every graph of the sweep
+        # holds the pairs up to some distance; inf when the pairs leave the
+        # cloud in pieces
+        self._bottleneck = mst.data.max(initial=0.0) if mst.nnz == n - 1 else math.inf
+
+    def scaled_laplacian(self, k: Kernel) -> np.ndarray | sp.csr_matrix:
+        """s_n L for kernel ``k``: a dense symmetric array when s_n L + tau^2 I
+        fills more than `_DENSE_FILL`, else the CSR matrix of
+        `laplacian(build_graph(...)) * s_n`, bit for bit.  Warns as
+        `build_graph` does when the graph is disconnected."""
+        def has_edge(d):
+            return d <= k.radius and k.weight(np.array([d]))[0] > 0
+
+        n = self.cloud.n
+        disconnected = not has_edge(self._bottleneck)
+        if disconnected:
+            _warn_disconnected()
+        s_n = 2.0 / (self.sigma_eta * n * k.epsilon ** 2)
+        edges = bisect.bisect_left(self._sorted, True, key=lambda d: not has_edge(d))
+        if n + 2 * edges <= _DENSE_FILL * n * n:
+            W, degrees = _weights(n, k, self.neighbors)
+            g = WeightedGraph(cloud=self.cloud, weights=W, degrees=degrees,
+                              epsilon=k.epsilon, s_n=s_n, sigma_eta=self.sigma_eta,
+                              disconnected=disconnected)
+            return laplacian(g) * s_n
+        W = k.weight(self.dists)
+        if k.profile != "indicator":
+            # an indicator weight is already 0 beyond the radius
+            W[self.dists > k.radius] = 0.0
+        # L = D - W: the off-diagonal weights keep their bits; the degrees are
+        # summed in another order than the CSR rows, so the diagonal agrees
+        # to a few ulp
+        diag = (W.sum(axis=1) - W.diagonal()) * s_n
+        W *= -s_n
+        np.fill_diagonal(W, diag)
+        return W
 
 
 def default_epsilon(n: int, d: int = 2) -> float:

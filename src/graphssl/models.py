@@ -10,7 +10,11 @@ K = A^-1 W^-1 R* and c in R^L.  With G = R K, kriging is u = K G^-1 y (the
 closed form A^-1 R* (R A^-1 R*)^-1 y) and the probit MAP minimizes
 1/2 c^T G c + Phi(G c) by damped Newton.  A backend supplies G and c -> K c,
 from eigenpairs (`krige`, `probit_map`) or from one factorization at integer
-alpha (`sparse_krige`, `sparse_probit_map`).
+alpha (`sparse_krige`, `sparse_probit_map`).  That factorization,
+`PoweredFactor`, follows the type of its operator: a dense ndarray (the rates
+sweep's `EpsilonSweep` returns one for dense enough graphs) is
+Cholesky-factored in place and solved for all label columns at once; a
+sparse matrix goes to sparse LU, one column at a time.
 
 `continuum_probit_map` at integer alpha keeps a node-space Newton loop.
 Channel fields have nodes whose value is zero up to roundoff; stored
@@ -323,17 +327,18 @@ def _solve_gram(gram: np.ndarray, y: np.ndarray, **kwargs) -> np.ndarray:
             raise ValueError("singular kriging Gram matrix") from exc
 
 
-_DENSE_FILL = 0.05  # above this nonzero fraction, dense Cholesky beats sparse LU
-
-
 class PoweredFactor:
     """A1 = matrix + tau^2 I, factored on the first solve, with solves of A1^alpha
     for an integer alpha >= 1.
 
-    Dense Cholesky when fill-in would dominate (large-radius graphs are nearly
-    complete) and A1 is symmetric, sparse LU otherwise.  ``solve`` applies the
-    single-factor inverse alpha times, which bounds rounding at large alpha.
-    One factor can serve the kriging and probit solvers of the
+    A dense ndarray (`EpsilonSweep.scaled_laplacian` returns one for dense
+    enough graphs) is taken over: tau^2 is added to its diagonal in place,
+    and the first solve overwrites it with its Cholesky factor, which reads
+    one triangle, so it must be symmetric.  Anything else is treated as
+    sparse and goes to sparse LU, which needs no symmetry: the finite-volume
+    operator is symmetric only in its rho-weighted inner product.  ``solve``
+    applies the single-factor inverse alpha times, which bounds rounding at
+    large alpha.  One factor can serve the kriging and probit solvers of the
     same operator (pass it as ``factor``); ``unit_solves`` caches A1^-alpha
     applied to the unit vectors of a label set for them.
     """
@@ -342,27 +347,29 @@ class PoweredFactor:
         if not float(alpha).is_integer() or alpha < 1:
             raise ValueError("sparse solvers require integer alpha >= 1")
         self.alpha = int(alpha)
-        n = matrix.shape[0]
-        self.A1 = (sp.csr_matrix(matrix) + tau ** 2 * sp.identity(n, format="csr")).tocsr()
+        self._dense = isinstance(matrix, np.ndarray)
+        if self._dense:
+            matrix.flat[::matrix.shape[0] + 1] += tau ** 2
+            self.A1 = matrix
+        else:
+            n = matrix.shape[0]
+            self.A1 = (sp.csr_matrix(matrix) + tau ** 2 * sp.identity(n, format="csr")).tocsr()
         self._solve1 = None
         self._units = {}
 
     def _factor(self):
-        n = self.A1.shape[0]
-        if self.A1.nnz > _DENSE_FILL * n * n:
-            a = self.A1.toarray()
-            # the Cholesky reads one triangle only; a finite-volume operator
-            # is symmetric only in its rho-weighted inner product
-            if np.array_equal(a, a.T):
-                factor = scipy.linalg.cho_factor(a)
+        if not self._dense:
+            return spla.splu(self.A1.tocsc()).solve
+        # A1 is symmetric, so its transpose is A1 in the Fortran order that
+        # LAPACK factors in place
+        factor = scipy.linalg.cho_factor(self.A1.T, overwrite_a=True, check_finite=False)
 
-                def solve1(v):
-                    # the factor is finite once computed; only the right-hand
-                    # side needs the finiteness check
-                    return scipy.linalg.cho_solve(factor, np.asarray_chkfinite(v),
-                                                  check_finite=False)
-                return solve1
-        return spla.splu(self.A1.tocsc()).solve
+        def solve1(v):
+            # the factor is finite once computed; only the right-hand side
+            # needs the finiteness check
+            return scipy.linalg.cho_solve(factor, np.asarray_chkfinite(v),
+                                          check_finite=False)
+        return solve1
 
     def solve(self, v):
         if self._solve1 is None:
@@ -372,13 +379,18 @@ class PoweredFactor:
         return v
 
     def unit_solves(self, indices: np.ndarray) -> np.ndarray:
-        """Columns A1^-alpha e_j for the labeled nodes j (n x len(indices))."""
+        """Columns A1^-alpha e_j for the labeled nodes j (n x len(indices)).
+
+        A dense factor solves all columns at once.  Sparse LU solves them one
+        by one: a multi-column solve rounds differently, and the channel
+        references pin signs that roundoff sets.
+        """
         key = tuple(int(i) for i in indices)
         if key not in self._units:
             n = self.A1.shape[0]
             rhs = np.zeros((n, len(key)))
             rhs[list(key), np.arange(len(key))] = 1.0
-            self._units[key] = np.column_stack(
+            self._units[key] = self.solve(rhs) if self._dense else np.column_stack(
                 [self.solve(rhs[:, j]) for j in range(len(key))])
         return self._units[key]
 
@@ -417,35 +429,35 @@ def sparse_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
                             pot, cfg, init)
 
 
-def _node_space_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
+def _node_space_probit_map(factor: PoweredFactor, weights: np.ndarray,
                            pot: ProbitPotential, cfg: MapSolverConfig,
                            init: np.ndarray | None) -> np.ndarray:
     """Damped Newton minimization of the probit objective in node space.
 
-    ``matrix`` is the discretized continuum operator and ``weights`` its
+    ``factor`` holds the discretized continuum operator and ``weights`` its
     quadrature weights.  With few labels the Hessian solve uses a Woodbury
     update of the once-factored prior operator; with many labels (label
     regions) the full Hessian is refactored per step.  Termination uses the
     Newton decrement, which is invariant to the extreme scale spread of the
     powered operator, or the weighted norm of the damped step.
     """
-    n = matrix.shape[0]
+    alpha = factor.alpha
+    A1 = factor.A1  # only the Woodbury route factors it
+    n = A1.shape[0]
     w = np.asarray(weights, dtype=float)
     idx = pot.indices
     use_woodbury = len(idx) ** 2 <= n
 
-    factor = PoweredFactor(matrix, int(alpha), tau)  # factored by Woodbury only
-    A1 = factor.A1
     if use_woodbury:
         AiE = factor.unit_solves(idx)
         gram_lab = AiE[idx, :]  # E^T A^{-1} E
     else:
         A = A1
-        for _ in range(int(alpha) - 1):
+        for _ in range(alpha - 1):
             A = (A @ A1).tocsr()
 
     def apply_A(v):  # nested applications limit rounding at large alpha
-        for _ in range(int(alpha)):
+        for _ in range(alpha):
             v = A1 @ v
         return v
 
@@ -496,17 +508,19 @@ def _node_space_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
 
 def continuum_krige(op: ContinuumOperator, alpha: float, tau: float,
                     indices: np.ndarray, y: np.ndarray,
-                    m: int | None = None) -> np.ndarray:
+                    m: int | None = None,
+                    factor: PoweredFactor | None = None) -> np.ndarray:
     """Minimum-energy interpolation on a continuum grid operator.
 
     For integer alpha the closed form is evaluated with sparse solves of the
     powered operator (no spectral truncation); otherwise it falls back to the
     spectral form on m modes.  The interpolant is invariant to the
     inner-product convention of the evaluation adjoint, so unit node vectors
-    are used as right-hand sides.
+    are used as right-hand sides.  ``factor``, a `PoweredFactor` of
+    (op.matrix, alpha, tau), serves the sparse route.
     """
     if float(alpha).is_integer() and alpha >= 1 and m is None:
-        return sparse_krige(op.matrix, int(alpha), tau, indices, y)
+        return sparse_krige(op.matrix, int(alpha), tau, indices, y, factor)
     prior = FractionalOperator(op.eigendecomposition(m=m), alpha=alpha, tau=tau, scale=1.0)
     return krige(prior, indices, y)
 
@@ -515,18 +529,21 @@ def continuum_probit_map(op: ContinuumOperator, alpha: float, tau: float,
                          pot: ProbitPotential,
                          cfg: MapSolverConfig | None = None,
                          m: int | None = None,
-                         init: np.ndarray | None = None) -> np.ndarray:
+                         init: np.ndarray | None = None,
+                         factor: PoweredFactor | None = None) -> np.ndarray:
     """Probit MAP for a continuum grid operator.
 
     With ``m`` set, minimizes over the span of the first m eigenmodes by the
     same Newton scheme used on graphs.  With ``m=None`` and integer alpha the
     sparse precision operator is used directly (no truncation), which is
     required when the density has near-degenerate regions that carry many
-    low-eigenvalue localized modes.
+    low-eigenvalue localized modes; ``factor``, a `PoweredFactor` of
+    (op.matrix, alpha, tau), serves that route.
     """
     cfg = cfg or MapSolverConfig()
     if m is None and float(alpha).is_integer() and alpha >= 1:
-        return _node_space_probit_map(op.matrix, op.weights, int(alpha), tau,
-                                      pot, cfg, init)
+        if factor is None:
+            factor = PoweredFactor(op.matrix, int(alpha), tau)
+        return _node_space_probit_map(factor, op.weights, pot, cfg, init)
     prior = FractionalOperator(op.eigendecomposition(m=m), alpha=alpha, tau=tau, scale=1.0)
     return probit_map(prior, pot, cfg=cfg, init=init)

@@ -33,6 +33,14 @@ class TestExitCodes:
         assert cli.main(["smallnoise", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 2
 
+    def test_zero_tau_exits_2(self, tmp_path):
+        # rejected with the config, not by a singular solve (exit 3) after
+        # the run has begun
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, "[rates-krige]\ntau = 0\n")
+        assert cli.main(["rates-krige", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = _write_cfg(tmp_path, "[extrapolation]\nbogus = 1\n")
         assert cli.main(["extrapolation", "--config", str(cfg),

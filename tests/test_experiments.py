@@ -4,16 +4,26 @@ import numpy as np
 import pytest
 
 import graphssl.experiments as experiments
+from graphssl.continuum import discretize
+from graphssl.density import Density
 from graphssl.experiments import (
     EXPERIMENT_IDS,
     ConfigError,
     ExperimentConfig,
+    _continuum_references,
     _detect_bounds,
     _point_seed,
+    _two_labels,
     _write_csv,
     load_config,
     run,
     run_rates,
+)
+from graphssl.models import (
+    ProbitPotential,
+    continuum_krige,
+    continuum_labeled_nodes,
+    continuum_probit_map,
 )
 from graphssl.spectral import EigensolverError
 
@@ -60,10 +70,21 @@ class TestConfig:
         ("rates-krige", {"n_seeds": 0}),
         ("smallnoise", {"iterations": 100}),
         ("mcmc-moons", {"iterations": 1000, "burn_in": 100}),
+        ("rates-krige", {"tau": 0.0}),
+        ("extrapolation", {"tau": 0.0}),
+        ("smallnoise", {"tau": 0.0}),
+        ("channel", {"tau": 0.0}),
+        ("mcmc-moons", {"tau_values": [1.0, -0.2]}),
     ])
     def test_invalid_parameters(self, exp, params):
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment=exp, out_dir="/tmp/x", params=params)
+
+    def test_zero_tau_values_allowed(self):
+        # the moons chains run at tau = 0; only tau < 0 is rejected
+        cfg = ExperimentConfig(experiment="mcmc-moons", out_dir="/tmp/x",
+                               params={"tau_values": [0.0]})
+        assert cfg.params["tau_values"] == [0.0]
 
     def test_unknown_rates_model(self, tmp_path):
         # rejected with the config, before run() creates the output directory
@@ -218,6 +239,23 @@ class TestRatesDroppedPoints:
                                params={**self.PARAMS, "alpha": 1.5})
         with pytest.raises(TypeError):
             run_rates(cfg)
+
+
+class TestRatesReferences:
+    @pytest.mark.parametrize("models", [["krige", "probit"], ["probit", "krige"]])
+    def test_shared_factor_changes_no_bit(self, models):
+        # one factorization and one set of unit solves serve both continuum
+        # references, which equal separate solves bit for bit
+        p = ExperimentConfig(experiment="rates-krige", out_dir="/tmp/x",
+                             params={"continuum_grid_n": 32}).params
+        grid, refs = _continuum_references(models, p)
+        op = discretize(Density("uniform"), 32)
+        idx, y, w = continuum_labeled_nodes(op, _two_labels(p))
+        pot = ProbitPotential(gamma=p["gamma"], indices=idx, y=y, weights=w)
+        assert np.array_equal(grid.coordinates(), op.grid.coordinates())
+        assert np.array_equal(refs["krige"], continuum_krige(op, p["alpha"], p["tau"], idx, y))
+        assert np.array_equal(refs["probit"],
+                              continuum_probit_map(op, p["alpha"], p["tau"], pot))
 
 
 class TestRunners:

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphssl.density import Density, PointCloud, sample_cloud
 from graphssl.graph import (
+    EpsilonSweep,
     Kernel,
     KernelValidationError,
     build_graph,
@@ -122,6 +125,79 @@ class TestBuildGraph:
             g = build_graph(cloud, Kernel(epsilon=0.05, dim=2))
         assert g.weights.nnz == 3
         assert np.allclose(g.weights.diagonal(), 0.05 ** -2)
+
+
+def _sweep_and_graphs(cloud, kernels):
+    """Each kernel's (sweep operator, disconnected warning raised, graph)."""
+    sweep = EpsilonSweep(cloud, kernels)
+    out = []
+    for k in kernels:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            op = sweep.scaled_laplacian(k)
+            g = build_graph(cloud, k)
+        flags = ["disconnected" in str(w.message) for w in caught]
+        assert len(flags) in (0, 2)  # both warn or neither
+        out.append((op, bool(flags), g))
+    return out
+
+
+class TestEpsilonSweep:
+    """The sweep's operators against `laplacian(build_graph(...)) * s_n`."""
+
+    @pytest.mark.parametrize("profile, support", [
+        ("indicator", 1.0), (lambda t: np.exp(-t ** 2), math.inf)])
+    def test_operators_match_build_graph(self, profile, support):
+        cloud = sample_cloud(Density("uniform"), 300, seed=6)
+        kernels = [Kernel(epsilon=eps, dim=2, profile=profile, support=support)
+                   for eps in np.linspace(0.02, 0.5, 25)]
+        dense = 0
+        for op, _, g in _sweep_and_graphs(cloud, kernels):
+            ref = laplacian(g) * g.s_n
+            # the nonzero fraction of s_n L + tau^2 I picks the branch
+            fill = (ref.nnz - np.count_nonzero(ref.diagonal()) + g.n) / g.n ** 2
+            assert sp.issparse(op) == (fill <= 0.025)
+            if sp.issparse(op):
+                # the sparse branch is today's CSR matrix, bit for bit
+                assert np.array_equal(op.indptr, ref.indptr)
+                assert np.array_equal(op.indices, ref.indices)
+                assert np.array_equal(op.data, ref.data)
+                continue
+            dense += 1
+            ref = ref.toarray()
+            assert np.array_equal(op, op.T)
+            off = ~np.eye(g.n, dtype=bool)
+            # every weight is the one build_graph computes
+            assert np.array_equal(op[off], ref[off])
+            # the degrees are summed in another order: the diagonal agrees to
+            # a few ulp of s_n times the degree (measured: at most 6)
+            diag_error = np.abs(np.diag(op) - np.diag(ref))
+            assert np.all(diag_error <= 16 * np.spacing(g.s_n * g.degrees))
+        assert 0 < dense < len(kernels)
+
+    def test_disconnected_flag_matches_build_graph(self):
+        # two clumps at least 0.85 apart: every graph of the sweep is
+        # disconnected, and the large-epsilon ones are dense within each clump
+        rng = np.random.default_rng(3)
+        pts = np.vstack([0.2 * rng.random((60, 2)), 0.8 + 0.2 * rng.random((60, 2))])
+        clumps = PointCloud(points=pts, seed=0)
+        uniform = sample_cloud(Density("uniform"), 200, seed=9)
+        for cloud in (clumps, uniform):
+            kernels = [Kernel(epsilon=eps, dim=2) for eps in np.linspace(0.01, 0.5, 30)]
+            results = _sweep_and_graphs(cloud, kernels)
+            for op, warned, g in results:
+                assert warned == g.disconnected
+            flags = [warned for _, warned, _ in results]
+            if cloud is clumps:
+                assert all(flags)
+                assert any(isinstance(op, np.ndarray) for op, _, _ in results)
+            else:
+                assert any(flags) and not all(flags)
+
+    def test_kernels_may_differ_only_in_epsilon(self):
+        cloud = sample_cloud(Density("uniform"), 50, seed=7)
+        with pytest.raises(ValueError, match="only in epsilon"):
+            EpsilonSweep(cloud, [Kernel(epsilon=0.1, dim=2), Kernel(epsilon=0.2, dim=3)])
 
 
 class TestLaplacian:

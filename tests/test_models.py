@@ -14,7 +14,7 @@ from scipy.special import erfc, log_ndtr
 import graphssl.models as models
 from graphssl.continuum import discretize
 from graphssl.density import Density, sample_cloud
-from graphssl.graph import Kernel, build_graph, laplacian
+from graphssl.graph import EpsilonSweep, Kernel, build_graph, laplacian
 from graphssl.labels import Ball, Model1Spec, Model2Spec, assign_labels
 from graphssl.models import (
     IndicatorPotential,
@@ -378,12 +378,61 @@ class TestPoweredFactor:
         # the Cholesky solve skips re-checking its finite factor but still
         # checks the right-hand side, as scipy's default check did
         graph, _ = small_graph
-        factor = PoweredFactor(laplacian(graph) * graph.s_n, 2, 1.0)
-        assert factor.A1.nnz > 0.05 * graph.n ** 2
+        factor = PoweredFactor((laplacian(graph) * graph.s_n).toarray(), 2, 1.0)
         v = np.ones(graph.n)
         v[5] = np.nan
         with pytest.raises(ValueError):
             factor.solve(v)
+
+    @pytest.mark.parametrize("eps", [0.25, 0.4])
+    def test_dense_sweep_route_matches_spectral(self, small_graph, eps):
+        graph, labels = small_graph
+        kern = Kernel(epsilon=eps, dim=2)
+        base = EpsilonSweep(graph.cloud, [kern]).scaled_laplacian(kern)
+        assert isinstance(base, np.ndarray)
+        g = build_graph(graph.cloud, kern)
+        prior = _prior(g, alpha=2.0, tau=1.0)
+        pot = ProbitPotential.for_graph(labels, 0.1)
+        factor = PoweredFactor(base, 2, 1.0)
+        u_krige = sparse_krige(base, 2, 1.0, labels.indices, labels.y, factor)
+        u_map = sparse_probit_map(base, np.full(g.n, 1.0 / g.n), 2, 1.0, pot,
+                                  factor=factor)
+        assert _rel(u_krige, krige(prior, labels)) <= 1e-9
+        assert _rel(u_map, probit_map(prior, pot)) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_dense_unit_solves_match_column_solves(self, small_graph, alpha):
+        # one solve per power with every label column at once
+        graph, _ = small_graph
+        dense = (laplacian(graph) * graph.s_n).toarray()
+        factor = PoweredFactor(dense, alpha, 1.0)
+        idx = np.array([3, 11, 40, 150])
+        B = factor.unit_solves(idx)
+        columns = np.column_stack([factor.solve(np.eye(graph.n)[:, j]) for j in idx])
+        assert _rel(B, columns) <= 1e-14
+
+    def test_dense_matrix_is_factored_in_place(self, small_graph):
+        graph, _ = small_graph
+        dense = (laplacian(graph) * graph.s_n).toarray()
+        diag = np.diag(dense).copy()
+        factor = PoweredFactor(dense, 2, 0.5)
+        assert factor.A1 is dense
+        assert np.array_equal(np.diag(dense), diag + 0.25)
+        factor.solve(np.ones(graph.n))
+        # the array now holds its Cholesky factor, A1 = U^T U
+        U = np.triu(dense.T)
+        A1 = (laplacian(graph) * graph.s_n).toarray() + 0.25 * np.eye(graph.n)
+        assert _rel(U.T @ U, A1) <= 1e-13
+
+    def test_sparse_unit_solves_are_column_solves(self, small_graph):
+        # bit for bit: the channel references pin node signs that roundoff
+        # sets, and a multi-column sparse LU solve rounds differently
+        graph, labels = small_graph
+        factor = PoweredFactor(laplacian(graph) * graph.s_n, 2, 1.0)
+        idx = np.array([3, 11, 40, 150])
+        B = factor.unit_solves(idx)
+        for col, j in zip(B.T, idx):
+            assert np.array_equal(col, factor.solve(np.eye(graph.n)[:, j]))
 
     @pytest.mark.parametrize("alpha", [1.5, 0, -1])
     def test_rejects_alpha_that_is_not_a_positive_integer(self, alpha):
