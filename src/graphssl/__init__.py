@@ -44,7 +44,6 @@ from graphssl.labels import (
 from graphssl.models import (
     ProbitPotential,
     LevelSetPotential,
-    MapSolverConfig,
     PoweredFactor,
     log_psi,
     probit_objective,
@@ -69,7 +68,7 @@ __all__ = [
     "apply_power", "quadratic_form", "sample_prior", "sobolev_norm", "weyl_exponent",
     "Grid", "ContinuumOperator", "discretize", "interpolate_to_points", "fiedler_vector",
     "Ball", "Box", "LabelSet", "Model1Spec", "Model2Spec", "assign_labels", "sign",
-    "ProbitPotential", "LevelSetPotential", "MapSolverConfig", "PoweredFactor", "log_psi",
+    "ProbitPotential", "LevelSetPotential", "PoweredFactor", "log_psi",
     "probit_objective", "probit_map", "sparse_krige", "sparse_probit_map",
     "levelset_objective", "krige", "continuum_probit_map",
     "PcnConfig", "Chain", "pcn_step", "run_pcn", "run_label_pcn", "classification_stats",

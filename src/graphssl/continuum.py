@@ -48,7 +48,8 @@ class ContinuumOperator:
     rho: Density
     matrix: sp.csr_matrix
     rho_at_nodes: np.ndarray
-    _eig_cache: dict = field(default_factory=dict, repr=False)
+    _eig_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _factor: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def weights(self) -> np.ndarray:
@@ -63,6 +64,15 @@ class ContinuumOperator:
         if key not in self._eig_cache:
             self._eig_cache[key] = decompose(self.matrix, weights=self.weights, m=m)
         return self._eig_cache[key]
+
+    def factor(self, alpha: int, tau: float):
+        """The `PoweredFactor` of (matrix, alpha, tau).  Only the last one built
+        is kept: a loop over alpha holds one factorization at a time."""
+        from graphssl.models import PoweredFactor
+
+        if self._factor is None or self._factor[0] != (alpha, tau):
+            self._factor = ((alpha, tau), PoweredFactor(self.matrix, alpha, tau))
+        return self._factor[1]
 
 
 def discretize(rho: Density, N: int) -> ContinuumOperator:

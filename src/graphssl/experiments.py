@@ -30,7 +30,7 @@ import numpy as np
 
 from graphssl.continuum import discretize, fiedler_vector, interpolate_to_points
 from graphssl.density import Density, sample_cloud
-from graphssl.graph import EpsilonSweep, Kernel, build_graph, laplacian, neighbor_pairs
+from graphssl.graph import EpsilonSweep, Kernel, build_graph, laplacian
 from graphssl.labels import Ball, Model1Spec, Model2Spec, assign_labels, sign
 from graphssl.models import (
     IndicatorPotential,
@@ -430,30 +430,27 @@ def _two_labels(p: dict) -> Model2Spec:
 
 def _continuum_references(models: list, p: dict) -> tuple:
     """The continuum kriging and probit fields of each model on one grid; at
-    integer alpha one factorization serves both."""
+    integer alpha the operator's one factorization serves both."""
     op = discretize(Density("uniform"), p["continuum_grid_n"])
     idx, y, w = continuum_labeled_nodes(op, _two_labels(p))
-    factor = None
-    if float(p["alpha"]).is_integer() and p["alpha"] >= 1:
-        factor = PoweredFactor(op.matrix, int(p["alpha"]), p["tau"])
     refs = {}
     for m in models:
         if m == "krige":
-            refs[m] = continuum_krige(op, p["alpha"], p["tau"], idx, y, factor=factor)
+            refs[m] = continuum_krige(op, p["alpha"], p["tau"], idx, y)
         else:
             pot = ProbitPotential(gamma=p["gamma"], indices=idx, y=y, weights=w)
-            refs[m] = continuum_probit_map(op, p["alpha"], p["tau"], pot, factor=factor)
+            refs[m] = continuum_probit_map(op, p["alpha"], p["tau"], pot)
     return op.grid, refs
 
 
 def run_rates(cfg: ExperimentConfig) -> dict:
     """Discrete-vs-continuum error sweeps over (n, epsilon) for kriging/probit.
 
-    At integer alpha one factorization of s_n L + tau^2 I per sweep point is
-    shared by all requested models, and `EpsilonSweep` builds the operators
-    of a cloud's sweep; otherwise one full-graph eigendecomposition per sweep
-    point is.  Emits seed-averaged error curves, detected sweet-spot
-    bounds per n, and log-log fits of the bounds against n.  A sweep point
+    `EpsilonSweep` builds the operators s_n L of a cloud's sweep.  At integer
+    alpha one factorization of s_n L + tau^2 I per sweep point is shared by
+    all requested models; otherwise one full-graph eigendecomposition of
+    s_n L per sweep point is.  Emits seed-averaged error curves, detected
+    sweet-spot bounds per n, and log-log fits of the bounds against n.  A sweep point
     whose eigensolve or model solve fails is left out of the averages and
     listed in ``result["dropped"]`` as {n, seed (of its cloud), epsilon,
     model, exception}.  Warnings raised by the sweep (disconnected graphs,
@@ -476,7 +473,7 @@ def run_rates(cfg: ExperimentConfig) -> dict:
     def sweep_seed(n, seed_idx):
         seed = _point_seed(cfg.seed, n, seed_idx)
         cloud = sample_cloud(Density("uniform"), n - 2, seed=seed)
-        use_sparse = float(p["alpha"]).is_integer() and p["alpha"] >= 1
+        factored = float(p["alpha"]).is_integer() and p["alpha"] >= 1
         with _counted_warnings(caught):
             cloud, labels = assign_labels(cloud, spec)
             # the empirical L^2 error of discrete_vs_continuum_error, with each
@@ -485,39 +482,30 @@ def run_rates(cfg: ExperimentConfig) -> dict:
                         for m in models}
             errs = {m: np.full(len(eps_grid), np.nan) for m in models}
             kernels = [Kernel(epsilon=eps, dim=2) for eps in eps_grid]
-            if use_sparse:
-                sweep = EpsilonSweep(cloud, kernels)
-            else:
-                # one range search at the largest radius serves the whole sweep
-                neighbors = neighbor_pairs(cloud, max(kern.radius for kern in kernels))
+            sweep = EpsilonSweep(cloud, kernels)
             for k, kern in enumerate(kernels):
-                if use_sparse:
-                    base = sweep.scaled_laplacian(kern)
-                    # factored on first use; the factorization serves both models
+                base = sweep.scaled_laplacian(kern)
+                if factored:
+                    # takes base over; factored on first use, it serves both models
                     factor = PoweredFactor(base, int(p["alpha"]), p["tau"])
                 else:
-                    g = build_graph(cloud, kern, neighbors)
                     try:
-                        eig = decompose_graph(g)
+                        eig = decompose(base)
                     except (EigensolverError, np.linalg.LinAlgError) as exc:
                         drop(n, seed, kern.epsilon, models, exc)
                         continue
-                    prior = FractionalOperator(eig, alpha=p["alpha"],
-                                               tau=p["tau"], scale=g.s_n)
+                    prior = FractionalOperator(eig, alpha=p["alpha"], tau=p["tau"])
                 for m in models:
                     try:
                         if m == "krige":
-                            if use_sparse:
-                                u = sparse_krige(base, int(p["alpha"]), p["tau"],
-                                                 labels.indices, labels.y, factor)
+                            if factored:
+                                u = sparse_krige(factor, labels.indices, labels.y)
                             else:
                                 u = krige(prior, labels)
                         else:
                             pot = ProbitPotential.for_graph(labels, p["gamma"])
-                            if use_sparse:
-                                u = sparse_probit_map(base, np.full(n, 1.0 / n),
-                                                      int(p["alpha"]), p["tau"], pot,
-                                                      factor=factor)
+                            if factored:
+                                u = sparse_probit_map(factor, np.full(n, 1.0 / n), pot)
                             else:
                                 u = probit_map(prior, pot)
                         errs[m][k] = float(np.sqrt(np.mean((u - at_cloud[m]) ** 2)))

@@ -37,8 +37,9 @@ class Kernel:
 
     ``profile`` is either the string "indicator" (eta = 1 on [0,1)) or a
     nonincreasing callable on [0, inf).  ``support`` bounds the profile's
-    support in profile units; custom profiles with unbounded support may pass
-    ``support=inf`` together with a finite ``cutoff`` used for neighbor search.
+    support in profile units.  A profile with unbounded support may pass
+    ``support=inf``: `radius` then cuts it at t = 1, for the graphs and for
+    their kernel moments alike.
     """
 
     epsilon: float
@@ -88,12 +89,14 @@ class Kernel:
 def kernel_constants(k: Kernel) -> tuple[float, float]:
     """Kernel moments (sigma_eta, beta_eta) by adaptive radial quadrature.
 
-    sigma_eta = (1/d) * int_{R^d} eta(|h|) |h|^2 dh
-    beta_eta  =         int_{R^d} eta(|h|) dh
+    sigma_eta = (1/d) * int_{|h| < R} eta(|h|) |h|^2 dh
+    beta_eta  =         int_{|h| < R} eta(|h|) dh
+
+    with R = k.radius / k.epsilon, the cut that the graphs' pair search makes.
     """
     d = k.dim
     area = _sphere_area(d)
-    upper = k.support if np.isfinite(k.support) else np.inf
+    upper = k.radius / k.epsilon
 
     def f_sigma(r):
         return k.eta(np.array([r]))[0] * r ** (d + 1)
@@ -124,7 +127,7 @@ class WeightedGraph:
     s_n: float
     sigma_eta: float
     disconnected: bool = False
-    _lap: sp.csr_matrix | None = field(default=None, repr=False)
+    _lap: sp.csr_matrix | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -137,10 +140,10 @@ class NeighborPairs:
     with their distances.
 
     One range search at the largest radius of an epsilon sweep serves every
-    graph of the sweep: `build_graph` takes the pairs within its own radius.
+    graph of the sweep: `EpsilonSweep` takes the pairs within each kernel's
+    radius.
     """
 
-    cloud: PointCloud
     radius: float
     i: np.ndarray
     j: np.ndarray
@@ -153,7 +156,7 @@ def neighbor_pairs(cloud: PointCloud, radius: float) -> NeighborPairs:
     pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
     i, j = np.divmod(np.sort(pairs[:, 0] * cloud.n + pairs[:, 1]), cloud.n)
     dists = np.linalg.norm(pts[i] - pts[j], axis=1)
-    return NeighborPairs(cloud=cloud, radius=radius, i=i, j=j, dists=dists)
+    return NeighborPairs(radius=radius, i=i, j=j, dists=dists)
 
 
 def _weights(n: int, k: Kernel, neighbors: NeighborPairs) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -182,22 +185,15 @@ def _warn_disconnected() -> None:
     warnings.warn("graph is disconnected; tau=0 models are ill-posed", stacklevel=3)
 
 
-def build_graph(cloud: PointCloud, k: Kernel,
-                neighbors: NeighborPairs | None = None) -> WeightedGraph:
+def build_graph(cloud: PointCloud, k: Kernel) -> WeightedGraph:
     """Assemble the weighted graph by fixed-radius range search.
 
-    The search radius is epsilon times the profile support.  ``neighbors``,
-    from `neighbor_pairs` on the same cloud at a radius at least as large,
-    replaces the search.  Weights are stored as a symmetric CSR matrix built
-    from the upper triangle so that W = W^T holds bit-exactly.
+    The search radius is epsilon times the profile support.  Weights are
+    stored as a symmetric CSR matrix built from the upper triangle so that
+    W = W^T holds bit-exactly.
     """
     n = cloud.n
-    if neighbors is None:
-        neighbors = neighbor_pairs(cloud, k.radius)
-    elif neighbors.cloud is not cloud or neighbors.radius < k.radius:
-        raise ValueError("neighbor pairs must come from the same cloud at a "
-                         "radius at least the kernel's")
-    W, degrees = _weights(n, k, neighbors)
+    W, degrees = _weights(n, k, neighbor_pairs(cloud, k.radius))
 
     sigma_eta, _ = kernel_constants(k)
     s_n = 2.0 / (sigma_eta * n * k.epsilon ** 2)

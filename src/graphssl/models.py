@@ -9,12 +9,14 @@ L labeled nodes, so the minimizer of 1/2 <u, A u>_w + Phi(Ru) is u = K c with
 K = A^-1 W^-1 R* and c in R^L.  With G = R K, kriging is u = K G^-1 y (the
 closed form A^-1 R* (R A^-1 R*)^-1 y) and the probit MAP minimizes
 1/2 c^T G c + Phi(G c) by damped Newton.  A backend supplies G and c -> K c,
-from eigenpairs (`krige`, `probit_map`) or from one factorization at integer
-alpha (`sparse_krige`, `sparse_probit_map`).  That factorization,
-`PoweredFactor`, follows the type of its operator: a dense ndarray (the rates
-sweep's `EpsilonSweep` returns one for dense enough graphs) is
+from eigenpairs (`krige`, `probit_map` take a `FractionalOperator`) or from
+one factorization at integer alpha (`sparse_krige`, `sparse_probit_map` take
+a `PoweredFactor`, which the caller builds and may share between them).  A
+`PoweredFactor` follows the type of its operator: a dense ndarray (the rates
+sweep's `EpsilonSweep` returns one for dense enough graphs) is taken over,
 Cholesky-factored in place and solved for all label columns at once; a
-sparse matrix goes to sparse LU, one column at a time.
+sparse matrix goes to sparse LU, one column at a time.  On continuum grids
+`ContinuumOperator.factor` builds it and keeps the last one.
 
 `continuum_probit_map` at integer alpha keeps a node-space Newton loop.
 Channel fields have nodes whose value is zero up to roundoff; stored
@@ -177,14 +179,10 @@ def levelset_objective(u: np.ndarray, prior: FractionalOperator, pot: LevelSetPo
     return quadratic_form(prior, u) + pot.value(u)
 
 
-@dataclass(frozen=True)
-class MapSolverConfig:
-    tol: float = 1e-8
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+# Newton stopping rule of every MAP solver: decrement (or node-space step
+# norm) at most NEWTON_TOL, within NEWTON_MAX_ITER iterations
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 200
 
 
 class MapSolverError(RuntimeError):
@@ -245,17 +243,15 @@ def _krige(space: _LabelSpace, y: np.ndarray) -> np.ndarray:
 
 
 def _label_space_map(space: _LabelSpace, pot: ProbitPotential,
-                     cfg: MapSolverConfig | None,
                      init: np.ndarray | None) -> np.ndarray:
     """Probit MAP u = K c by damped Newton on J(c) = 1/2 c^T G c + Phi(G c).
 
     The gradient is G r with r = c + grad Phi(G c) and the Hessian
     G (I + diag(Phi'') G), so a step solves (I + diag(Phi'') G) delta = -r.
     J is strictly convex, so Armijo backtracking converges globally; the loop
-    stops once the Newton decrement is at most tol.  Only the labeled values
-    of ``init`` count: the start is their kriging interpolant.
+    stops once the Newton decrement is at most NEWTON_TOL.  Only the labeled
+    values of ``init`` count: the start is their kriging interpolant.
     """
-    cfg = cfg or MapSolverConfig()
     G = space.gram
 
     def objective(c):
@@ -266,7 +262,7 @@ def _label_space_map(space: _LabelSpace, pot: ProbitPotential,
         G, np.asarray(init, dtype=float)[pot.indices], assume_a=space.assume_a)
     J = objective(c)
     decrement = math.inf
-    for _ in range(cfg.max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         v = G @ c
         r = c + pot.grad_at_labeled(v)
         # Phi'' >= 0; past |z| ~ 1e4 in the wrong-sign tail roundoff can make
@@ -279,20 +275,19 @@ def _label_space_map(space: _LabelSpace, pot: ProbitPotential,
         if step is None:
             raise MapSolverError(space.apply(c), decrement)
         _, c, J = step
-        if decrement <= cfg.tol:
+        if decrement <= NEWTON_TOL:
             return space.apply(c)
     raise MapSolverError(space.apply(c), decrement)
 
 
 def probit_map(prior: FractionalOperator, pot: ProbitPotential,
-               cfg: MapSolverConfig | None = None,
                init: np.ndarray | None = None) -> np.ndarray:
     """Probit MAP over the span of the prior's eigenpairs, minimizing
     1/2 sum_k lam_k^alpha a_k^2 + Phi(Q_lab a) in label space; every mode
     needs positive precision (tau > 0)."""
     if prior.tau <= 0.0 or prior.powered(1.0).min() <= 0.0:
         raise ValueError("probit MAP requires a strictly positive spectrum (tau > 0)")
-    return _label_space_map(_spectral_space(prior, pot.indices), pot, cfg, init)
+    return _label_space_map(_spectral_space(prior, pot.indices), pot, init)
 
 
 def map_gradient_norm(prior: FractionalOperator, pot: ProbitPotential, u: np.ndarray) -> float:
@@ -339,8 +334,8 @@ class PoweredFactor:
     operator is symmetric only in its rho-weighted inner product.  ``solve``
     applies the single-factor inverse alpha times, which bounds rounding at
     large alpha.  One factor can serve the kriging and probit solvers of the
-    same operator (pass it as ``factor``); ``unit_solves`` caches A1^-alpha
-    applied to the unit vectors of a label set for them.
+    same operator; ``unit_solves`` caches A1^-alpha applied to the unit
+    vectors of a label set for them.
     """
 
     def __init__(self, matrix, alpha: int, tau: float):
@@ -395,43 +390,32 @@ class PoweredFactor:
         return self._units[key]
 
 
-def sparse_krige(matrix, alpha: int, tau: float,
-                 indices: np.ndarray, y: np.ndarray,
-                 factor: PoweredFactor | None = None) -> np.ndarray:
+def sparse_krige(factor: PoweredFactor, indices: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Minimum-energy interpolation via factored solves (integer alpha).
 
-    ``matrix`` is the scaled sparse base operator; the closed form
-    u = A^{-1} R* (R A^{-1} R*)^{-1} y is evaluated by applying the factors
-    of (matrix + tau^2 I) alpha times to unit node vectors.  The interpolant
-    is invariant to the inner-product convention of the evaluation adjoint.
-    ``factor`` is a `PoweredFactor` of the same (matrix, alpha, tau).
+    The closed form u = A^{-1} R* (R A^{-1} R*)^{-1} y is evaluated by
+    applying the factor's A1^-1 alpha times to unit node vectors.  The
+    interpolant is invariant to the inner-product convention of the
+    evaluation adjoint.
     """
-    if factor is None:
-        factor = PoweredFactor(matrix, alpha, tau)
     return _krige(_factored_space(factor, np.asarray(indices)),
                   np.asarray(y, dtype=float))
 
 
-def sparse_probit_map(matrix, weights: np.ndarray, alpha: int, tau: float,
-                      pot: ProbitPotential, cfg: MapSolverConfig | None = None,
-                      init: np.ndarray | None = None,
-                      factor: PoweredFactor | None = None) -> np.ndarray:
+def sparse_probit_map(factor: PoweredFactor, weights: np.ndarray,
+                      pot: ProbitPotential,
+                      init: np.ndarray | None = None) -> np.ndarray:
     """Probit MAP in label space with the factored precision operator.
 
-    ``matrix`` is the (already scaled) sparse base operator and ``weights``
-    the inner-product weights making it symmetric: s_n * L and uniform 1/n
-    weights on graphs.  No spectral truncation is involved.  ``factor`` is a
-    `PoweredFactor` of the same (matrix, alpha, tau).
+    ``weights`` are the inner-product weights that make the factored
+    operator symmetric: uniform 1/n weights for s_n * L on graphs.  No
+    spectral truncation is involved.
     """
-    if factor is None:
-        factor = PoweredFactor(matrix, alpha, tau)
-    return _label_space_map(_factored_space(factor, pot.indices, weights),
-                            pot, cfg, init)
+    return _label_space_map(_factored_space(factor, pot.indices, weights), pot, init)
 
 
 def _node_space_probit_map(factor: PoweredFactor, weights: np.ndarray,
-                           pot: ProbitPotential, cfg: MapSolverConfig,
-                           init: np.ndarray | None) -> np.ndarray:
+                           pot: ProbitPotential, init: np.ndarray | None) -> np.ndarray:
     """Damped Newton minimization of the probit objective in node space.
 
     ``factor`` holds the discretized continuum operator and ``weights`` its
@@ -484,7 +468,7 @@ def _node_space_probit_map(factor: PoweredFactor, weights: np.ndarray,
     u = np.zeros(n) if init is None else np.asarray(init, dtype=float).copy()
     J = objective(u)
     residual = math.inf
-    for _ in range(cfg.max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         ul = u[idx]
         # the line search last evaluated the objective at u, so Av = A u
         grad = Av
@@ -501,49 +485,41 @@ def _node_space_probit_map(factor: PoweredFactor, weights: np.ndarray,
             raise MapSolverError(u, decrement)
         t, u, J = step
         residual = float(np.sqrt(np.sum(w * (t * delta) ** 2)))
-        if residual <= cfg.tol or decrement <= cfg.tol:
+        if residual <= NEWTON_TOL or decrement <= NEWTON_TOL:
             return u
     raise MapSolverError(u, residual)
 
 
 def continuum_krige(op: ContinuumOperator, alpha: float, tau: float,
                     indices: np.ndarray, y: np.ndarray,
-                    m: int | None = None,
-                    factor: PoweredFactor | None = None) -> np.ndarray:
+                    m: int | None = None) -> np.ndarray:
     """Minimum-energy interpolation on a continuum grid operator.
 
     For integer alpha the closed form is evaluated with sparse solves of the
-    powered operator (no spectral truncation); otherwise it falls back to the
-    spectral form on m modes.  The interpolant is invariant to the
-    inner-product convention of the evaluation adjoint, so unit node vectors
-    are used as right-hand sides.  ``factor``, a `PoweredFactor` of
-    (op.matrix, alpha, tau), serves the sparse route.
+    powered operator (no spectral truncation), through ``op.factor``;
+    otherwise it falls back to the spectral form on m modes.  The
+    interpolant is invariant to the inner-product convention of the
+    evaluation adjoint, so unit node vectors are used as right-hand sides.
     """
     if float(alpha).is_integer() and alpha >= 1 and m is None:
-        return sparse_krige(op.matrix, int(alpha), tau, indices, y, factor)
+        return sparse_krige(op.factor(int(alpha), tau), indices, y)
     prior = FractionalOperator(op.eigendecomposition(m=m), alpha=alpha, tau=tau, scale=1.0)
     return krige(prior, indices, y)
 
 
 def continuum_probit_map(op: ContinuumOperator, alpha: float, tau: float,
                          pot: ProbitPotential,
-                         cfg: MapSolverConfig | None = None,
                          m: int | None = None,
-                         init: np.ndarray | None = None,
-                         factor: PoweredFactor | None = None) -> np.ndarray:
+                         init: np.ndarray | None = None) -> np.ndarray:
     """Probit MAP for a continuum grid operator.
 
     With ``m`` set, minimizes over the span of the first m eigenmodes by the
     same Newton scheme used on graphs.  With ``m=None`` and integer alpha the
-    sparse precision operator is used directly (no truncation), which is
-    required when the density has near-degenerate regions that carry many
-    low-eigenvalue localized modes; ``factor``, a `PoweredFactor` of
-    (op.matrix, alpha, tau), serves that route.
+    sparse precision operator, factored by ``op.factor``, is used directly
+    (no truncation), which is required when the density has near-degenerate
+    regions that carry many low-eigenvalue localized modes.
     """
-    cfg = cfg or MapSolverConfig()
     if m is None and float(alpha).is_integer() and alpha >= 1:
-        if factor is None:
-            factor = PoweredFactor(op.matrix, int(alpha), tau)
-        return _node_space_probit_map(factor, op.weights, pot, cfg, init)
+        return _node_space_probit_map(op.factor(int(alpha), tau), op.weights, pot, init)
     prior = FractionalOperator(op.eigendecomposition(m=m), alpha=alpha, tau=tau, scale=1.0)
-    return probit_map(prior, pot, cfg=cfg, init=init)
+    return probit_map(prior, pot, init=init)

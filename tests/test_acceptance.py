@@ -19,6 +19,7 @@ from graphssl.graph import Kernel, build_graph, laplacian
 from graphssl.labels import Model2Spec, assign_labels
 from graphssl.models import (
     LevelSetPotential,
+    PoweredFactor,
     ProbitPotential,
     krige,
     levelset_objective,
@@ -228,8 +229,8 @@ def test_criterion_09_label_information_loss():
             g = build_graph(cloud, Kernel(epsilon=0.3, dim=2))
             pot = ProbitPotential(gamma=0.01, indices=labels.indices,
                                   y=labels.y, weights=np.ones(2))
-            base = laplacian(g) * g.s_n
-            v = sparse_probit_map(base, np.full(g.n, 1.0 / g.n), 2, 1.0, pot)
+            factor = PoweredFactor(laplacian(g) * g.s_n, 2, 1.0)
+            v = sparse_probit_map(factor, np.full(g.n, 1.0 / g.n), pot)
             vals.append(float(np.sqrt(np.mean(v ** 2))))
         norms[n] = float(np.mean(vals))
     dt = time.perf_counter() - t0

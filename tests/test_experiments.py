@@ -1,9 +1,12 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import graphssl.experiments as experiments
+import graphssl.models as models
 from graphssl.continuum import discretize
 from graphssl.density import Density
 from graphssl.experiments import (
@@ -186,10 +189,10 @@ class TestRatesDroppedPoints:
               "eps_count": 4, "continuum_grid_n": 16}
 
     def test_failed_eigensolves_are_listed(self, tmp_path, monkeypatch):
-        # alpha = 1.5 takes the spectral route through decompose_graph
-        def failing(g, m=None):
+        # alpha = 1.5 takes the spectral route through decompose
+        def failing(op, m=None):
             raise EigensolverError("no convergence")
-        monkeypatch.setattr(experiments, "decompose_graph", failing)
+        monkeypatch.setattr(experiments, "decompose", failing)
         cfg = ExperimentConfig(experiment="rates-krige", out_dir=tmp_path,
                                params={**self.PARAMS, "models": "krige,probit",
                                        "alpha": 1.5})
@@ -232,9 +235,9 @@ class TestRatesDroppedPoints:
         assert result["warnings"][key] > 0
 
     def test_other_eigensolver_exceptions_propagate(self, tmp_path, monkeypatch):
-        def broken(g, m=None):
+        def broken(op, m=None):
             raise TypeError("a bug, not a numerical failure")
-        monkeypatch.setattr(experiments, "decompose_graph", broken)
+        monkeypatch.setattr(experiments, "decompose", broken)
         cfg = ExperimentConfig(experiment="rates-krige", out_dir=tmp_path,
                                params={**self.PARAMS, "alpha": 1.5})
         with pytest.raises(TypeError):
@@ -242,20 +245,55 @@ class TestRatesDroppedPoints:
 
 
 class TestRatesReferences:
+    PARAMS = {"continuum_grid_n": 32}
+
     @pytest.mark.parametrize("models", [["krige", "probit"], ["probit", "krige"]])
     def test_shared_factor_changes_no_bit(self, models):
         # one factorization and one set of unit solves serve both continuum
-        # references, which equal separate solves bit for bit
+        # references, which equal separate solves, each on an operator of its
+        # own, bit for bit
         p = ExperimentConfig(experiment="rates-krige", out_dir="/tmp/x",
-                             params={"continuum_grid_n": 32}).params
+                             params=self.PARAMS).params
         grid, refs = _continuum_references(models, p)
         op = discretize(Density("uniform"), 32)
         idx, y, w = continuum_labeled_nodes(op, _two_labels(p))
         pot = ProbitPotential(gamma=p["gamma"], indices=idx, y=y, weights=w)
         assert np.array_equal(grid.coordinates(), op.grid.coordinates())
         assert np.array_equal(refs["krige"], continuum_krige(op, p["alpha"], p["tau"], idx, y))
+        fresh = discretize(Density("uniform"), 32)
         assert np.array_equal(refs["probit"],
-                              continuum_probit_map(op, p["alpha"], p["tau"], pot))
+                              continuum_probit_map(fresh, p["alpha"], p["tau"], pot))
+
+    def test_one_factorization_serves_both_models(self, monkeypatch):
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+        p = ExperimentConfig(experiment="rates-krige", out_dir="/tmp/x",
+                             params=self.PARAMS).params
+        _continuum_references(["krige", "probit"], p)
+        assert len(calls) == 1
+
+
+class TestContinuumFactor:
+    def test_channel_keeps_the_last_factor_only(self, tmp_path, monkeypatch):
+        # each operator of channel's h loop keeps one factorization, that of
+        # the last alpha: the earlier ones are freed
+        ops, factors = [], []
+        monkeypatch.setattr(experiments, "discretize",
+                            lambda *a: ops.append(discretize(*a)) or ops[-1])
+
+        class Recorded(models.PoweredFactor):
+            def __init__(self, *args):
+                super().__init__(*args)
+                factors.append(weakref.ref(self))
+        monkeypatch.setattr(models, "PoweredFactor", Recorded)
+        cfg = ExperimentConfig(experiment="channel", out_dir=tmp_path, params={
+            "grid_n": 16, "h_values": [1.0, 0.0], "alpha_values": [1.0, 2.0, 3.0]})
+        run(cfg)
+        assert len(ops) == 2 and len(factors) == 6  # one per (h, alpha)
+        kept = [op.factor(3, cfg.params["tau"]) for op in ops]
+        assert len(factors) == 6  # the last alpha's factors were kept, not rebuilt
+        assert {id(ref()) for ref in factors if ref() is not None} == set(map(id, kept))
 
 
 class TestRunners:

@@ -14,7 +14,6 @@ from graphssl.graph import (
     default_epsilon,
     kernel_constants,
     laplacian,
-    neighbor_pairs,
 )
 
 
@@ -38,6 +37,16 @@ class TestKernelConstants:
         sigma, beta = kernel_constants(k)
         assert sigma == pytest.approx(math.pi / 12, rel=1e-8)
         assert beta == pytest.approx(math.pi / 2, rel=1e-8)
+
+    def test_unbounded_profile_cut_at_the_search_radius(self):
+        # the graphs keep pairs within epsilon of each other, so the moments
+        # integrate eta(t) = exp(-t^2) over t < 1 only, in d=2:
+        # sigma = pi (e - 2) / (2e), beta = pi (1 - 1/e)
+        k = Kernel(epsilon=0.1, dim=2, profile=lambda t: np.exp(-t ** 2),
+                   support=math.inf)
+        sigma, beta = kernel_constants(k)
+        assert sigma == pytest.approx(math.pi * (math.e - 2) / (2 * math.e), rel=1e-8)
+        assert beta == pytest.approx(math.pi * (1 - 1 / math.e), rel=1e-8)
 
 
 class TestKernelValidation:
@@ -87,36 +96,6 @@ class TestBuildGraph:
         with pytest.warns(UserWarning, match="disconnected"):
             g = build_graph(cloud, Kernel(epsilon=0.05, dim=2))
         assert g.disconnected
-
-    # the Gaussian profile has unbounded support: the search radius alone
-    # truncates it, so a shared search must cut its pairs at each radius
-    @pytest.mark.filterwarnings("ignore:graph is disconnected")
-    @pytest.mark.parametrize("profile, support", [
-        ("indicator", 1.0), (lambda t: np.exp(-t ** 2), math.inf)])
-    def test_shared_neighbors_bit_identical(self, profile, support):
-        # one range search at the largest radius serves an epsilon sweep
-        cloud = sample_cloud(Density("uniform"), 300, seed=6)
-        kernels = [Kernel(epsilon=eps, dim=2, profile=profile, support=support)
-                   for eps in np.linspace(0.02, 0.5, 25)]
-        neighbors = neighbor_pairs(cloud, max(k.radius for k in kernels))
-        for k in kernels:
-            g = build_graph(cloud, k)
-            shared = build_graph(cloud, k, neighbors)
-            assert shared.weights.has_canonical_format
-            for a, b in ((g.weights.indptr, shared.weights.indptr),
-                         (g.weights.indices, shared.weights.indices),
-                         (g.weights.data, shared.weights.data),
-                         (g.degrees, shared.degrees)):
-                assert np.array_equal(a, b)
-
-    def test_neighbors_must_match_cloud_and_cover_radius(self):
-        cloud = sample_cloud(Density("uniform"), 50, seed=7)
-        other = sample_cloud(Density("uniform"), 50, seed=8)
-        neighbors = neighbor_pairs(cloud, 0.2)
-        with pytest.raises(ValueError):
-            build_graph(other, Kernel(epsilon=0.1, dim=2), neighbors)
-        with pytest.raises(ValueError):
-            build_graph(cloud, Kernel(epsilon=0.3, dim=2), neighbors)
 
     def test_no_pairs_leaves_self_loops(self):
         pts = np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]])

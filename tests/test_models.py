@@ -19,7 +19,6 @@ from graphssl.labels import Ball, Model1Spec, Model2Spec, assign_labels
 from graphssl.models import (
     IndicatorPotential,
     LevelSetPotential,
-    MapSolverConfig,
     MapSolverError,
     PoweredFactor,
     ProbitPotential,
@@ -37,7 +36,7 @@ from graphssl.models import (
     sparse_krige,
     sparse_probit_map,
 )
-from graphssl.spectral import FractionalOperator, decompose_graph
+from graphssl.spectral import FractionalOperator, decompose, decompose_graph
 
 
 def _prior(graph, alpha=2.0, tau=1.0):
@@ -152,15 +151,14 @@ class TestKrige:
         graph, labels = small_graph
         prior = _prior(graph, alpha=2.0, tau=1.0)
         u_spec = krige(prior, labels)
-        base = laplacian(graph) * graph.s_n
-        u_sparse = sparse_krige(base, 2, 1.0, labels.indices, labels.y)
+        factor = PoweredFactor(laplacian(graph) * graph.s_n, 2, 1.0)
+        u_sparse = sparse_krige(factor, labels.indices, labels.y)
         assert np.allclose(u_spec, u_sparse, rtol=1e-9, atol=1e-11)
 
     def test_sparse_requires_integer_alpha(self, small_graph):
-        graph, labels = small_graph
-        base = laplacian(graph) * graph.s_n
+        graph, _ = small_graph
         with pytest.raises(ValueError):
-            sparse_krige(base, 1.5, 1.0, labels.indices, labels.y)
+            PoweredFactor(laplacian(graph) * graph.s_n, 1.5, 1.0)
 
     def test_duplicate_labels_singular(self, small_graph):
         graph, labels = small_graph
@@ -210,12 +208,14 @@ class TestProbitMap:
         with pytest.raises(ValueError, match="tau"):
             probit_map(prior, pot)
 
-    def test_budget_exhaustion_raises(self, small_graph):
+    def test_budget_exhaustion_raises(self, small_graph, monkeypatch):
         graph, labels = small_graph
         prior = _prior(graph)
         pot = ProbitPotential.for_graph(labels, 1e-4)
+        monkeypatch.setattr(models, "NEWTON_TOL", 1e-14)
+        monkeypatch.setattr(models, "NEWTON_MAX_ITER", 1)
         with pytest.raises(MapSolverError) as err:
-            probit_map(prior, pot, cfg=MapSolverConfig(tol=1e-14, max_iter=1))
+            probit_map(prior, pot)
         assert err.value.iterate.shape == (graph.n,)
 
     def test_converges_from_deep_wrong_sign_tail(self, small_graph):
@@ -233,9 +233,8 @@ class TestProbitMap:
         prior = _prior(graph, alpha=3.0, tau=1.0)
         pot = ProbitPotential.for_graph(labels, 0.1)
         u_spec = probit_map(prior, pot)
-        base = laplacian(graph) * graph.s_n
-        u_sparse = sparse_probit_map(base, np.full(graph.n, 1.0 / graph.n),
-                                     3, 1.0, pot)
+        factor = PoweredFactor(laplacian(graph) * graph.s_n, 3, 1.0)
+        u_sparse = sparse_probit_map(factor, np.full(graph.n, 1.0 / graph.n), pot)
         assert np.allclose(u_spec, u_sparse, rtol=1e-7, atol=1e-9)
 
     def test_midpoint_convexity(self, small_graph):
@@ -318,15 +317,16 @@ class TestPoweredFactor:
         ref = _reference_sparse_probit_map(base, w, 2, 1.0, pot)
         factor = PoweredFactor(base, 2, 1.0)
         assert (factor.A1.nnz > 0.05 * g.n ** 2) == dense
-        u_krige = sparse_krige(base, 2, 1.0, labels.indices, labels.y, factor)
-        u_shared = sparse_probit_map(base, w, 2, 1.0, pot, factor=factor)
+        u_krige = sparse_krige(factor, labels.indices, labels.y)
+        u_shared = sparse_probit_map(factor, w, pot)
         # the label-space Newton iteration takes the node-space loop's steps
         # in other coordinates, so the two agree to rounding
         assert _rel(u_shared, ref) <= 1e-9
         # bit for bit: sharing the factor changes no arithmetic
-        assert np.array_equal(sparse_probit_map(base, w, 2, 1.0, pot), u_shared)
+        assert np.array_equal(sparse_probit_map(PoweredFactor(base, 2, 1.0), w, pot),
+                              u_shared)
         assert np.array_equal(
-            u_krige, sparse_krige(base, 2, 1.0, labels.indices, labels.y))
+            u_krige, sparse_krige(PoweredFactor(base, 2, 1.0), labels.indices, labels.y))
         assert np.allclose(u_krige[labels.indices], labels.y, atol=1e-10)
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
@@ -394,9 +394,8 @@ class TestPoweredFactor:
         prior = _prior(g, alpha=2.0, tau=1.0)
         pot = ProbitPotential.for_graph(labels, 0.1)
         factor = PoweredFactor(base, 2, 1.0)
-        u_krige = sparse_krige(base, 2, 1.0, labels.indices, labels.y, factor)
-        u_map = sparse_probit_map(base, np.full(g.n, 1.0 / g.n), 2, 1.0, pot,
-                                  factor=factor)
+        u_krige = sparse_krige(factor, labels.indices, labels.y)
+        u_map = sparse_probit_map(factor, np.full(g.n, 1.0 / g.n), pot)
         assert _rel(u_krige, krige(prior, labels)) <= 1e-9
         assert _rel(u_map, probit_map(prior, pot)) <= 1e-9
 
@@ -454,6 +453,24 @@ class TestPoweredFactor:
         pot = ProbitPotential(gamma=0.1, indices=idx, y=y, weights=w)
         u = continuum_probit_map(op, 2, 1.0, pot)
         assert _rel(u, continuum_probit_map(op, 2, 1.0, pot, m=op.grid.size)) <= 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:graph is disconnected")
+@pytest.mark.parametrize("eps, dense", [(0.08, False), (0.25, True)])
+def test_spectral_sweep_route_matches_build_graph(small_graph, eps, dense):
+    # the rates sweep at non-integer alpha: eigenpairs of the sweep's s_n L
+    # at scale 1, against those of L from build_graph at scale s_n, on both
+    # sides of the dense-fill threshold
+    graph, labels = small_graph
+    kern = Kernel(epsilon=eps, dim=2)
+    base = EpsilonSweep(graph.cloud, [kern]).scaled_laplacian(kern)
+    assert isinstance(base, np.ndarray) == dense
+    swept = FractionalOperator(decompose(base), alpha=1.5, tau=1.0)
+    g = build_graph(graph.cloud, kern)
+    prior = FractionalOperator(decompose_graph(g), alpha=1.5, tau=1.0, scale=g.s_n)
+    pot = ProbitPotential.for_graph(labels, 0.1)
+    assert _rel(krige(swept, labels), krige(prior, labels)) <= 1e-9
+    assert _rel(probit_map(swept, pot), probit_map(prior, pot)) <= 1e-9
 
 
 class _FlippedGradient(ProbitPotential):
@@ -541,8 +558,8 @@ class TestLineSearch:
                                weights=np.ones(2))
         base = laplacian(graph) * graph.s_n
         solves = [lambda: probit_map(_prior(graph), pot),
-                  lambda: sparse_probit_map(base, np.full(graph.n, 1.0 / graph.n),
-                                            2, 1.0, pot)]
+                  lambda: sparse_probit_map(PoweredFactor(base, 2, 1.0),
+                                            np.full(graph.n, 1.0 / graph.n), pot)]
         op = discretize(Density("uniform"), 16)
         spec = Model2Spec(points=np.array([[0.25, 0.25], [0.75, 0.75]]),
                           signs=np.array([1.0, -1.0]))
@@ -617,9 +634,10 @@ def test_label_space_backends_agree_property(n, seed, eps, alpha, gamma):
     # makes it the more accurate side
     ref = _reference_sparse_probit_map(base, w, alpha, 1.0, pot, tol=1e-12)
     assert _rel(probit_map(prior, pot), ref) <= 1e-9
-    assert _rel(sparse_probit_map(base, w, alpha, 1.0, pot), ref) <= 1e-9
+    factor = PoweredFactor(base, alpha, 1.0)
+    assert _rel(sparse_probit_map(factor, w, pot), ref) <= 1e-9
     u_krige = krige(prior, labels)
-    assert _rel(sparse_krige(base, alpha, 1.0, labels.indices, labels.y), u_krige) <= 1e-9
+    assert _rel(sparse_krige(factor, labels.indices, labels.y), u_krige) <= 1e-9
 
 
 class TestLevelSetScaling:
