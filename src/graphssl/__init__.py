@@ -4,8 +4,8 @@ The package provides:
 
 * sampling densities on the unit box and i.i.d. point clouds (``density``),
 * epsilon-neighborhood graphs and their Laplacians (``graph``),
-* spectral calculus for fractional precision operators, Gaussian priors and
-  Sobolev diagnostics (``spectral``),
+* spectral calculus for fractional precision operators and Gaussian priors
+  (``spectral``),
 * finite-volume Neumann discretizations of the weighted continuum operator
   (``continuum``),
 * labelling models (``labels``),
@@ -17,9 +17,9 @@ The package provides:
 * reproducible experiment drivers and a CLI (``experiments``, ``cli``).
 """
 
-from graphssl.density import Density, PointCloud, eval_density, sample_cloud
-from graphssl.graph import (Kernel, NeighborPairs, WeightedGraph, kernel_constants, build_graph,
-                            laplacian, neighbor_pairs, EpsilonSweep)
+from graphssl.density import Density, PointCloud, sample_cloud
+from graphssl.graph import (Kernel, WeightedGraph, kernel_constants, build_graph, laplacian,
+                            EpsilonSweep)
 from graphssl.spectral import (
     EigenDecomposition,
     FractionalOperator,
@@ -27,8 +27,6 @@ from graphssl.spectral import (
     decompose_graph,
     apply_power,
     quadratic_form,
-    sample_prior,
-    sobolev_norm,
     weyl_exponent,
 )
 from graphssl.continuum import Grid, ContinuumOperator, discretize, interpolate_to_points, fiedler_vector
@@ -61,11 +59,10 @@ from graphssl.transport import TlpPair, tlp_exact, tlp_map_bound, discrete_vs_co
 __version__ = "0.1.0"
 
 __all__ = [
-    "Density", "PointCloud", "eval_density", "sample_cloud",
-    "Kernel", "WeightedGraph", "kernel_constants", "build_graph", "laplacian",
-    "NeighborPairs", "neighbor_pairs", "EpsilonSweep",
+    "Density", "PointCloud", "sample_cloud",
+    "Kernel", "WeightedGraph", "kernel_constants", "build_graph", "laplacian", "EpsilonSweep",
     "EigenDecomposition", "FractionalOperator", "decompose", "decompose_graph",
-    "apply_power", "quadratic_form", "sample_prior", "sobolev_norm", "weyl_exponent",
+    "apply_power", "quadratic_form", "weyl_exponent",
     "Grid", "ContinuumOperator", "discretize", "interpolate_to_points", "fiedler_vector",
     "Ball", "Box", "LabelSet", "Model1Spec", "Model2Spec", "assign_labels", "sign",
     "ProbitPotential", "LevelSetPotential", "PoweredFactor", "log_psi",

@@ -190,14 +190,6 @@ class PointCloud:
         return self.points.shape[1]
 
 
-def eval_density(rho: Density, x) -> float | np.ndarray:
-    """Evaluate the normalized density at one point or an array of points."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    vals = rho(x)
-    return float(vals[0]) if single else vals
-
-
 def sample_cloud(rho: Density, n: int, seed: int) -> PointCloud:
     """Draw n i.i.d. points by rejection against the uniform envelope.
 

@@ -52,6 +52,7 @@ from graphssl.posterior import (
     small_noise_agreement,
 )
 from graphssl.spectral import (
+    DENSE_CUTOFF,
     EigensolverError,
     FractionalOperator,
     decompose,
@@ -187,12 +188,9 @@ class ExperimentConfig:
         p = self.params
         if "alpha" in p and p["alpha"] <= 0:
             raise ConfigError("alpha must be positive")
-        # at tau = 0 the kriging and MAP operators are singular; mcmc-moons
-        # can run at tau = 0, so only tau < 0 is rejected there
-        if "tau" in p and p["tau"] <= 0:
+        # at tau = 0 the kriging and MAP operators are singular
+        if any(t <= 0 for t in [p.get("tau", 1.0), *p.get("tau_values", [])]):
             raise ConfigError("tau must be positive")
-        if "tau_values" in p and any(t < 0 for t in p["tau_values"]):
-            raise ConfigError("tau values must be nonnegative")
         if "gamma" in p and p["gamma"] <= 0:
             raise ConfigError("gamma must be positive")
         if "alpha_values" in p and any(a <= 0 for a in p["alpha_values"]):
@@ -217,6 +215,12 @@ class ExperimentConfig:
             raise ConfigError("(iterations - burn_in) // thinning must be at least 100")
         if any(p.get(k, 8) < 8 for k in ("grid_n", "continuum_grid_n", "weyl_grid_n_3d")):
             raise ConfigError("grids need at least 8 cells per side")
+        # away from integer alpha the continuum references take every mode of
+        # the grid operator, which only the dense eigensolver can give
+        if ("alpha" in p and not (float(p["alpha"]).is_integer() and p["alpha"] >= 1)
+                and p.get("continuum_grid_n", 0) ** 2 > DENSE_CUTOFF):
+            raise ConfigError(f"at non-integer alpha, continuum_grid_n**2 may not exceed "
+                              f"{DENSE_CUTOFF}")
         if "n_seeds" in p and p["n_seeds"] < 1:
             raise ConfigError("n_seeds must be at least 1")
         for m in str(p.get("models", "krige")).split(","):

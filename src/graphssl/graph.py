@@ -1,8 +1,9 @@
 """Epsilon-neighborhood weighted graphs and their Laplacians.
 
-Edge weights are w_ij = eps^{-d} eta(|x_i - x_j| / eps) for a nonincreasing
-profile eta.  The scale factor s_n = 2 / (sigma_eta * n * eps^2) makes the
-scaled discrete Dirichlet energy comparable with its continuum counterpart.
+Edge weights are w_ij = eps^{-d} eta(|x_i - x_j| / eps) for the indicator
+profile eta = 1 on [0, 1).  The scale factor s_n = 2 / (sigma_eta * n * eps^2)
+makes the scaled discrete Dirichlet energy comparable with its continuum
+counterpart.
 """
 
 from __future__ import annotations
@@ -11,19 +12,13 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
 from graphssl.density import PointCloud
-
-
-class KernelValidationError(ValueError):
-    """Raised when a kernel profile violates the admissibility conditions."""
 
 
 def _sphere_area(d: int) -> float:
@@ -33,82 +28,29 @@ def _sphere_area(d: int) -> float:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Radial weight profile with bandwidth epsilon.
-
-    ``profile`` is either the string "indicator" (eta = 1 on [0,1)) or a
-    nonincreasing callable on [0, inf).  ``support`` bounds the profile's
-    support in profile units.  A profile with unbounded support may pass
-    ``support=inf``: `radius` then cuts it at t = 1, for the graphs and for
-    their kernel moments alike.
-    """
+    """Indicator weight profile (eta = 1 on [0, 1)) with bandwidth epsilon."""
 
     epsilon: float
     dim: int = 2
-    profile: str | Callable[[np.ndarray], np.ndarray] = "indicator"
-    support: float = 1.0
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        self.validate()
-
-    def eta(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.profile == "indicator":
-            return (t < 1.0).astype(float)
-        return np.asarray(self.profile(t), dtype=float)
-
-    def validate(self) -> None:
-        """Numerical check of the admissibility conditions (K1-K3)."""
-        if self.profile == "indicator":
-            return
-        t = np.linspace(0.0, min(self.support, 50.0), 2048)
-        vals = self.eta(t)
-        if self.eta(np.array([0.0]))[0] <= 0:
-            raise KernelValidationError("eta(0) must be positive")
-        if np.any(np.diff(vals) > 1e-12):
-            raise KernelValidationError("eta must be nonincreasing")
-        # second moment must be finite
-        tail, _ = scipy.integrate.quad(
-            lambda r: self.eta(np.array([r]))[0] * r ** (self.dim + 1),
-            0.0, min(self.support, np.inf), limit=200,
-        )
-        if not np.isfinite(tail):
-            raise KernelValidationError("second radial moment diverges")
-
-    @property
-    def radius(self) -> float:
-        """Neighbor-search radius: epsilon times the profile support."""
-        return self.epsilon * (self.support if np.isfinite(self.support) else 1.0)
 
     def weight(self, dist: np.ndarray) -> np.ndarray:
         """eta_eps(dist) = eps^{-d} eta(dist/eps)."""
-        return self.epsilon ** (-self.dim) * self.eta(dist / self.epsilon)
+        return self.epsilon ** (-self.dim) * (dist / self.epsilon < 1.0)
 
 
 def kernel_constants(k: Kernel) -> tuple[float, float]:
-    """Kernel moments (sigma_eta, beta_eta) by adaptive radial quadrature.
+    """Kernel moments (sigma_eta, beta_eta) of the indicator, in closed form.
 
-    sigma_eta = (1/d) * int_{|h| < R} eta(|h|) |h|^2 dh
-    beta_eta  =         int_{|h| < R} eta(|h|) dh
-
-    with R = k.radius / k.epsilon, the cut that the graphs' pair search makes.
+    sigma_eta = (1/d) * int_{|h| < 1} |h|^2 dh = |S^{d-1}| / (d (d+2))
+    beta_eta  =         int_{|h| < 1} dh       = |S^{d-1}| / d
     """
     d = k.dim
     area = _sphere_area(d)
-    upper = k.radius / k.epsilon
-
-    def f_sigma(r):
-        return k.eta(np.array([r]))[0] * r ** (d + 1)
-
-    def f_beta(r):
-        return k.eta(np.array([r]))[0] * r ** (d - 1)
-
-    sig, sig_err = scipy.integrate.quad(f_sigma, 0.0, upper, epsrel=1e-10, limit=400)
-    bet, bet_err = scipy.integrate.quad(f_beta, 0.0, upper, epsrel=1e-10, limit=400)
-    if not (np.isfinite(sig) and np.isfinite(bet)) or sig <= 0 or bet <= 0:
-        raise KernelValidationError("divergent or degenerate kernel moments")
-    return (area / d) * sig, area * bet
+    return (area / d) / (d + 2), area / d
 
 
 @dataclass
@@ -141,7 +83,7 @@ class NeighborPairs:
 
     One range search at the largest radius of an epsilon sweep serves every
     graph of the sweep: `EpsilonSweep` takes the pairs within each kernel's
-    radius.
+    epsilon.
     """
 
     radius: float
@@ -160,11 +102,11 @@ def neighbor_pairs(cloud: PointCloud, radius: float) -> NeighborPairs:
 
 
 def _weights(n: int, k: Kernel, neighbors: NeighborPairs) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Symmetric CSR weights (self-loops included) from the pairs within the
-    kernel's radius, and the degrees."""
+    """Symmetric CSR weights (self-loops included) from the pairs within
+    epsilon, and the degrees."""
     i, j, dists = neighbors.i, neighbors.j, neighbors.dists
-    if k.radius < neighbors.radius:
-        inside = dists <= k.radius
+    if k.epsilon < neighbors.radius:
+        inside = dists <= k.epsilon
         i, j, dists = i[inside], j[inside], dists[inside]
     vals = k.weight(dists)
     keep = vals > 0
@@ -186,14 +128,13 @@ def _warn_disconnected() -> None:
 
 
 def build_graph(cloud: PointCloud, k: Kernel) -> WeightedGraph:
-    """Assemble the weighted graph by fixed-radius range search.
+    """Assemble the weighted graph by a range search at radius epsilon.
 
-    The search radius is epsilon times the profile support.  Weights are
-    stored as a symmetric CSR matrix built from the upper triangle so that
-    W = W^T holds bit-exactly.
+    Weights are stored as a symmetric CSR matrix built from the upper
+    triangle so that W = W^T holds bit-exactly.
     """
     n = cloud.n
-    W, degrees = _weights(n, k, neighbor_pairs(cloud, k.radius))
+    W, degrees = _weights(n, k, neighbor_pairs(cloud, k.epsilon))
 
     sigma_eta, _ = kernel_constants(k)
     s_n = 2.0 / (sigma_eta * n * k.epsilon ** 2)
@@ -231,7 +172,7 @@ class EpsilonSweep:
     """The scaled Laplacians s_n L of one cloud's graphs over an epsilon sweep.
 
     What does not depend on epsilon is computed once: the pairs within the
-    largest radius, the n x n distance matrix (the formula of
+    largest epsilon, the n x n distance matrix (the formula of
     `neighbor_pairs`, so every weight is the one `build_graph` computes), the
     kernel moments, and the longest edge of a minimum spanning tree of the
     pairs.  The kernels of a sweep may differ only in epsilon.
@@ -239,12 +180,11 @@ class EpsilonSweep:
 
     def __init__(self, cloud: PointCloud, kernels):
         first = kernels[0]
-        if any((k.dim, k.profile, k.support) != (first.dim, first.profile, first.support)
-               for k in kernels):
+        if any(k.dim != first.dim for k in kernels):
             raise ValueError("the kernels of a sweep may differ only in epsilon")
         n = cloud.n
         self.cloud = cloud
-        self.neighbors = nb = neighbor_pairs(cloud, max(k.radius for k in kernels))
+        self.neighbors = nb = neighbor_pairs(cloud, max(k.epsilon for k in kernels))
         pts = cloud.points
         self.dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         self.sigma_eta, _ = kernel_constants(first)
@@ -263,7 +203,8 @@ class EpsilonSweep:
         `laplacian(build_graph(...)) * s_n`, bit for bit.  Warns as
         `build_graph` does when the graph is disconnected."""
         def has_edge(d):
-            return d <= k.radius and k.weight(np.array([d]))[0] > 0
+            # the predicate of `_weights`
+            return k.weight(np.array([d]))[0] > 0
 
         n = self.cloud.n
         disconnected = not has_edge(self._bottleneck)
@@ -278,9 +219,6 @@ class EpsilonSweep:
                               disconnected=disconnected)
             return laplacian(g) * s_n
         W = k.weight(self.dists)
-        if k.profile != "indicator":
-            # an indicator weight is already 0 beyond the radius
-            W[self.dists > k.radius] = 0.0
         # L = D - W: the off-diagonal weights keep their bits; the degrees are
         # summed in another order than the CSR rows, so the diagonal agrees
         # to a few ulp
@@ -289,7 +227,3 @@ class EpsilonSweep:
         np.fill_diagonal(W, diag)
         return W
 
-
-def default_epsilon(n: int, d: int = 2) -> float:
-    """Connectivity-scale bandwidth for smoke tests: 2 (log n / n)^{1/d}."""
-    return 2.0 * (math.log(n) / n) ** (1.0 / d)

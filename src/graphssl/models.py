@@ -290,14 +290,6 @@ def probit_map(prior: FractionalOperator, pot: ProbitPotential,
     return _label_space_map(_spectral_space(prior, pot.indices), pot, init)
 
 
-def map_gradient_norm(prior: FractionalOperator, pot: ProbitPotential, u: np.ndarray) -> float:
-    """Norm of the spectral-coefficient gradient of the probit objective at u."""
-    eig = prior.eig
-    a = eig.coeffs(u)
-    g = prior.powered(1.0) * a + eig.vectors[pot.indices, :].T @ pot.grad_at_labeled(u[pot.indices])
-    return float(np.linalg.norm(g))
-
-
 def krige(prior: FractionalOperator, labels_or_indices, y: np.ndarray | None = None) -> np.ndarray:
     """Minimum-energy interpolation of label values (closed form).
 

@@ -52,13 +52,14 @@ class Chain:
 
     state: np.ndarray
     phi: float
-    accepted: int = 0
-    steps: int = 0
-    recorded: int = 0
-    sum_sign: np.ndarray | None = None
-    batch_sums: list = field(default_factory=list)
-    batch_count: int = 0
-    samples: list = field(default_factory=list)
+    accepted: int = field(default=0, init=False)
+    steps: int = field(default=0, init=False)
+    recorded: int = field(default=0, init=False)
+    sum_sign: np.ndarray | None = field(default=None, init=False)
+    batch_sums: list = field(default_factory=list, init=False)
+    batch_count: int = field(default=0, init=False)
+    samples: list = field(default_factory=list, init=False)
+    _batch_acc: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def acceptance_rate(self) -> float:

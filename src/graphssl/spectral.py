@@ -166,29 +166,9 @@ def quadratic_form(A: FractionalOperator, u: np.ndarray) -> float:
     return float(0.5 * np.sum(A.powered(1.0) * a ** 2))
 
 
-def sample_prior(A: FractionalOperator, rng: np.random.Generator, r: float = 1.0) -> np.ndarray:
-    """Draw from N(0, r * A^{-1}) via its Karhunen-Loeve expansion.
-
-    With tau = 0 the sample lies in the orthogonal complement of constants.
-    """
-    return A.eig.reconstruct(prior_std(A, r) * rng.standard_normal(A.eig.m))
-
-
 def prior_std(A: FractionalOperator, r: float = 1.0) -> np.ndarray:
     """Per-mode standard deviations of N(0, r*A^{-1})."""
     return np.sqrt(r) * A.powered(-0.5)
-
-
-def sobolev_norm(eig: EigenDecomposition, u: np.ndarray, s: float) -> float:
-    """Spectrally defined Sobolev norm (a_1^2 + sum_{k>=2} lambda_k^s a_k^2)^{1/2}."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    a = eig.coeffs(u)
-    lam = np.clip(eig.eigenvalues, 0.0, None)
-    total = a[0] ** 2
-    if len(a) > 1:
-        total += np.sum(lam[1:] ** s * a[1:] ** 2)
-    return float(np.sqrt(total))
 
 
 def weyl_exponent(eigenvalues: np.ndarray, k_min: int, k_max: int) -> float:

@@ -41,6 +41,26 @@ class TestExitCodes:
         assert cli.main(["rates-krige", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_zero_tau_values_exit_2(self, tmp_path):
+        # at tau = 0 the moons kriging start could weight a roundoff
+        # eigenvalue of the constant mode by lambda^-alpha
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, "[mcmc-moons]\ngrid_n = 24\nmodes = 30\n"
+                                   "alpha_values = 2\ntau_values = 0\n"
+                                   "iterations = 1500\nburn_in = 150\n")
+        assert cli.main(["mcmc-moons", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_fractional_alpha_on_a_large_continuum_grid_exits_2(self, tmp_path, capsys):
+        # the continuum reference would ask the sparse eigensolver for every
+        # mode of a 256^2-node operator
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, "[rates-krige]\nalpha = 1.5\nn_values = 40\n"
+                                   "n_seeds = 1\neps_count = 4\n")
+        assert cli.main(["rates-krige", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "4096" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = _write_cfg(tmp_path, "[extrapolation]\nbogus = 1\n")
         assert cli.main(["extrapolation", "--config", str(cfg),

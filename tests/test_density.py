@@ -10,7 +10,6 @@ from graphssl.density import (
     Density,
     DomainError,
     PointCloud,
-    eval_density,
     sample_cloud,
     _channel_profile,
 )
@@ -25,8 +24,8 @@ class TestChannelProfile:
 
     def test_strip_and_outside_levels(self):
         rho = Density("channel", h=0.3, width=0.1)
-        inside = eval_density(rho, np.array([0.5, 0.4]))
-        outside = eval_density(rho, np.array([0.1, 0.9]))
+        inside = rho(np.array([0.5, 0.4]))
+        outside = rho(np.array([0.1, 0.9]))
         # unnormalized values are h inside and 1 outside
         assert inside * rho.normalization == pytest.approx(0.3)
         assert outside * rho.normalization == pytest.approx(1.0)
@@ -39,7 +38,7 @@ class TestChannelProfile:
 
     def test_floor_keeps_density_positive_at_h_zero(self):
         rho = Density("channel", h=0.0)
-        assert eval_density(rho, np.array([0.5, 0.5])) >= CHANNEL_FLOOR / 2
+        assert rho(np.array([0.5, 0.5])) >= CHANNEL_FLOOR / 2
 
     def test_constant_in_second_coordinate(self):
         rho = Density("channel", h=0.4)
@@ -66,7 +65,7 @@ class TestNormalization:
     def test_uniform_is_exactly_one(self):
         rho = Density("uniform")
         assert rho.normalization == 1.0
-        assert eval_density(rho, np.array([0.3, 0.9])) == 1.0
+        assert rho(np.array([0.3, 0.9])) == 1.0
 
 
 class TestTwoMoons:
@@ -74,7 +73,7 @@ class TestTwoMoons:
         rho = Density("two_moons")
         on_arc = np.asarray(rho.centers[0]) + np.array([0.0, rho.radius])
         off = np.array([0.05, 0.05])
-        ratio = eval_density(rho, on_arc) / eval_density(rho, off)
+        ratio = rho(on_arc) / rho(off)
         assert ratio == pytest.approx(rho.contrast, rel=1e-9)
 
     def test_dim_restriction(self):

@@ -78,16 +78,12 @@ class TestConfig:
         ("smallnoise", {"tau": 0.0}),
         ("channel", {"tau": 0.0}),
         ("mcmc-moons", {"tau_values": [1.0, -0.2]}),
+        ("mcmc-moons", {"tau_values": [0.0]}),
+        ("rates-probit", {"alpha": 0.5, "continuum_grid_n": 65}),
     ])
     def test_invalid_parameters(self, exp, params):
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment=exp, out_dir="/tmp/x", params=params)
-
-    def test_zero_tau_values_allowed(self):
-        # the moons chains run at tau = 0; only tau < 0 is rejected
-        cfg = ExperimentConfig(experiment="mcmc-moons", out_dir="/tmp/x",
-                               params={"tau_values": [0.0]})
-        assert cfg.params["tau_values"] == [0.0]
 
     def test_unknown_rates_model(self, tmp_path):
         # rejected with the config, before run() creates the output directory
