@@ -32,7 +32,6 @@ from graphssl.spectral import (
 from graphssl.continuum import Grid, ContinuumOperator, discretize, interpolate_to_points, fiedler_vector
 from graphssl.labels import (
     Ball,
-    Box,
     LabelSet,
     Model1Spec,
     Model2Spec,
@@ -64,7 +63,7 @@ __all__ = [
     "EigenDecomposition", "FractionalOperator", "decompose", "decompose_graph",
     "apply_power", "quadratic_form", "weyl_exponent",
     "Grid", "ContinuumOperator", "discretize", "interpolate_to_points", "fiedler_vector",
-    "Ball", "Box", "LabelSet", "Model1Spec", "Model2Spec", "assign_labels", "sign",
+    "Ball", "LabelSet", "Model1Spec", "Model2Spec", "assign_labels", "sign",
     "ProbitPotential", "LevelSetPotential", "PoweredFactor", "log_psi",
     "probit_objective", "probit_map", "sparse_krige", "sparse_probit_map",
     "levelset_objective", "krige", "continuum_probit_map",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from graphssl.density import Density, PointCloud
+from graphssl.density import Density
 from graphssl.spectral import EigenDecomposition, decompose
 
 
@@ -115,13 +115,13 @@ def discretize(rho: Density, N: int) -> ContinuumOperator:
     return ContinuumOperator(grid=grid, rho=rho, matrix=L, rho_at_nodes=rho_nodes)
 
 
-def interpolate_to_points(grid: Grid, values: np.ndarray, cloud_or_points) -> np.ndarray:
+def interpolate_to_points(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation from cell centers to arbitrary points.
 
     Values are clamped at the boundary (constant extrapolation within the
     half-cell margin next to each face).
     """
-    pts = cloud_or_points.points if isinstance(cloud_or_points, PointCloud) else np.atleast_2d(cloud_or_points)
+    pts = np.atleast_2d(points)
     d, N, h = grid.dim, grid.N, grid.h
     vals = np.asarray(values).reshape((N,) * d)
 

@@ -40,6 +40,7 @@ from graphssl.models import (
     continuum_krige,
     continuum_labeled_nodes,
     continuum_probit_map,
+    factored,
     krige,
     probit_map,
     sparse_krige,
@@ -215,11 +216,20 @@ class ExperimentConfig:
             raise ConfigError("(iterations - burn_in) // thinning must be at least 100")
         if any(p.get(k, 8) < 8 for k in ("grid_n", "continuum_grid_n", "weyl_grid_n_3d")):
             raise ConfigError("grids need at least 8 cells per side")
-        # away from integer alpha the continuum references take every mode of
-        # the grid operator, which only the dense eigensolver can give
-        if ("alpha" in p and not (float(p["alpha"]).is_integer() and p["alpha"] >= 1)
-                and p.get("continuum_grid_n", 0) ** 2 > DENSE_CUTOFF):
-            raise ConfigError(f"at non-integer alpha, continuum_grid_n**2 may not exceed "
+        # the node counts of the operators whose every eigenpair the run
+        # takes, which only the dense eigensolver gives
+        e, full = self.experiment, []
+        if e in ("extrapolation", "smallnoise"):
+            full = [p["n"]]
+        elif e in ("rates-krige", "rates-probit") and not factored(p["alpha"]):
+            full = [*p["n_values"], p["continuum_grid_n"] ** 2]
+        elif e == "channel" and not all(map(factored, p["alpha_values"])):
+            full = [p["grid_n"] ** 2]
+        elif e == "mcmc-moons" and p["modes"] >= p["grid_n"] ** 2:
+            full = [p["grid_n"] ** 2]
+        if max(full, default=0) > DENSE_CUTOFF:
+            raise ConfigError(f"the run takes the full spectrum of an operator on "
+                              f"{max(full)} nodes; the dense eigensolver takes at most "
                               f"{DENSE_CUTOFF}")
         if "n_seeds" in p and p["n_seeds"] < 1:
             raise ConfigError("n_seeds must be at least 1")
@@ -474,10 +484,11 @@ def run_rates(cfg: ExperimentConfig) -> dict:
             dropped.append({"n": n, "seed": seed, "epsilon": float(eps), "model": m,
                             "exception": f"{type(exc).__name__}: {exc}"})
 
+    by_factor = factored(p["alpha"])
+
     def sweep_seed(n, seed_idx):
         seed = _point_seed(cfg.seed, n, seed_idx)
         cloud = sample_cloud(Density("uniform"), n - 2, seed=seed)
-        factored = float(p["alpha"]).is_integer() and p["alpha"] >= 1
         with _counted_warnings(caught):
             cloud, labels = assign_labels(cloud, spec)
             # the empirical L^2 error of discrete_vs_continuum_error, with each
@@ -489,7 +500,7 @@ def run_rates(cfg: ExperimentConfig) -> dict:
             sweep = EpsilonSweep(cloud, kernels)
             for k, kern in enumerate(kernels):
                 base = sweep.scaled_laplacian(kern)
-                if factored:
+                if by_factor:
                     # takes base over; factored on first use, it serves both models
                     factor = PoweredFactor(base, int(p["alpha"]), p["tau"])
                 else:
@@ -502,13 +513,13 @@ def run_rates(cfg: ExperimentConfig) -> dict:
                 for m in models:
                     try:
                         if m == "krige":
-                            if factored:
+                            if by_factor:
                                 u = sparse_krige(factor, labels.indices, labels.y)
                             else:
                                 u = krige(prior, labels)
                         else:
                             pot = ProbitPotential.for_graph(labels, p["gamma"])
-                            if factored:
+                            if by_factor:
                                 u = sparse_probit_map(factor, np.full(n, 1.0 / n), pot)
                             else:
                                 u = probit_map(prior, pot)
@@ -622,11 +633,10 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
     off_curve = op.rho_at_nodes < p["offcurve_density"]
 
     summary = []
-    fields = {}
     for alpha in p["alpha_values"]:
         for tau in p["tau_values"]:
             prior = FractionalOperator(eig, alpha=alpha, tau=tau)
-            init = continuum_krige(op, alpha, tau, idx, y, m=p["modes"])
+            init = krige(prior, idx, y)
             if not np.all(y * init[idx] > 0):
                 raise NumericalError("kriging initial state violates the sign constraint")
             pcn = PcnConfig(beta=p["beta"], iterations=p["iterations"],
@@ -634,7 +644,6 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
                             seed=_point_seed(cfg.seed, int(alpha * 10), int(tau * 10)))
             chain = run_pcn(prior, pot, pcn, init=init)
             mean, var = classification_stats(chain)
-            fields[(alpha, tau)] = mean
             _write_csv(cfg.out_dir / f"moons_alpha{alpha:g}_tau{tau:g}.csv",
                        ["x1", "x2", "mean_sign", "variance"],
                        np.column_stack([coords, mean, var]))
@@ -644,9 +653,7 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
     _write_csv(cfg.out_dir / "summary.csv",
                ["alpha", "tau", "acceptance", "mean_sign_label_plus",
                 "mean_sign_label_minus", "offcurve_certainty"], summary)
-    return {"summary": summary, "fiedler": fied, "degenerate": degenerate,
-            "fields": fields, "coords": coords, "rho": op.rho_at_nodes,
-            "label_indices": idx}
+    return {"summary": summary, "fiedler": fied, "degenerate": degenerate}
 
 
 # ---------------------------------------------------------------------------
@@ -705,12 +712,12 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
     for k in range(k_max):
         eig_rows.append(["continuum_d2", 0, k + 1, float(eig2.eigenvalues[k])])
     weyl_rows.append(["continuum_d2",
-                      weyl_exponent(eig2, p["cont_weyl_k_min"], p["cont_weyl_k_max"])])
+                      weyl_exponent(eig2.eigenvalues, p["cont_weyl_k_min"], p["cont_weyl_k_max"])])
 
     op3 = discretize(Density("uniform", dim=3), p["weyl_grid_n_3d"])
     eig3 = op3.eigendecomposition(m=m_cont)
     weyl_rows.append(["continuum_d3",
-                      weyl_exponent(eig3, p["cont_weyl_k_min"], p["cont_weyl_k_max"])])
+                      weyl_exponent(eig3.eigenvalues, p["cont_weyl_k_min"], p["cont_weyl_k_max"])])
 
     _write_csv(cfg.out_dir / "eigenvalues.csv", ["source", "n", "k", "lambda"], eig_rows)
     _write_csv(cfg.out_dir / "errors.csv", ["n", "k", "rel_error"], err_rows)

@@ -1,7 +1,7 @@
 """Labelling models, the sign function, and the fidelity weight.
 
 Labelling model 1 labels every sampled point falling in one of two separated
-regions (fidelity weight r_n = 1/n); labelling model 2 prepends a fixed set
+balls (fidelity weight r_n = 1/n); labelling model 2 prepends a fixed set
 of labeled points to the cloud (r_n = 1).
 """
 
@@ -24,44 +24,16 @@ class Ball:
         c = np.asarray(self.center, dtype=float)
         return np.linalg.norm(pts - c, axis=1) <= self.radius
 
-    def distance(self, other: "Region") -> float:
-        if isinstance(other, Ball):
-            gap = np.linalg.norm(np.asarray(self.center) - np.asarray(other.center))
-            return gap - self.radius - other.radius
-        return other.distance(self)
-
-
-@dataclass(frozen=True)
-class Box:
-    lower: tuple
-    upper: tuple
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
-
-    def distance(self, other) -> float:
-        # conservative gap between bounding descriptions
-        if isinstance(other, Box):
-            lo1, hi1 = np.asarray(self.lower), np.asarray(self.upper)
-            lo2, hi2 = np.asarray(other.lower), np.asarray(other.upper)
-            gaps = np.maximum(lo2 - hi1, lo1 - hi2)
-            return float(np.max(gaps))
-        c = np.asarray(other.center, dtype=float)
-        lo, hi = np.asarray(self.lower), np.asarray(self.upper)
-        nearest = np.clip(c, lo, hi)
-        return float(np.linalg.norm(c - nearest) - other.radius)
-
-
-Region = Ball | Box
+    def distance(self, other: Ball) -> float:
+        gap = np.linalg.norm(np.asarray(self.center) - np.asarray(other.center))
+        return gap - self.radius - other.radius
 
 
 @dataclass(frozen=True)
 class Model1Spec:
-    """Region-based labelling: positive region, negative region."""
-    omega_plus: tuple
-    omega_minus: tuple
+    """Region labelling: the positive ball and the negative ball."""
+    omega_plus: Ball
+    omega_minus: Ball
 
 
 @dataclass(frozen=True)
@@ -84,26 +56,16 @@ class LabelSet:
     def size(self) -> int:
         return len(self.indices)
 
-    def column(self, n: int) -> np.ndarray:
-        """Dense label column over all n nodes, 0 at unlabeled nodes."""
-        out = np.zeros(n)
-        out[self.indices] = self.y
-        return out
-
 
 class LabelValidationError(ValueError):
     pass
 
 
-def _as_regions(spec) -> tuple:
-    return spec if isinstance(spec, (tuple, list)) else (spec,)
-
-
 def region_labels(spec: Model1Spec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the points lying in a model-1 spec's regions, and their
     labels: +1 in omega_plus, -1 in omega_minus.  Separation is not checked."""
-    in_plus = np.any([r.contains(pts) for r in _as_regions(spec.omega_plus)], axis=0)
-    in_minus = np.any([r.contains(pts) for r in _as_regions(spec.omega_minus)], axis=0)
+    in_plus = spec.omega_plus.contains(pts)
+    in_minus = spec.omega_minus.contains(pts)
     idx = np.flatnonzero(in_plus | in_minus)
     return idx, np.where(in_plus[idx], 1.0, -1.0)
 
@@ -116,10 +78,7 @@ def assign_labels(cloud: PointCloud, spec) -> tuple[PointCloud, LabelSet]:
     in graph construction identically to sampled points.
     """
     if isinstance(spec, Model1Spec):
-        plus = _as_regions(spec.omega_plus)
-        minus = _as_regions(spec.omega_minus)
-        gap = min(p.distance(m) for p in plus for m in minus)
-        if gap <= 0:
+        if spec.omega_plus.distance(spec.omega_minus) <= 0:
             raise LabelValidationError("labelled regions must have positive separation")
         idx, y = region_labels(spec, cloud.points)
         if len(idx) == 0:

@@ -18,7 +18,9 @@ Cholesky-factored in place and solved for all label columns at once; a
 sparse matrix goes to sparse LU, one column at a time.  On continuum grids
 `ContinuumOperator.factor` builds it and keeps the last one.
 
-`continuum_probit_map` at integer alpha keeps a node-space Newton loop.
+The continuum solvers route on alpha alone: a `factored` alpha (an integer
+>= 1) takes that factor, any other every eigenpair of the grid operator.
+On the factored route `continuum_probit_map` keeps a node-space Newton loop.
 Channel fields have nodes whose value is zero up to roundoff; stored
 references pin their signs, so that loop keeps its exact arithmetic until
 those references are regenerated.
@@ -314,6 +316,12 @@ def _solve_gram(gram: np.ndarray, y: np.ndarray, **kwargs) -> np.ndarray:
             raise ValueError("singular kriging Gram matrix") from exc
 
 
+def factored(alpha: float) -> bool:
+    """Whether alpha takes the factored route (`PoweredFactor`): an integer
+    alpha >= 1.  Every other alpha goes through eigenpairs."""
+    return float(alpha).is_integer() and alpha >= 1
+
+
 class PoweredFactor:
     """A1 = matrix + tau^2 I, factored on the first solve, with solves of A1^alpha
     for an integer alpha >= 1.
@@ -331,7 +339,7 @@ class PoweredFactor:
     """
 
     def __init__(self, matrix, alpha: int, tau: float):
-        if not float(alpha).is_integer() or alpha < 1:
+        if not factored(alpha):
             raise ValueError("sparse solvers require integer alpha >= 1")
         self.alpha = int(alpha)
         self._dense = isinstance(matrix, np.ndarray)
@@ -483,35 +491,33 @@ def _node_space_probit_map(factor: PoweredFactor, weights: np.ndarray,
 
 
 def continuum_krige(op: ContinuumOperator, alpha: float, tau: float,
-                    indices: np.ndarray, y: np.ndarray,
-                    m: int | None = None) -> np.ndarray:
+                    indices: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Minimum-energy interpolation on a continuum grid operator.
 
-    For integer alpha the closed form is evaluated with sparse solves of the
-    powered operator (no spectral truncation), through ``op.factor``;
-    otherwise it falls back to the spectral form on m modes.  The
-    interpolant is invariant to the inner-product convention of the
-    evaluation adjoint, so unit node vectors are used as right-hand sides.
+    A `factored` alpha evaluates the closed form with sparse solves of the
+    powered operator (no spectral truncation), through ``op.factor``; any
+    other alpha uses every eigenpair of the grid operator.  The interpolant
+    is invariant to the inner-product convention of the evaluation adjoint,
+    so unit node vectors are used as right-hand sides.
     """
-    if float(alpha).is_integer() and alpha >= 1 and m is None:
+    if factored(alpha):
         return sparse_krige(op.factor(int(alpha), tau), indices, y)
-    prior = FractionalOperator(op.eigendecomposition(m=m), alpha=alpha, tau=tau, scale=1.0)
+    prior = FractionalOperator(op.eigendecomposition(), alpha=alpha, tau=tau, scale=1.0)
     return krige(prior, indices, y)
 
 
 def continuum_probit_map(op: ContinuumOperator, alpha: float, tau: float,
                          pot: ProbitPotential,
-                         m: int | None = None,
                          init: np.ndarray | None = None) -> np.ndarray:
     """Probit MAP for a continuum grid operator.
 
-    With ``m`` set, minimizes over the span of the first m eigenmodes by the
-    same Newton scheme used on graphs.  With ``m=None`` and integer alpha the
-    sparse precision operator, factored by ``op.factor``, is used directly
-    (no truncation), which is required when the density has near-degenerate
-    regions that carry many low-eigenvalue localized modes.
+    A `factored` alpha uses the sparse precision operator, factored by
+    ``op.factor``, directly (no truncation), which is required when the
+    density has near-degenerate regions that carry many low-eigenvalue
+    localized modes.  Any other alpha minimizes over every eigenpair of the
+    grid operator by the same Newton scheme used on graphs.
     """
-    if m is None and float(alpha).is_integer() and alpha >= 1:
+    if factored(alpha):
         return _node_space_probit_map(op.factor(int(alpha), tau), op.weights, pot, init)
-    prior = FractionalOperator(op.eigendecomposition(m=m), alpha=alpha, tau=tau, scale=1.0)
+    prior = FractionalOperator(op.eigendecomposition(), alpha=alpha, tau=tau, scale=1.0)
     return probit_map(prior, pot, init=init)

@@ -61,8 +61,9 @@ class EigenDecomposition:
 def decompose(op, weights=None, m: int | None = None) -> EigenDecomposition:
     """m smallest eigenpairs of an operator symmetric w.r.t. diag(weights).
 
-    Dense solver up to dimension 4096; shift-inverted Lanczos (ARPACK)
-    above.  ``weights`` defaults to the uniform empirical weights 1/n.
+    Dense solver up to dimension DENSE_CUTOFF = 4096; shift-inverted Lanczos
+    (ARPACK) above, which cannot return a full spectrum (ValueError).
+    ``weights`` defaults to the uniform empirical weights 1/n.
     """
     n = op.shape[0]
     if weights is None:
@@ -88,6 +89,9 @@ def decompose(op, weights=None, m: int | None = None) -> EigenDecomposition:
         lam, V = scipy.linalg.eigh(Bd)
         lam, V = lam[:m], V[:, :m]
     else:
+        if m >= n:
+            raise ValueError(f"a full spectrum of {n} nodes needs the dense eigensolver, "
+                             f"which takes at most DENSE_CUTOFF = {DENSE_CUTOFF} nodes")
         Bs = sp.csc_matrix(B)
         Bs = 0.5 * (Bs + Bs.T)
         sigma = -1e-3 * max(float(abs(Bs.diagonal()).mean()), 1.0)
@@ -174,11 +178,8 @@ def prior_std(A: FractionalOperator, r: float = 1.0) -> np.ndarray:
 def weyl_exponent(eigenvalues: np.ndarray, k_min: int, k_max: int) -> float:
     """Least-squares slope of log(lambda_k) against log(k) over k in [k_min, k_max].
 
-    Indices are 1-based and must exclude k = 1 (zero eigenvalue).  Accepts an
-    EigenDecomposition or a plain array of eigenvalues.
+    Indices are 1-based and must exclude k = 1 (zero eigenvalue).
     """
-    if isinstance(eigenvalues, EigenDecomposition):
-        eigenvalues = eigenvalues.eigenvalues
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if k_min < 2:
         raise ValueError("range must exclude k=1")

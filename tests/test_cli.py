@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import graphssl.cli as cli
 import graphssl.experiments as experiments
@@ -51,13 +52,25 @@ class TestExitCodes:
         assert cli.main(["mcmc-moons", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_fractional_alpha_on_a_large_continuum_grid_exits_2(self, tmp_path, capsys):
-        # the continuum reference would ask the sparse eigensolver for every
-        # mode of a 256^2-node operator
+    @pytest.mark.parametrize("experiment, body", [
+        # a fractional alpha: the rates continuum reference on a 256^2 grid
+        ("rates-krige", "alpha = 1.5\nn_values = 40\nn_seeds = 1\neps_count = 4\n"),
+        # ... and the rates graphs themselves
+        ("rates-krige", "alpha = 1.5\nn_values = 4200\nn_seeds = 1\neps_count = 3\n"
+                        "eps_min = 0.1\neps_max = 0.2\ncontinuum_grid_n = 32\n"),
+        ("channel", "alpha_values = 1.5\nh_values = 1.0\n"),
+        ("extrapolation", "n = 4200\n"),
+        ("smallnoise", "n = 4200\niterations = 2000\nburn_in = 200\n"),
+        ("mcmc-moons", "grid_n = 65\nmodes = 4225\n"),
+    ], ids=["rates-grid", "rates-graph", "channel", "extrapolation", "smallnoise",
+            "mcmc-moons"])
+    def test_full_spectrum_above_dense_cutoff_exits_2(self, tmp_path, capsys,
+                                                      experiment, body):
+        # each would ask the sparse eigensolver for every eigenpair of an
+        # operator on more than 4096 nodes
         out = tmp_path / "out"
-        cfg = _write_cfg(tmp_path, "[rates-krige]\nalpha = 1.5\nn_values = 40\n"
-                                   "n_seeds = 1\neps_count = 4\n")
-        assert cli.main(["rates-krige", "--config", str(cfg), "--out", str(out)]) == 2
+        cfg = _write_cfg(tmp_path, f"[{experiment}]\n{body}")
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
         assert "4096" in capsys.readouterr().err
         assert not out.exists()
 

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,10 @@ def test_readme_quick_start_runs_and_documented_imports_resolve():
     quick_start = blocks[0]
     assert "build_graph" in quick_start
     namespace = {}
-    exec(compile(quick_start, "README quick start", "exec"), namespace)
+    # a warning (say, a disconnected graph) fails the quick start
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(quick_start, "README quick start", "exec"), namespace)
     assert set(np.unique(namespace["classes"])) <= {-1.0, 0.0, 1.0}
     assert np.allclose(namespace["u_krige"][namespace["labels"].indices],
                        namespace["labels"].y)

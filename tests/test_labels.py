@@ -4,7 +4,6 @@ import pytest
 from graphssl.density import Density, PointCloud, sample_cloud
 from graphssl.labels import (
     Ball,
-    Box,
     LabelValidationError,
     Model1Spec,
     Model2Spec,
@@ -19,19 +18,9 @@ class TestRegions:
         pts = np.array([[0.5, 0.55], [0.5, 0.65]])
         assert list(b.contains(pts)) == [True, False]
 
-    def test_box_contains(self):
-        b = Box((0.1, 0.1), (0.2, 0.3))
-        pts = np.array([[0.15, 0.2], [0.25, 0.2]])
-        assert list(b.contains(pts)) == [True, False]
-
     def test_ball_ball_distance(self):
         a, b = Ball((0.0, 0.0), 0.1), Ball((1.0, 0.0), 0.2)
         assert a.distance(b) == pytest.approx(0.7)
-
-    def test_box_ball_distance(self):
-        box, ball = Box((0.0, 0.0), (0.2, 0.2)), Ball((0.5, 0.1), 0.1)
-        assert box.distance(ball) == pytest.approx(0.2)
-        assert ball.distance(box) == pytest.approx(0.2)
 
 
 class TestModel1:
@@ -51,24 +40,6 @@ class TestModel1:
         cloud = sample_cloud(Density("uniform"), 50, seed=0)
         spec = Model1Spec(omega_plus=Ball((0.4, 0.4), 0.2),
                           omega_minus=Ball((0.6, 0.6), 0.2))
-        with pytest.raises(LabelValidationError):
-            assign_labels(cloud, spec)
-
-    def test_separated_boxes(self):
-        cloud = sample_cloud(Density("uniform"), 200, seed=0)
-        spec = Model1Spec(omega_plus=Box((0.1, 0.1), (0.3, 0.3)),
-                          omega_minus=Box((0.5, 0.1), (0.9, 0.3)))
-        assert spec.omega_plus.distance(spec.omega_minus) == pytest.approx(0.2)
-        _, labels = assign_labels(cloud, spec)
-        in_plus = spec.omega_plus.contains(cloud.points)
-        in_minus = spec.omega_minus.contains(cloud.points)
-        assert np.array_equal(labels.indices, np.flatnonzero(in_plus | in_minus))
-        assert np.array_equal(labels.y, np.where(in_plus[labels.indices], 1.0, -1.0))
-
-    def test_overlapping_boxes_rejected(self):
-        cloud = sample_cloud(Density("uniform"), 50, seed=0)
-        spec = Model1Spec(omega_plus=Box((0.1, 0.1), (0.5, 0.5)),
-                          omega_minus=Box((0.4, 0.4), (0.9, 0.9)))
         with pytest.raises(LabelValidationError):
             assign_labels(cloud, spec)
 
@@ -102,15 +73,6 @@ class TestModel2:
         cloud = sample_cloud(Density("uniform"), 10, seed=1)
         with pytest.raises(TypeError):
             assign_labels(cloud, object())
-
-
-class TestLabelSet:
-    def test_dense_column(self):
-        cloud = sample_cloud(Density("uniform"), 10, seed=2)
-        spec = Model2Spec(points=np.array([[0.5, 0.5]]), signs=np.array([-1.0]))
-        cloud, labels = assign_labels(cloud, spec)
-        col = labels.column(cloud.n)
-        assert col[0] == -1.0 and np.count_nonzero(col) == 1
 
 
 def test_sign_convention():

@@ -451,11 +451,12 @@ class TestPoweredFactor:
         spec = Model1Spec(omega_plus=Ball((0.25, 0.25), 0.1),
                           omega_minus=Ball((0.75, 0.75), 0.1))
         idx, y, w = continuum_labeled_nodes(op, spec)
+        prior = FractionalOperator(op.eigendecomposition(), 2, 1.0)
         u = continuum_krige(op, 2, 1.0, idx, y)
-        assert _rel(u, continuum_krige(op, 2, 1.0, idx, y, m=op.grid.size)) <= 1e-10
+        assert _rel(u, krige(prior, idx, y)) <= 1e-10
         pot = ProbitPotential(gamma=0.1, indices=idx, y=y, weights=w)
         u = continuum_probit_map(op, 2, 1.0, pot)
-        assert _rel(u, continuum_probit_map(op, 2, 1.0, pot, m=op.grid.size)) <= 1e-10
+        assert _rel(u, probit_map(prior, pot)) <= 1e-10
 
 
 @pytest.mark.filterwarnings("ignore:graph is disconnected")
@@ -660,7 +661,7 @@ class TestContinuumSolvers:
         idx = np.array([40, 200])
         y = np.array([1.0, -1.0])
         direct = continuum_krige(op, 2, 0.8, idx, y)
-        spectral = continuum_krige(op, 2.0 + 1e-12, 0.8, idx, y, m=op.grid.size)
+        spectral = continuum_krige(op, 2.0 + 1e-12, 0.8, idx, y)
         assert np.allclose(direct, spectral, rtol=1e-7, atol=1e-9)
         assert np.allclose(direct[idx], y, atol=1e-8)
 
@@ -671,7 +672,7 @@ class TestContinuumSolvers:
         idx, y, w = continuum_labeled_nodes(op, spec)
         pot = ProbitPotential(gamma=0.1, indices=idx, y=y, weights=w)
         direct = continuum_probit_map(op, 2.0, tau=1.0, pot=pot)
-        spectral = continuum_probit_map(op, 2.0, tau=1.0, pot=pot, m=op.grid.size)
+        spectral = probit_map(FractionalOperator(op.eigendecomposition(), 2.0, 1.0), pot)
         assert np.allclose(direct, spectral, rtol=1e-6, atol=1e-8)
 
     def test_labeled_nodes_model1_weights(self):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from graphssl.density import Density, sample_cloud
 from graphssl.graph import Kernel, build_graph, laplacian
 from graphssl.spectral import (
+    DENSE_CUTOFF,
     EigenDecomposition,
     FractionalOperator,
     apply_power,
@@ -51,6 +53,18 @@ class TestDecompose:
     def test_too_many_modes_rejected(self):
         with pytest.raises(ValueError):
             decompose(np.eye(5), m=6)
+
+    def test_full_spectrum_above_dense_cutoff_rejected(self, monkeypatch):
+        # ARPACK cannot return every eigenpair: refused before it is called
+        def eigsh(*args, **kwargs):
+            raise AssertionError("eigsh called")
+
+        monkeypatch.setattr(spla, "eigsh", eigsh)
+        n = DENSE_CUTOFF + 1
+        path = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                        [-1, 0, 1], format="csr")
+        with pytest.raises(ValueError, match="DENSE_CUTOFF"):
+            decompose(path, m=n)
 
 
 class TestFractionalOperator:
