@@ -131,9 +131,17 @@ class Density:
         if self.kind == "channel":
             vals = _channel_profile(x, self.h, self.width)
             return float(np.sum(w * vals))
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        vals = self._raw(pts).reshape(len(x), len(x))
+        # two moons: 1 wherever the bump is 0, so evaluate only the grid
+        # rectangles that cover each arc's bounding box widened by the bandwidth
+        vals = np.ones((len(x), len(x)))
+        bw, reach = self.bandwidth, self.radius + self.bandwidth
+        for (cx, cy), upper in zip(self.centers, (True, False)):
+            lo, hi = (cy - bw, cy + reach) if upper else (cy - reach, cy + bw)
+            rows = (x >= cx - reach) & (x <= cx + reach)
+            cols = (x >= lo) & (x <= hi)
+            xx, yy = np.meshgrid(x[rows], x[cols], indexing="ij")
+            near = self._raw(np.column_stack([xx.ravel(), yy.ravel()]))
+            vals[np.ix_(rows, cols)] = near.reshape(xx.shape)
         return float(w @ vals @ w)
 
     # -- public API --------------------------------------------------------

@@ -227,6 +227,9 @@ class ExperimentConfig:
             full = [p["grid_n"] ** 2]
         elif e == "mcmc-moons" and p["modes"] >= p["grid_n"] ** 2:
             full = [p["grid_n"] ** 2]
+        if e == "mcmc-moons" and p["modes"] > p["grid_n"] ** 2:
+            raise ConfigError(f"modes = {p['modes']} exceeds the {p['grid_n'] ** 2} "
+                              f"nodes of the grid")
         if max(full, default=0) > DENSE_CUTOFF:
             raise ConfigError(f"the run takes the full spectrum of an operator on "
                               f"{max(full)} nodes; the dense eigensolver takes at most "

@@ -63,7 +63,10 @@ class LabelValidationError(ValueError):
 
 def region_labels(spec: Model1Spec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the points lying in a model-1 spec's regions, and their
-    labels: +1 in omega_plus, -1 in omega_minus.  Separation is not checked."""
+    labels: +1 in omega_plus, -1 in omega_minus.  Raises
+    LabelValidationError unless the two balls are a positive distance apart."""
+    if spec.omega_plus.distance(spec.omega_minus) <= 0:
+        raise LabelValidationError("labelled regions must have positive separation")
     in_plus = spec.omega_plus.contains(pts)
     in_minus = spec.omega_minus.contains(pts)
     idx = np.flatnonzero(in_plus | in_minus)
@@ -78,8 +81,6 @@ def assign_labels(cloud: PointCloud, spec) -> tuple[PointCloud, LabelSet]:
     in graph construction identically to sampled points.
     """
     if isinstance(spec, Model1Spec):
-        if spec.omega_plus.distance(spec.omega_minus) <= 0:
-            raise LabelValidationError("labelled regions must have positive separation")
         idx, y = region_labels(spec, cloud.points)
         if len(idx) == 0:
             warnings.warn("no samples fell in the labelled regions", stacklevel=2)

@@ -1,14 +1,18 @@
 """pCN MCMC posteriors, with running classification statistics.
 
-The reference sampler `run_pcn` keeps its state in the coefficients of the
-prior's eigenbasis, where both the Gaussian reference measure and the pCN
-proposal are diagonal.  The three supported potentials (probit, level-set,
-sign-constraint indicator) see u only at the L labeled nodes, so
-`run_label_pcn` runs the same pCN on u_lab in R^L, whose prior is N(0, rG),
-and averages each node's exact conditional mean sign given u_lab
-(Rao-Blackwellization) instead of rebuilding fields.  The acceptance rule
-depends on the potential only through differences, so the potentials can be
-compared on identical proposal streams.
+The three supported potentials (probit, level-set, sign-constraint
+indicator) see u only at the L labeled nodes, so both samplers run one pCN
+accept/reject chain (`_label_chain`) on v = u_lab in R^L, whose prior is
+N(0, rG), and differ only in what a kept state adds.  `run_label_pcn` adds
+each node's exact conditional mean sign given v (Rao-Blackwellization).
+`run_pcn` keeps the chain's full state in the coefficients of the prior's
+eigenbasis, a = B v + R: the residual R is independent of v and moves only
+on accepted steps, so it is drawn, from a second random stream, only when a
+state is kept, and the sign of the rebuilt field V a is recorded.  For one
+seed the two samplers accept the same steps.  The acceptance rule depends on
+the potential only through differences, so the potentials can be compared
+on identical proposal streams.  `pcn_step` is the plain one-step kernel on
+the coefficients, kept as the reference the chains are tested against.
 """
 
 from __future__ import annotations
@@ -123,6 +127,79 @@ def pcn_step(chain: Chain, potential, rng: np.random.Generator, std: np.ndarray,
     return chain
 
 
+def _labeled_covariance(prior: FractionalOperator, idx: np.ndarray,
+                        S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K = C[:, idx] for C = V diag(S) V^T, and the lower Cholesky factor of
+    G = K[idx], the prior covariance of the labeled values.  Raises
+    ValueError when G is singular (to roundoff)."""
+    V = prior.eig.vectors
+    # V @ (S Q_lab^T): no n x m temporary
+    K = V @ (S[:, None] * V[idx, :].T)
+    G = K[idx]
+    try:
+        chol = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        chol = np.zeros_like(G)
+    tiny = idx.size * np.finfo(float).eps * np.max(np.diag(G), initial=0.0)
+    if np.any(np.diag(chol) ** 2 <= tiny):
+        raise ValueError("the prior covariance G of the labeled values is singular")
+    return K, chol
+
+
+def _label_chain(potential, v: np.ndarray, chol: np.ndarray, cfg: PcnConfig,
+                 rng: np.random.Generator, record) -> Chain:
+    """pCN on the labeled values v, whose prior is N(0, chol chol^T).
+
+    The proposal is c v + beta chol xi, c = sqrt(1 - beta^2), with xi and
+    the uniforms drawn DRAW_CHUNK steps at a time.  Kept states wait in a
+    block of at most RECORD_BLOCK rows, flushed when full, at each
+    batch-means boundary and at the end as
+    ``record(chain, states, accepts, batch_size)``: one state per row in
+    chain order, and for each the number of steps accepted up to it.
+    Returns the chain with ``state`` the final v.
+    """
+    value = potential.value_at_labeled
+    phi = value(v)
+    if not np.isfinite(phi):
+        raise ValueError("initial state has infinite potential")
+    chain = Chain(state=v, phi=phi)
+
+    kept = max((cfg.iterations - cfg.burn_in) // cfg.thinning, 1)
+    batch_size = max(kept // cfg.batches, 1)
+    c = math.sqrt(1.0 - cfg.beta ** 2)
+    step_factor = cfg.beta * chol.T
+    block = np.empty((min(RECORD_BLOCK, batch_size), v.size))
+    accepts = np.empty(len(block), dtype=int)
+    rows = accepted = 0
+    cv = c * v  # changes only when a proposal is accepted
+    keep = cfg.burn_in  # next step whose state is kept
+    for start in range(0, cfg.iterations, DRAW_CHUNK):
+        k = min(DRAW_CHUNK, cfg.iterations - start)
+        noise = rng.standard_normal((k, v.size)) @ step_factor
+        # log of a uniform on (0, 1]: finite, so an infinite potential never passes
+        log_u = np.log1p(-rng.random(k)).tolist()
+        for j in range(k):
+            proposal = noise[j] + cv
+            phi_new = value(proposal)
+            if phi - phi_new >= log_u[j]:
+                v, phi = proposal, phi_new
+                cv = c * v
+                accepted += 1
+            if start + j == keep:
+                keep += cfg.thinning
+                block[rows] = v
+                accepts[rows] = accepted
+                rows += 1
+                if rows == len(block) or chain.batch_count + rows == batch_size:
+                    record(chain, block[:rows], accepts[:rows], batch_size)
+                    rows = 0
+    if rows:
+        record(chain, block[:rows], accepts[:rows], batch_size)
+    chain.state, chain.phi = v, phi
+    chain.accepted, chain.steps = accepted, cfg.iterations
+    return chain
+
+
 def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig,
             r: float = 1.0, init: np.ndarray | None = None) -> Chain:
     """Run a full pCN chain; returns the chain with accumulated statistics.
@@ -130,42 +207,61 @@ def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig,
     ``r`` scales the prior covariance to r * A^{-1}.  ``init`` is an initial
     state in node space (it must have finite potential, e.g. a kriging
     solution for the indicator potential).
+
+    The accept/reject chain is `run_label_pcn`'s chain on v = u_lab, drawn
+    from the same stream, so the two accept the same steps for one seed.
+    The coefficients are a = B v + R with B = diag(S) Q^T G^{-1}
+    (Q = V[labeled], S the prior variances, G = Q diag(S) Q^T), and the
+    residual R, independent of v under the prior and under every proposal
+    increment, moves only on accepted steps.  After n accepts it is
+    c^n R + sqrt(1 - c^{2n}) rho with rho = s z - B Q (s z), s = sqrt(S),
+    z ~ N(0, I_m), so it is drawn, from a second stream spawned from the
+    first, only when a state is kept.  Each kept a is rebuilt into the field
+    V a, whose labeled entries are set to v exactly, and recorded by sign.
     """
     eig = prior.eig
-    rng = np.random.default_rng(cfg.seed)
+    idx = np.asarray(potential.indices, dtype=int)
     std = prior_std(prior, r)
-    Q_lab = eig.vectors[potential.indices, :]
+    S = std ** 2
+    K, chol = _labeled_covariance(prior, idx, S)
+    Q = eig.vectors[idx, :]
+    B_T = np.linalg.solve(K[idx], Q * S)  # L x m
+    rng = np.random.default_rng(cfg.seed)
+    residual_rng = rng.spawn(1)[0]
 
     a0 = np.zeros(eig.m) if init is None else eig.coeffs(init)
-    phi0 = potential.value_at_labeled(Q_lab @ a0)
-    if not np.isfinite(phi0):
-        raise ValueError("initial state has infinite potential")
-    chain = Chain(state=a0, phi=phi0)
+    v0 = Q @ a0
+    R = a0 - v0 @ B_T
+    seen = 0  # accepted steps that R has aged through
+    # log c^2, with c = sqrt(1 - beta^2); c = 0 at beta = 1
+    log_c2 = math.log1p(-cfg.beta ** 2) if cfg.beta < 1.0 else -math.inf
 
-    kept = max((cfg.iterations - cfg.burn_in) // cfg.thinning, 1)
-    batch_size = max(kept // cfg.batches, 1)
-    beta = cfg.beta
-    c = math.sqrt(1.0 - beta ** 2)
-    # kept states wait in a block whose fields are rebuilt by one matrix
-    # product; it is flushed when full, at each batch boundary and at the end
-    block = np.empty((min(RECORD_BLOCK, batch_size), eig.m))
-    rows = 0
+    def age(accepts: np.ndarray) -> np.ndarray:
+        """R after each count in ``accepts`` (nondecreasing), one row each."""
+        nonlocal R, seen
+        steps = np.diff(accepts, prepend=seen)
+        z = residual_rng.standard_normal((np.count_nonzero(steps), eig.m)) * std
+        rho = z - (z @ Q.T) @ B_T
+        out = np.empty((len(accepts), eig.m))
+        j = 0
+        for i, n in enumerate(steps.tolist()):
+            if n:
+                R = math.exp(0.5 * n * log_c2) * R + math.sqrt(-math.expm1(n * log_c2)) * rho[j]
+                j += 1
+            out[i] = R
+        seen = int(accepts[-1])
+        return out
 
-    def flush():
+    def record(chain: Chain, states: np.ndarray, accepts: np.ndarray, batch_size: int):
+        coeffs = age(accepts) + states @ B_T
         # one field per row: with the column-major eigenbasis this order of
-        # the product runs about twice as fast as eig.vectors @ block.T
-        chain.record(block[:rows] @ eig.vectors.T, cfg.store_samples, batch_size)
+        # the product runs about twice as fast as eig.vectors @ coeffs.T
+        fields = coeffs @ eig.vectors.T
+        fields[:, idx] = states
+        chain.record(fields, cfg.store_samples, batch_size)
 
-    for it in range(cfg.iterations):
-        pcn_step(chain, potential, rng, std, Q_lab, beta, c)
-        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
-            block[rows] = chain.state
-            rows += 1
-            if rows == len(block) or chain.batch_count + rows == batch_size:
-                flush()
-                rows = 0
-    if rows:
-        flush()
+    chain = _label_chain(potential, v0, chol, cfg, rng, record)
+    chain.state = age(np.array([chain.accepted]))[0] + chain.state @ B_T
     return chain
 
 
@@ -184,16 +280,8 @@ class LabelConditional:
         V = prior.eig.vectors
         S = prior_std(prior, r) ** 2
         idx = np.asarray(indices, dtype=int)
-        # V @ (S Q_lab^T): no n x m temporary
-        K = V @ (S[:, None] * V[idx, :].T)
+        K, chol = _labeled_covariance(prior, idx, S)
         G = K[idx]
-        try:
-            chol = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            chol = np.zeros_like(G)
-        tiny = idx.size * np.finfo(float).eps * np.max(np.diag(G), initial=0.0)
-        if np.any(np.diag(chol) ** 2 <= tiny):
-            raise ValueError("the prior covariance G of the labeled values is singular")
         M = np.linalg.solve(G, K.T).T
         s2 = np.clip(np.einsum("ij,ij,j->i", V, V, S) - np.einsum("ij,ij->i", M, K),
                      0.0, None)
@@ -233,47 +321,12 @@ def run_label_pcn(prior: FractionalOperator, potential, cfg: PcnConfig,
     eig = prior.eig
     idx = np.asarray(potential.indices, dtype=int)
     cond = LabelConditional(prior, idx, r)
-    rng = np.random.default_rng(cfg.seed)
-
     v = np.zeros(idx.size) if init is None else eig.vectors[idx, :] @ eig.coeffs(init)
-    value = potential.value_at_labeled
-    phi = value(v)
-    if not np.isfinite(phi):
-        raise ValueError("initial state has infinite potential")
-    chain = Chain(state=v, phi=phi)
 
-    kept = max((cfg.iterations - cfg.burn_in) // cfg.thinning, 1)
-    batch_size = max(kept // cfg.batches, 1)
-    c = math.sqrt(1.0 - cfg.beta ** 2)
-    step_factor = cfg.beta * cond.chol.T
-    block = np.empty((min(RECORD_BLOCK, batch_size), idx.size))
-    rows = accepted = 0
-    cv = c * v  # changes only when a proposal is accepted
-    keep = cfg.burn_in  # next step whose state is kept
-    for start in range(0, cfg.iterations, DRAW_CHUNK):
-        k = min(DRAW_CHUNK, cfg.iterations - start)
-        noise = rng.standard_normal((k, idx.size)) @ step_factor
-        # log of a uniform on (0, 1]: finite, so an infinite potential never passes
-        log_u = np.log1p(-rng.random(k)).tolist()
-        for j in range(k):
-            proposal = noise[j] + cv
-            phi_new = value(proposal)
-            if phi - phi_new >= log_u[j]:
-                v, phi = proposal, phi_new
-                cv = c * v
-                accepted += 1
-            if start + j == keep:
-                keep += cfg.thinning
-                block[rows] = v
-                rows += 1
-                if rows == len(block) or chain.batch_count + rows == batch_size:
-                    chain.accumulate(cond.mean_sign(block[:rows]), batch_size)
-                    rows = 0
-    if rows:
-        chain.accumulate(cond.mean_sign(block[:rows]), batch_size)
-    chain.state, chain.phi = v, phi
-    chain.accepted, chain.steps = accepted, cfg.iterations
-    return chain
+    def record(chain: Chain, states: np.ndarray, accepts: np.ndarray, batch_size: int):
+        chain.accumulate(cond.mean_sign(states), batch_size)
+
+    return _label_chain(potential, v, cond.chol, cfg, np.random.default_rng(cfg.seed), record)
 
 
 def classification_stats(chain: Chain) -> tuple[np.ndarray, np.ndarray]:

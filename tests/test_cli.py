@@ -74,6 +74,23 @@ class TestExitCodes:
         assert "4096" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_more_modes_than_grid_nodes_exits_2(self, tmp_path, capsys):
+        # refused with the config, before the output directory exists
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, "[mcmc-moons]\ngrid_n = 8\nmodes = 100\n"
+                                   "iterations = 2000\nburn_in = 200\n")
+        assert cli.main(["mcmc-moons", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "modes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overlapping_label_balls_exit_2(self, tmp_path, capsys):
+        # the balls around (0.25, 0.25) and (0.75, 0.75) overlap by 0.093
+        cfg = _write_cfg(tmp_path, "[channel]\ngrid_n = 32\nlabel_radius = 0.4\n"
+                                   "h_values = 1.0\nalpha_values = 1\n")
+        assert cli.main(["channel", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "separation" in capsys.readouterr().err
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = _write_cfg(tmp_path, "[extrapolation]\nbogus = 1\n")
         assert cli.main(["extrapolation", "--config", str(cfg),

@@ -69,6 +69,20 @@ class TestNormalization:
 
 
 class TestTwoMoons:
+    def test_normalization_matches_the_full_grid(self):
+        # the normalization evaluates the density only near the arcs; off
+        # them the value is exactly 1, so the full quadrature grid gives the
+        # same bits
+        rho = Density("two_moons")
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        edges = np.linspace(0.0, 1.0, 257)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        x = (mid[:, None] + (0.5 / 256) * nodes[None, :]).ravel()
+        w = np.tile((0.5 / 256) * weights, 256)
+        xx, yy = np.meshgrid(x, x, indexing="ij")
+        vals = rho._raw(np.column_stack([xx.ravel(), yy.ravel()])).reshape(len(x), len(x))
+        assert rho.normalization == float(w @ vals @ w)
+
     def test_contrast_on_vs_off_curve(self):
         rho = Density("two_moons")
         on_arc = np.asarray(rho.centers[0]) + np.array([0.0, rho.radius])

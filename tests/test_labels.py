@@ -43,6 +43,15 @@ class TestModel1:
         with pytest.raises(LabelValidationError):
             assign_labels(cloud, spec)
 
+    def test_overlapping_regions_rejected_on_grid_nodes(self):
+        # the continuum path labels grid nodes through region_labels
+        from graphssl.continuum import discretize
+        from graphssl.models import continuum_labeled_nodes
+        spec = Model1Spec(omega_plus=Ball((0.25, 0.25), 0.4),
+                          omega_minus=Ball((0.75, 0.75), 0.4))
+        with pytest.raises(LabelValidationError, match="separation"):
+            continuum_labeled_nodes(discretize(Density("uniform"), 8), spec)
+
     def test_empty_region_warns(self):
         cloud = PointCloud(points=np.array([[0.9, 0.9]]), seed=0)
         spec = Model1Spec(omega_plus=Ball((0.1, 0.1), 0.01),
