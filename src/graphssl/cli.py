@@ -21,7 +21,6 @@ from graphssl.density import DomainError
 from graphssl.experiments import (
     EXPERIMENT_IDS,
     ConfigError,
-    NumericalError,
     load_config,
     run,
 )
@@ -64,7 +63,7 @@ def main(argv=None) -> int:
     except (ConfigError, LabelValidationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, MapSolverError, EigensolverError,
+    except (MapSolverError, EigensolverError,
             FloatingPointError, np.linalg.LinAlgError,
             scipy.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -34,7 +34,6 @@ from graphssl.graph import EpsilonSweep, Kernel, build_graph, laplacian
 from graphssl.labels import Ball, Model1Spec, Model2Spec, assign_labels, sign
 from graphssl.models import (
     IndicatorPotential,
-    LevelSetPotential,
     PoweredFactor,
     ProbitPotential,
     continuum_krige,
@@ -66,13 +65,17 @@ EXPERIMENT_IDS = (
     "mcmc-moons", "spectra", "smallnoise",
 )
 
+# fixed study settings, not config keys
+SMOOTHING_WINDOW = 5  # rates: width of the moving average before bound detection
+EPS_LOW_ALPHA = 0.136  # extrapolation, alpha <= d/2: ~ twice the connectivity radius at n=1600
+EPS_HIGH_ALPHA = 0.15  # extrapolation, alpha > d/2: near the sweet spot of the rate sweeps
+SPIKE_THRESHOLD = 0.05  # extrapolation: |u| below this at an unlabeled node counts as spiked
+SPECTRA_K_MAX = 10  # spectra: eigenvalues compared with the analytic ones
+GRAPH_WEYL_K_MIN, GRAPH_WEYL_K_MAX = 5, 40  # spectra: graph Weyl fit range (1-based k)
+
 
 class ConfigError(ValueError):
     """Invalid experiment id, unknown key, or out-of-range parameter."""
-
-
-class NumericalError(RuntimeError):
-    """An experiment failed for numerical (not configuration) reasons."""
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +105,6 @@ def _defaults(experiment: str, paper_scale: bool) -> dict:
             "tau": 1.0,
             "gamma": 0.01,
             "continuum_grid_n": 256,
-            "smoothing_window": 5,
             "label_plus": [0.25, 0.25],
             "label_minus": [0.75, 0.75],
         }
@@ -111,9 +113,6 @@ def _defaults(experiment: str, paper_scale: bool) -> dict:
             "n": 1600,
             "tau": 1.0,
             "alpha_values": [0.5, 1.0, 1.5, 2.0],
-            "eps_low_alpha": 0.136,   # ~ twice the connectivity radius at n=1600
-            "eps_high_alpha": 0.15,   # near the sweet spot of the rate sweeps
-            "spike_threshold": 0.05,
             "label_plus": [0.25, 0.25],
             "label_minus": [0.75, 0.75],
         }
@@ -136,11 +135,8 @@ def _defaults(experiment: str, paper_scale: bool) -> dict:
             "n_values": [400, 1600],
             "n_seeds": 10,
             "eps": 0.12,
-            "k_max": 10,
             "continuum_grid_n": 64,
             "weyl_grid_n_3d": 16,
-            "graph_weyl_k_min": 5,
-            "graph_weyl_k_max": 40,
             "cont_weyl_k_min": 50,
             "cont_weyl_k_max": 200,
         }
@@ -543,7 +539,7 @@ def run_rates(cfg: ExperimentConfig) -> dict:
                 sd = np.nanstd(stack, axis=0)
             for k, eps in enumerate(eps_grid):
                 err_rows.append([m, n, eps, mean[k], sd[k]])
-            lo, hi = _detect_bounds(eps_grid, mean, p["smoothing_window"])
+            lo, hi = _detect_bounds(eps_grid, mean, SMOOTHING_WINDOW)
             bounds[m][n] = (lo, hi)
             bound_rows.append([m, n, lo, hi])
 
@@ -576,7 +572,7 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
 
     For orders at or below d/2 the interpolant degenerates to spikes at the
     labeled points; the spike score is the fraction of unlabeled nodes with
-    |u| below the threshold.  Graph-build warnings are counted in
+    |u| below SPIKE_THRESHOLD.  Graph-build warnings are counted in
     ``result["warnings"]``.
     """
     p = cfg.params
@@ -591,7 +587,7 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
     scores = {}
     caught = Counter()
     for alpha in p["alpha_values"]:
-        eps = p["eps_low_alpha"] if alpha <= d / 2 else p["eps_high_alpha"]
+        eps = EPS_LOW_ALPHA if alpha <= d / 2 else EPS_HIGH_ALPHA
         if eps not in eigs:
             with _counted_warnings(caught):
                 g = build_graph(cloud, Kernel(epsilon=eps, dim=d))
@@ -599,7 +595,7 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
         s_n, eig = eigs[eps]
         prior = FractionalOperator(eig, alpha=alpha, tau=p["tau"], scale=s_n)
         u = krige(prior, labels)
-        score = float(np.mean(np.abs(u[unlabeled]) < p["spike_threshold"]))
+        score = float(np.mean(np.abs(u[unlabeled]) < SPIKE_THRESHOLD))
         scores[alpha] = score
         rows.append([alpha, eps, score])
         _write_csv(cfg.out_dir / f"field_alpha{alpha:g}.csv",
@@ -639,13 +635,10 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
     for alpha in p["alpha_values"]:
         for tau in p["tau_values"]:
             prior = FractionalOperator(eig, alpha=alpha, tau=tau)
-            init = krige(prior, idx, y)
-            if not np.all(y * init[idx] > 0):
-                raise NumericalError("kriging initial state violates the sign constraint")
             pcn = PcnConfig(beta=p["beta"], iterations=p["iterations"],
                             burn_in=p["burn_in"], thinning=p["thinning"],
                             seed=_point_seed(cfg.seed, int(alpha * 10), int(tau * 10)))
-            chain = run_pcn(prior, pot, pcn, init=init)
+            chain = run_pcn(prior, pot, pcn)
             mean, var = classification_stats(chain)
             _write_csv(cfg.out_dir / f"moons_alpha{alpha:g}_tau{tau:g}.csv",
                        ["x1", "x2", "mean_sign", "variance"],
@@ -672,7 +665,7 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
     counted in ``result["warnings"]``.
     """
     p = cfg.params
-    k_max = p["k_max"]
+    k_max = SPECTRA_K_MAX
     analytic = np.sort([np.pi ** 2 * (i * i + j * j)
                         for i in range(k_max + 2) for j in range(k_max + 2)])[:k_max]
 
@@ -683,7 +676,7 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
     max_errors = {}
     graph_lams = {}
     caught = Counter()
-    m_graph = max(p["graph_weyl_k_max"] + 5, k_max + 1)
+    m_graph = max(GRAPH_WEYL_K_MAX + 5, k_max + 1)
     m_cont = p["cont_weyl_k_max"] + 5
 
     for n in p["n_values"]:
@@ -707,8 +700,8 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
         mean_errors[n] = float(np.mean(rels))
         max_errors[n] = float(np.max(rels))
         weyl_rows.append([f"graph_d2_n{n}",
-                          weyl_exponent(lam, p["graph_weyl_k_min"],
-                                        min(p["graph_weyl_k_max"], len(lam)))])
+                          weyl_exponent(lam, GRAPH_WEYL_K_MIN,
+                                        min(GRAPH_WEYL_K_MAX, len(lam)))])
 
     op2 = discretize(Density("uniform"), p["continuum_grid_n"])
     eig2 = op2.eigendecomposition(m=m_cont)
@@ -749,20 +742,10 @@ def run_smallnoise(cfg: ExperimentConfig) -> dict:
     eig = decompose_graph(g)
     prior = FractionalOperator(eig, alpha=p["alpha"], tau=p["tau"], scale=g.s_n)
 
-    ones = np.ones(labels.size)
-    gammas = list(p["gammas"])
-    probit_pots = {gam: ProbitPotential(gamma=gam, indices=labels.indices,
-                                        y=labels.y, weights=ones) for gam in gammas}
-    levelset_pots = {gam: LevelSetPotential(gamma=gam, indices=labels.indices,
-                                            y=labels.y, weights=ones) for gam in gammas}
-    indicator = IndicatorPotential.for_graph(labels)
-    init = krige(prior, labels)
-
     pcn = PcnConfig(beta=p["beta"], iterations=p["iterations"],
                     burn_in=p["burn_in"], thinning=p["thinning"],
                     seed=_point_seed(cfg.seed, 1), batches=p["batches"])
-    report = small_noise_agreement(prior, probit_pots, levelset_pots, indicator,
-                                   pcn, r_n=labels.r_n, indicator_init=init)
+    report = small_noise_agreement(prior, labels, p["gammas"], pcn)
     report["warnings"] = dict(caught)
 
     rows = [["indicator", "", "", "", "", report["indicator_acceptance"]]]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,7 +69,6 @@ class WeightedGraph:
     s_n: float
     sigma_eta: float
     disconnected: bool = False
-    _lap: sp.csr_matrix | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -152,9 +151,7 @@ def build_graph(cloud: PointCloud, k: Kernel) -> WeightedGraph:
 def laplacian(g: WeightedGraph, normalized: bool = False) -> sp.csr_matrix:
     """Unnormalized L = D - W or normalized L = I - D^{-1/2} W D^{-1/2}."""
     if not normalized:
-        if g._lap is None:
-            g._lap = (sp.diags(g.degrees) - g.weights).tocsr()
-        return g._lap
+        return (sp.diags(g.degrees) - g.weights).tocsr()
     if np.any(g.degrees <= 0):
         raise ValueError("normalized Laplacian undefined: isolated vertex with zero degree")
     dinv = sp.diags(1.0 / np.sqrt(g.degrees))

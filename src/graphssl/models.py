@@ -8,10 +8,12 @@ On graphs every solve runs in label space: the potentials see u only at the
 L labeled nodes, so the minimizer of 1/2 <u, A u>_w + Phi(Ru) is u = K c with
 K = A^-1 W^-1 R* and c in R^L.  With G = R K, kriging is u = K G^-1 y (the
 closed form A^-1 R* (R A^-1 R*)^-1 y) and the probit MAP minimizes
-1/2 c^T G c + Phi(G c) by damped Newton.  A backend supplies G and c -> K c,
-from eigenpairs (`krige`, `probit_map` take a `FractionalOperator`) or from
-one factorization at integer alpha (`sparse_krige`, `sparse_probit_map` take
-a `PoweredFactor`, which the caller builds and may share between them).  A
+1/2 c^T G c + Phi(G c) by damped Newton.  A backend supplies K and G: from
+eigenpairs, where they are the prior's label covariance
+(`spectral.label_covariance`, which the pCN samplers also use; `krige`,
+`probit_map` take a `FractionalOperator`), or from one factorization at
+integer alpha (`sparse_krige`, `sparse_probit_map` take a `PoweredFactor`,
+which the caller builds and may share between them).  A
 `PoweredFactor` follows the type of its operator: a dense ndarray (the rates
 sweep's `EpsilonSweep` returns one for dense enough graphs) is taken over,
 Cholesky-factored in place and solved for all label columns at once; a
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,7 @@ from scipy.special import erfc, log_ndtr
 
 from graphssl.continuum import ContinuumOperator
 from graphssl.labels import LabelSet, Model1Spec, Model2Spec, region_labels
-from graphssl.spectral import FractionalOperator, quadratic_form
+from graphssl.spectral import FractionalOperator, label_covariance, quadratic_form
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -212,22 +213,18 @@ def _armijo(objective, x, delta, J0, slope):
 
 @dataclass(frozen=True)
 class _LabelSpace:
-    """G = R K, the map c -> K c for K = A^-1 W^-1 R*, and the structure
-    the Gram solve assumes."""
+    """K = A^-1 W^-1 R*, G = R K, and the structure the Gram solve assumes;
+    a label-space solve returns the field K c."""
 
+    K: np.ndarray
     gram: np.ndarray
-    apply: Callable[[np.ndarray], np.ndarray]
     assume_a: str | None = None
 
 
 def _spectral_space(prior: FractionalOperator, indices: np.ndarray) -> _LabelSpace:
-    """K = Q diag(lam^-alpha) Q_lab^T from eigenpairs orthonormal in <.,.>_w."""
-    eig = prior.eig
-    lam_inv = prior.powered(-1.0)
-    Q_lab = eig.vectors[indices, :]
-    return _LabelSpace(gram=(Q_lab * lam_inv[None, :]) @ Q_lab.T,
-                       apply=lambda c: eig.reconstruct(lam_inv * (Q_lab.T @ c)),
-                       assume_a="pos")
+    """K and G of the prior's eigenpairs, orthonormal in <.,.>_w."""
+    K, G = label_covariance(prior, indices)
+    return _LabelSpace(K=K, gram=G, assume_a="pos")
 
 
 def _factored_space(factor: PoweredFactor, indices: np.ndarray,
@@ -237,11 +234,11 @@ def _factored_space(factor: PoweredFactor, indices: np.ndarray,
     K = factor.unit_solves(indices)
     if weights is not None:
         K = K / np.asarray(weights, dtype=float)[indices]
-    return _LabelSpace(gram=K[indices, :], apply=lambda c: K @ c)
+    return _LabelSpace(K=K, gram=K[indices, :])
 
 
 def _krige(space: _LabelSpace, y: np.ndarray) -> np.ndarray:
-    return space.apply(_solve_gram(space.gram, y, assume_a=space.assume_a))
+    return space.K @ _solve_gram(space.gram, y, assume_a=space.assume_a)
 
 
 def _label_space_map(space: _LabelSpace, pot: ProbitPotential,
@@ -275,11 +272,11 @@ def _label_space_map(space: _LabelSpace, pot: ProbitPotential,
         decrement = math.sqrt(max(-slope, 0.0))
         step = _armijo(objective, c, delta, J, slope)
         if step is None:
-            raise MapSolverError(space.apply(c), decrement)
+            raise MapSolverError(space.K @ c, decrement)
         _, c, J = step
         if decrement <= NEWTON_TOL:
-            return space.apply(c)
-    raise MapSolverError(space.apply(c), decrement)
+            return space.K @ c
+    raise MapSolverError(space.K @ c, decrement)
 
 
 def probit_map(prior: FractionalOperator, pot: ProbitPotential,

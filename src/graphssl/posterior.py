@@ -1,10 +1,13 @@
 """pCN MCMC posteriors, with running classification statistics.
 
-The three supported potentials (probit, level-set, sign-constraint
-indicator) see u only at the L labeled nodes, so both samplers run one pCN
-accept/reject chain (`_label_chain`) on v = u_lab in R^L, whose prior is
-N(0, rG), and differ only in what a kept state adds.  `run_label_pcn` adds
-each node's exact conditional mean sign given v (Rao-Blackwellization).
+The prior is N(0, A^{-1}) truncated to the eigenbasis; the fidelity weight
+r_n lives only in the potentials' weights.  The three supported potentials
+(probit, level-set, sign-constraint indicator) see u only at the L labeled
+nodes, so both samplers run one pCN accept/reject chain (`_label_chain`) on
+v = u_lab in R^L, whose prior is N(0, G) (`spectral.label_covariance`),
+from v = 0, or from the labels y where the potential is infinite at 0, and
+differ only in what a kept state adds.  `run_label_pcn` adds each node's
+exact conditional mean sign given v (Rao-Blackwellization).
 `run_pcn` keeps the chain's full state in the coefficients of the prior's
 eigenbasis, a = B v + R: the residual R is independent of v and moves only
 on accepted steps, so it is drawn, from a second random stream, only when a
@@ -23,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from graphssl.labels import sign
-from graphssl.spectral import FractionalOperator, prior_std
+from graphssl.labels import LabelSet, sign
+from graphssl.models import IndicatorPotential, LevelSetPotential, ProbitPotential
+from graphssl.spectral import FractionalOperator, label_covariance, prior_std
 
 RECORD_BLOCK = 64  # most kept states whose fields one matrix product rebuilds
 DRAW_CHUNK = 4096  # label-space steps whose normals and uniforms are drawn at once
@@ -127,29 +131,14 @@ def pcn_step(chain: Chain, potential, rng: np.random.Generator, std: np.ndarray,
     return chain
 
 
-def _labeled_covariance(prior: FractionalOperator, idx: np.ndarray,
-                        S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K = C[:, idx] for C = V diag(S) V^T, and the lower Cholesky factor of
-    G = K[idx], the prior covariance of the labeled values.  Raises
-    ValueError when G is singular (to roundoff)."""
-    V = prior.eig.vectors
-    # V @ (S Q_lab^T): no n x m temporary
-    K = V @ (S[:, None] * V[idx, :].T)
-    G = K[idx]
-    try:
-        chol = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        chol = np.zeros_like(G)
-    tiny = idx.size * np.finfo(float).eps * np.max(np.diag(G), initial=0.0)
-    if np.any(np.diag(chol) ** 2 <= tiny):
-        raise ValueError("the prior covariance G of the labeled values is singular")
-    return K, chol
-
-
-def _label_chain(potential, v: np.ndarray, chol: np.ndarray, cfg: PcnConfig,
+def _label_chain(potential, chol: np.ndarray, cfg: PcnConfig,
                  rng: np.random.Generator, record) -> Chain:
     """pCN on the labeled values v, whose prior is N(0, chol chol^T).
 
+    The chain starts at v = 0, or at the labels y if the potential is
+    infinite at 0 (the indicator); ValueError if y is infinite too.  No
+    other chain starts at y: under common random numbers a probit or
+    level-set chain would then follow the indicator chain step for step.
     The proposal is c v + beta chol xi, c = sqrt(1 - beta^2), with xi and
     the uniforms drawn DRAW_CHUNK steps at a time.  Kept states wait in a
     block of at most RECORD_BLOCK rows, flushed when full, at each
@@ -159,9 +148,13 @@ def _label_chain(potential, v: np.ndarray, chol: np.ndarray, cfg: PcnConfig,
     Returns the chain with ``state`` the final v.
     """
     value = potential.value_at_labeled
+    v = np.zeros(len(potential.indices))
     phi = value(v)
     if not np.isfinite(phi):
-        raise ValueError("initial state has infinite potential")
+        v = np.array(potential.y, dtype=float)
+        phi = value(v)
+        if not np.isfinite(phi):
+            raise ValueError("infinite potential at 0 and at the labels y: no initial state")
     chain = Chain(state=v, phi=phi)
 
     kept = max((cfg.iterations - cfg.burn_in) // cfg.thinning, 1)
@@ -200,38 +193,32 @@ def _label_chain(potential, v: np.ndarray, chol: np.ndarray, cfg: PcnConfig,
     return chain
 
 
-def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig,
-            r: float = 1.0, init: np.ndarray | None = None) -> Chain:
+def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig) -> Chain:
     """Run a full pCN chain; returns the chain with accumulated statistics.
-
-    ``r`` scales the prior covariance to r * A^{-1}.  ``init`` is an initial
-    state in node space (it must have finite potential, e.g. a kriging
-    solution for the indicator potential).
 
     The accept/reject chain is `run_label_pcn`'s chain on v = u_lab, drawn
     from the same stream, so the two accept the same steps for one seed.
     The coefficients are a = B v + R with B = diag(S) Q^T G^{-1}
-    (Q = V[labeled], S the prior variances, G = Q diag(S) Q^T), and the
+    (Q = V[labeled], S the prior variances, G = Q diag(S) Q^T as
+    `LabelConditional` keeps it, with its Cholesky factor), and the
     residual R, independent of v under the prior and under every proposal
     increment, moves only on accepted steps.  After n accepts it is
     c^n R + sqrt(1 - c^{2n}) rho with rho = s z - B Q (s z), s = sqrt(S),
     z ~ N(0, I_m), so it is drawn, from a second stream spawned from the
-    first, only when a state is kept.  Each kept a is rebuilt into the field
-    V a, whose labeled entries are set to v exactly, and recorded by sign.
+    first, only when a state is kept; it starts at 0.  Each kept a is
+    rebuilt into the field V a, whose labeled entries are set to v exactly,
+    and recorded by sign.
     """
     eig = prior.eig
     idx = np.asarray(potential.indices, dtype=int)
-    std = prior_std(prior, r)
-    S = std ** 2
-    K, chol = _labeled_covariance(prior, idx, S)
+    std = prior_std(prior)
+    cond = LabelConditional(prior, idx)
     Q = eig.vectors[idx, :]
-    B_T = np.linalg.solve(K[idx], Q * S)  # L x m
+    B_T = np.linalg.solve(cond.G, Q * std ** 2)  # L x m
     rng = np.random.default_rng(cfg.seed)
     residual_rng = rng.spawn(1)[0]
 
-    a0 = np.zeros(eig.m) if init is None else eig.coeffs(init)
-    v0 = Q @ a0
-    R = a0 - v0 @ B_T
+    R = np.zeros(eig.m)
     seen = 0  # accepted steps that R has aged through
     # log c^2, with c = sqrt(1 - beta^2); c = 0 at beta = 1
     log_c2 = math.log1p(-cfg.beta ** 2) if cfg.beta < 1.0 else -math.inf
@@ -260,7 +247,7 @@ def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig,
         fields[:, idx] = states
         chain.record(fields, cfg.store_samples, batch_size)
 
-    chain = _label_chain(potential, v0, chol, cfg, rng, record)
+    chain = _label_chain(potential, cond.chol, cfg, rng, record)
     chain.state = age(np.array([chain.accepted]))[0] + chain.state @ B_T
     return chain
 
@@ -268,26 +255,33 @@ def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig,
 class LabelConditional:
     """The law of u given its values v at the labeled nodes, u ~ N(0, C).
 
-    With C = V diag(S) V^T the covariance of N(0, r * A^{-1}) truncated to
-    the eigenbasis, K = C[:, idx] and G = K[idx], node i given u_lab = v is
-    Gaussian with mean (M v)_i, M = K G^{-1}, and variance
+    With C = V diag(S) V^T the covariance of N(0, A^{-1}) truncated to the
+    eigenbasis, K = C[:, idx] and G = K[idx] (`label_covariance`), node i
+    given u_lab = v is Gaussian with mean (M v)_i, M = K G^{-1}, and variance
     s2_i = C_ii - (M K^T)_ii.  The labeled rows are exact: M is the identity
-    there and s2 is 0.  ``chol`` is the lower Cholesky factor of G, the prior
-    covariance of u_lab.
+    there and s2 is 0.  ``G`` is the prior covariance of u_lab and ``chol``
+    its lower Cholesky factor.  Raises ValueError when G is singular (to
+    roundoff).
     """
 
-    def __init__(self, prior: FractionalOperator, indices: np.ndarray, r: float = 1.0):
+    def __init__(self, prior: FractionalOperator, indices: np.ndarray):
         V = prior.eig.vectors
-        S = prior_std(prior, r) ** 2
+        S = prior_std(prior) ** 2
         idx = np.asarray(indices, dtype=int)
-        K, chol = _labeled_covariance(prior, idx, S)
-        G = K[idx]
+        K, G = label_covariance(prior, idx)
+        try:
+            chol = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            chol = np.zeros_like(G)
+        tiny = idx.size * np.finfo(float).eps * np.max(np.diag(G), initial=0.0)
+        if np.any(np.diag(chol) ** 2 <= tiny):
+            raise ValueError("the prior covariance G of the labeled values is singular")
         M = np.linalg.solve(G, K.T).T
         s2 = np.clip(np.einsum("ij,ij,j->i", V, V, S) - np.einsum("ij,ij->i", M, K),
                      0.0, None)
         M[idx] = np.eye(idx.size)
         s2[idx] = 0.0
-        self.chol, self.M, self.s2 = chol, M, s2
+        self.G, self.chol, self.M, self.s2 = G, chol, M, s2
         self._exact = np.flatnonzero(s2 == 0.0)
         self._inv_scale = np.zeros_like(s2)
         pos = s2 > 0.0
@@ -304,29 +298,24 @@ class LabelConditional:
         return out
 
 
-def run_label_pcn(prior: FractionalOperator, potential, cfg: PcnConfig,
-                  r: float = 1.0, init: np.ndarray | None = None) -> Chain:
+def run_label_pcn(prior: FractionalOperator, potential, cfg: PcnConfig) -> Chain:
     """pCN on the labeled values u_lab, with Rao-Blackwellized mean signs.
 
-    Targets the same posterior as `run_pcn` (prior r * A^{-1} truncated to
-    the eigenbasis, potential seen at the labeled nodes), but the state is
-    v = u_lab in R^L with prior N(0, rG): the proposal c v + beta L_G xi
+    Targets the same posterior as `run_pcn` (prior A^{-1} truncated to the
+    eigenbasis, potential seen at the labeled nodes), but the state is
+    v = u_lab in R^L with prior N(0, G): the proposal c v + beta L_G xi
     costs O(L), and each kept v adds every node's exact conditional mean
     sign (`LabelConditional.mean_sign`) instead of the sign of a rebuilt
-    field.  ``init`` is projected as in `run_pcn`.  No fields are kept, so
-    ``cfg.store_samples`` must be False.
+    field.  No fields are kept, so ``cfg.store_samples`` must be False.
     """
     if cfg.store_samples:
         raise ValueError("run_label_pcn keeps no fields; store_samples must be False")
-    eig = prior.eig
-    idx = np.asarray(potential.indices, dtype=int)
-    cond = LabelConditional(prior, idx, r)
-    v = np.zeros(idx.size) if init is None else eig.vectors[idx, :] @ eig.coeffs(init)
+    cond = LabelConditional(prior, potential.indices)
 
     def record(chain: Chain, states: np.ndarray, accepts: np.ndarray, batch_size: int):
         chain.accumulate(cond.mean_sign(states), batch_size)
 
-    return _label_chain(potential, v, cond.chol, cfg, np.random.default_rng(cfg.seed), record)
+    return _label_chain(potential, cond.chol, cfg, np.random.default_rng(cfg.seed), record)
 
 
 def classification_stats(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
@@ -361,37 +350,27 @@ def mean_sign_stderr(chain: Chain) -> np.ndarray:
     return np.sqrt(var / chain.recorded)
 
 
-def small_noise_agreement(prior: FractionalOperator, probit_pots: dict,
-                          levelset_pots: dict, indicator_pot,
-                          cfg: PcnConfig, r_n: float = 1.0,
-                          indicator_init: np.ndarray | None = None) -> dict:
+def small_noise_agreement(prior: FractionalOperator, labels: LabelSet,
+                          gammas, cfg: PcnConfig) -> dict:
     """Compare probit and level-set chains against the indicator chain.
 
-    ``probit_pots`` and ``levelset_pots`` map gamma -> potential, with gammas
-    in decreasing order.  The indicator chain is the oracle for the zero-noise
-    limit; the report carries per-gamma max node discrepancies of the mean
-    sign field and the corresponding combined MC standard errors.
-
-    The sign field of the constrained measure is invariant to the prior
-    covariance scaling r, so each chain may use its own natural convention
-    (probit: r_n * A^{-1}; level-set and indicator: A^{-1}).  Every chain is
-    a `run_label_pcn` chain with the same ``cfg.seed``: the comparison uses
-    common random numbers.
+    Each potential is built from ``labels`` by ``for_graph``, a probit and a
+    level-set potential per gamma, in decreasing order.  The indicator chain
+    is the oracle for the zero-noise limit; the report carries per-gamma max
+    node discrepancies of the mean sign field and the corresponding combined
+    MC standard errors.  Every chain is a `run_label_pcn` chain with the
+    same ``cfg.seed``: the comparison uses common random numbers.
     """
-    gammas = sorted(probit_pots, reverse=True)
-    if sorted(levelset_pots, reverse=True) != gammas:
-        raise ValueError("probit and level-set gamma lists must match")
-
-    ind_chain = run_label_pcn(prior, indicator_pot, cfg, r=1.0, init=indicator_init)
+    gammas = sorted(gammas, reverse=True)
+    ind_chain = run_label_pcn(prior, IndicatorPotential.for_graph(labels), cfg)
     ind_mean, _ = classification_stats(ind_chain)
     ind_se = mean_sign_stderr(ind_chain)
 
     report = {"gammas": gammas, "probit": [], "levelset": [],
               "indicator_acceptance": ind_chain.acceptance_rate}
     for gamma in gammas:
-        for name, pot, rr in (("probit", probit_pots[gamma], r_n),
-                              ("levelset", levelset_pots[gamma], 1.0)):
-            ch = run_label_pcn(prior, pot, cfg, r=rr)
+        for name, kind in (("probit", ProbitPotential), ("levelset", LevelSetPotential)):
+            ch = run_label_pcn(prior, kind.for_graph(labels, gamma), cfg)
             mean, _ = classification_stats(ch)
             se = mean_sign_stderr(ch)
             comb = np.sqrt(se ** 2 + ind_se ** 2)

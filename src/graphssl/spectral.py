@@ -140,11 +140,11 @@ class FractionalOperator:
     def powered(self, p: float = 1.0) -> np.ndarray:
         """Eigenvalues of A^p, i.e. (scale*lambda + tau^2)^{alpha*p}."""
         base = self.base_eigenvalues()
+        # zero where base is 0: a negative power is the inverse restricted to
+        # the complement of constants
         out = np.zeros_like(base)
         pos = base > 0
         out[pos] = base[pos] ** (self.alpha * p)
-        if p < 0 and np.any(~pos):
-            out[~pos] = 0.0  # inverse restricted to the complement of constants
         return out
 
 
@@ -173,6 +173,18 @@ def quadratic_form(A: FractionalOperator, u: np.ndarray) -> float:
 def prior_std(A: FractionalOperator, r: float = 1.0) -> np.ndarray:
     """Per-mode standard deviations of N(0, r*A^{-1})."""
     return np.sqrt(r) * A.powered(-0.5)
+
+
+def label_covariance(A: FractionalOperator, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K = C[:, indices] and G = K[indices], the prior covariance of the
+    labeled values, for C = V diag(S) V^T the covariance of N(0, A^{-1})
+    truncated to the eigenbasis (S = `prior_std` squared)."""
+    idx = np.asarray(indices, dtype=int)
+    V = A.eig.vectors
+    S = prior_std(A) ** 2
+    # V @ (S Q_lab^T): no n x m temporary
+    K = V @ (S[:, None] * V[idx, :].T)
+    return K, K[idx]
 
 
 def weyl_exponent(eigenvalues: np.ndarray, k_min: int, k_max: int) -> float:

@@ -3,7 +3,7 @@ import pytest
 
 import graphssl.cli as cli
 import graphssl.experiments as experiments
-from graphssl.experiments import NumericalError
+from graphssl.models import MapSolverError
 
 
 def _write_cfg(tmp_path, body):
@@ -98,12 +98,12 @@ class TestExitCodes:
 
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
-            raise NumericalError("synthetic solver breakdown")
+            raise MapSolverError(np.zeros(1), 123.0)  # a synthetic solver breakdown
 
         monkeypatch.setitem(experiments._RUNNERS, "extrapolation", boom)
         code = cli.main(["extrapolation", "--out", str(tmp_path / "out")])
         assert code == 3
-        assert "synthetic solver breakdown" in capsys.readouterr().err
+        assert "did not converge, residual 1.230e+02" in capsys.readouterr().err
 
     def test_seed_flag_changes_draws(self, tmp_path):
         outs = []

@@ -46,6 +46,13 @@ def _free_potential():
     return IndicatorPotential(indices=np.array([], dtype=int), y=np.array([]))
 
 
+def _unsatisfiable_potential(labels):
+    """An indicator with a 0 label: infinite at 0 and at the labels y."""
+    y = labels.y.copy()
+    y[-1] = 0.0
+    return IndicatorPotential(indices=labels.indices, y=y)
+
+
 class TestPcnMechanics:
     def test_beta_validation(self):
         for bad in ({"beta": 0.0}, {"beta": 1.5}, {"thinning": 0}, {"batches": 0}):
@@ -64,12 +71,10 @@ class TestPcnMechanics:
         assert c1.accepted == c2.accepted
 
     def test_infinite_initial_potential_rejected(self, small_graph):
-        graph, labels = small_graph
-        eig = decompose_graph(graph)
-        prior = FractionalOperator(eig, alpha=2.0, tau=1.0, scale=graph.s_n)
-        pot = IndicatorPotential.for_graph(labels)
+        labels, prior = _small_prior(small_graph)
         with pytest.raises(ValueError, match="infinite potential"):
-            run_pcn(prior, pot, PcnConfig(beta=0.3, iterations=500, burn_in=0))
+            run_pcn(prior, _unsatisfiable_potential(labels),
+                    PcnConfig(beta=0.3, iterations=500, burn_in=0))
 
     def test_zero_potential_accepts_everything(self):
         _, prior = _prior()
@@ -98,16 +103,68 @@ def _reference_pcn(prior, pot, cfg, r=1.0, init=None):
 
 
 def _case(small_graph, case):
-    """(labels, prior, potential, r, init) for a named posterior."""
+    """(labels, prior, potential, init) for a named posterior; ``init`` is a
+    start of finite potential for `_reference_pcn` (the samplers pick their
+    own)."""
     labels, prior = _small_prior(small_graph)
-    init, r = None, 1.0
+    init = None
     if case.startswith("probit"):
-        pot, r = ProbitPotential.for_graph(labels, float(case[6:])), labels.r_n
+        pot = ProbitPotential.for_graph(labels, float(case[6:]))
     elif case.startswith("levelset"):
         pot = LevelSetPotential.for_graph(labels, float(case[8:]))
     else:
         pot, init = IndicatorPotential.for_graph(labels), krige(prior, labels)
-    return labels, prior, pot, r, init
+    return labels, prior, pot, init
+
+
+class _FirstPoint:
+    """Wraps a potential and keeps the first labeled values at which it is
+    evaluated and finite: the chain's start.  (The chain evaluates an
+    indicator at 0 first, where it is infinite, and so learns to start at y.)"""
+
+    def __init__(self, pot):
+        self.pot, self.indices, self.y, self.first = pot, pot.indices, pot.y, None
+
+    def value_at_labeled(self, ul):
+        phi = self.pot.value_at_labeled(ul)
+        if self.first is None and np.isfinite(phi):
+            self.first = np.array(ul, dtype=float)
+        return phi
+
+
+class TestChainStart:
+    """Each chain starts at v = 0, or at the labels y where the potential is
+    infinite at 0 (the indicator).  A probit or level-set chain started at y
+    would follow the indicator chain step for step under common random
+    numbers, and the small-noise comparison would agree by construction."""
+
+    CFG = PcnConfig(beta=0.4, iterations=1200, burn_in=200, thinning=10, seed=2)
+
+    @pytest.mark.parametrize("sampler", [run_pcn, run_label_pcn])
+    @pytest.mark.parametrize("case", ["probit0.1", "levelset0.1", "indicator"])
+    def test_sampler_starts_at_zero_or_at_the_labels(self, small_graph, sampler, case):
+        labels, prior, pot, _ = _case(small_graph, case)
+        spy = _FirstPoint(pot)
+        sampler(prior, spy, self.CFG)
+        start = labels.y if case == "indicator" else np.zeros(labels.size)
+        assert np.array_equal(spy.first, start)
+
+    def test_small_noise_agreement_starts_each_chain_so(self, small_graph, monkeypatch):
+        labels, prior = _small_prior(small_graph)
+        spies, label_chain = [], posterior._label_chain
+
+        def spying(pot, *args):
+            spies.append(_FirstPoint(pot))
+            return label_chain(spies[-1], *args)
+
+        monkeypatch.setattr(posterior, "_label_chain", spying)
+        small_noise_agreement(prior, labels, [1e-3, 0.5], self.CFG)
+        assert [(type(s.pot), s.pot.gamma) for s in spies] == [
+            (IndicatorPotential, 0.0), (ProbitPotential, 0.5), (LevelSetPotential, 0.5),
+            (ProbitPotential, 1e-3), (LevelSetPotential, 1e-3)]
+        assert np.array_equal(spies[0].first, labels.y)
+        for s in spies[1:]:
+            assert np.array_equal(s.first, np.zeros(labels.size))
 
 
 class TestSharedLabelChain:
@@ -119,9 +176,9 @@ class TestSharedLabelChain:
 
     @pytest.mark.parametrize("case", ["probit1", "probit1e-4", "levelset0.1", "indicator"])
     def test_run_pcn_follows_run_label_pcn(self, small_graph, case):
-        labels, prior, pot, r, init = _case(small_graph, case)
-        full = run_pcn(prior, pot, self.CFG, r=r, init=init)
-        label = run_label_pcn(prior, pot, self.CFG, r=r, init=init)
+        labels, prior, pot, _ = _case(small_graph, case)
+        full = run_pcn(prior, pot, self.CFG)
+        label = run_label_pcn(prior, pot, self.CFG)
         assert 0 < full.accepted < full.steps
         assert (full.accepted, full.steps) == (label.accepted, label.steps)
         assert full.phi == label.phi
@@ -159,12 +216,12 @@ class TestRunPcnAgainstReference:
 
     @pytest.mark.parametrize("case", ["probit0.1", "levelset0.5", "indicator"])
     def test_mean_sign_and_acceptance_agree(self, small_graph, case):
-        _, prior, pot, r, init = _case(small_graph, case)
+        _, prior, pot, init = _case(small_graph, case)
         pooled = []
         for sampler, seeds in (
-                (lambda cfg: _reference_pcn(prior, pot, cfg, r=r, init=init),
+                (lambda cfg: _reference_pcn(prior, pot, cfg, init=init),
                  [s for s, _ in self.SEEDS]),
-                (lambda cfg: run_pcn(prior, pot, cfg, r=r, init=init),
+                (lambda cfg: run_pcn(prior, pot, cfg),
                  [s for _, s in self.SEEDS])):
             chains = [sampler(PcnConfig(beta=0.4, iterations=40_000, burn_in=4000,
                                         thinning=10, seed=s)) for s in seeds]
@@ -194,12 +251,12 @@ class TestBlockedRecords:
     ])
     def test_matches_per_sample_records(self, small_graph, monkeypatch, iterations,
                                         burn_in, thinning, batches, batch_size):
-        labels, prior, pot, r, init = _case(small_graph, "indicator")
+        labels, prior, pot, _ = _case(small_graph, "indicator")
         cfg = PcnConfig(beta=0.3, iterations=iterations, burn_in=burn_in,
                         thinning=thinning, seed=5, batches=batches, store_samples=True)
-        blocked = run_pcn(prior, pot, cfg, r=r, init=init)
+        blocked = run_pcn(prior, pot, cfg)
         monkeypatch.setattr(posterior, "RECORD_BLOCK", 1)
-        single = run_pcn(prior, pot, cfg, r=r, init=init)
+        single = run_pcn(prior, pot, cfg)
         kept = (iterations - burn_in + thinning - 1) // thinning
         assert blocked.recorded == single.recorded == len(blocked.samples) == kept
         assert len(blocked.batch_sums) == len(single.batch_sums) == kept // batch_size
@@ -241,11 +298,11 @@ class TestLabelConditional:
         rng = np.random.default_rng(0)
         others = np.setdiff1d(np.arange(prior.eig.vectors.shape[0]), labels.indices)
         idx = np.concatenate([labels.indices, rng.choice(others, extra, replace=False)])
-        r = labels.r_n
-        cond = LabelConditional(prior, idx, r)
+        cond = LabelConditional(prior, idx)
         V = prior.eig.vectors
-        C = V @ np.diag(prior_std(prior, r) ** 2) @ V.T
+        C = V @ np.diag(prior_std(prior) ** 2) @ V.T
         cross = C[:, idx]
+        assert np.max(np.abs(cond.G - C[np.ix_(idx, idx)])) <= 1e-12
         M = np.linalg.solve(C[np.ix_(idx, idx)], cross.T).T
         schur = C - M @ cross.T
         assert np.max(np.abs(cond.M - M)) <= 1e-12
@@ -285,7 +342,7 @@ class TestLabelConditional:
     def test_infinite_initial_potential_rejected(self, small_graph):
         labels, prior = _small_prior(small_graph)
         with pytest.raises(ValueError, match="infinite potential"):
-            run_label_pcn(prior, IndicatorPotential.for_graph(labels),
+            run_label_pcn(prior, _unsatisfiable_potential(labels),
                           PcnConfig(iterations=500, burn_in=0))
 
     def test_deterministic_and_batched_like_run_pcn(self, small_graph):
@@ -333,13 +390,13 @@ class TestLabelChainAgainstReference:
 
     @pytest.mark.parametrize("case", ["probit1", "probit0.1", "levelset0.5", "indicator"])
     def test_mean_sign_and_acceptance_agree(self, small_graph, case):
-        _, prior, pot, r, init = _case(small_graph, case)
+        _, prior, pot, _ = _case(small_graph, case)
         pooled = []
         for sampler, seeds in ((run_pcn, [s for s, _ in self.SEEDS]),
                                (run_label_pcn, [s for _, s in self.SEEDS])):
             chains = [sampler(prior, pot, PcnConfig(beta=0.4, iterations=40_000,
-                                                    burn_in=4000, thinning=10, seed=s),
-                              r=r, init=init) for s in seeds]
+                                                    burn_in=4000, thinning=10, seed=s))
+                      for s in seeds]
             means = [classification_stats(ch)[0] for ch in chains]
             se = np.sqrt(sum(mean_sign_stderr(ch) ** 2 for ch in chains)) / len(chains)
             pooled.append((np.mean(means, axis=0), se, [ch.acceptance_rate for ch in chains]))
@@ -369,11 +426,11 @@ def test_probit_value_matches_log_psi(labels, gamma):
 
 class TestPriorPreservation:
     def test_mode_variances_match_prior(self):
-        # Phi = 0: the chain must leave N(0, r A^{-1}) invariant
+        # Phi = 0: the chain must leave N(0, A^{-1}) invariant
         _, prior = _prior()
         cfg = PcnConfig(beta=0.7, iterations=60_000, burn_in=2000, thinning=1,
                         seed=1, store_samples=True)
-        chain = run_pcn(prior, _free_potential(), cfg, r=1.0)
+        chain = run_pcn(prior, _free_potential(), cfg)
         coeffs = np.array([prior.eig.coeffs(u) for u in chain.samples])
         emp = coeffs.std(axis=0)
         ref = prior_std(prior, 1.0)
@@ -481,35 +538,11 @@ class TestRaoBlackwellizedStatistics:
 
 
 class TestSmallNoiseAgreement:
-    def test_gamma_lists_must_match(self, small_graph):
-        graph, labels = small_graph
-        eig = decompose_graph(graph)
-        prior = FractionalOperator(eig, alpha=2.0, tau=1.0, scale=graph.s_n)
-        ones = np.ones(labels.size)
-        p = {0.1: ProbitPotential(gamma=0.1, indices=labels.indices,
-                                  y=labels.y, weights=ones)}
-        ls = {0.5: LevelSetPotential(gamma=0.5, indices=labels.indices,
-                                     y=labels.y, weights=ones)}
-        with pytest.raises(ValueError, match="match"):
-            small_noise_agreement(prior, p, ls, IndicatorPotential.for_graph(labels),
-                                  PcnConfig(beta=0.5, iterations=500, burn_in=0))
-
     def test_report_structure_and_small_gamma_agreement(self, small_graph):
-        graph, labels = small_graph
-        eig = decompose_graph(graph)
-        prior = FractionalOperator(eig, alpha=2.0, tau=1.0, scale=graph.s_n)
-        ones = np.ones(labels.size)
-        gammas = [1.0, 1e-3]
-        probit = {g: ProbitPotential(gamma=g, indices=labels.indices,
-                                     y=labels.y, weights=ones) for g in gammas}
-        levelset = {g: LevelSetPotential(gamma=g, indices=labels.indices,
-                                         y=labels.y, weights=ones) for g in gammas}
-        init = krige(prior, labels)
+        labels, prior = _small_prior(small_graph)
         cfg = PcnConfig(beta=0.4, iterations=20_000, burn_in=2000, thinning=10,
                         seed=3, batches=8)
-        report = small_noise_agreement(prior, probit, levelset,
-                                       IndicatorPotential.for_graph(labels),
-                                       cfg, r_n=labels.r_n, indicator_init=init)
+        report = small_noise_agreement(prior, labels, [1e-3, 1.0], cfg)
         assert report["gammas"] == [1.0, 1e-3]
         for name in ("probit", "levelset"):
             assert [e["gamma"] for e in report[name]] == [1.0, 1e-3]
