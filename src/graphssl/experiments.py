@@ -182,39 +182,27 @@ class ExperimentConfig:
         self._validate()
 
     def _validate(self):
-        p = self.params
-        if "alpha" in p and p["alpha"] <= 0:
-            raise ConfigError("alpha must be positive")
+        p, e = self.params, self.experiment
         # at tau = 0 the kriging and MAP operators are singular
-        if any(t <= 0 for t in [p.get("tau", 1.0), *p.get("tau_values", [])]):
-            raise ConfigError("tau must be positive")
-        if "gamma" in p and p["gamma"] <= 0:
-            raise ConfigError("gamma must be positive")
-        if "alpha_values" in p and any(a <= 0 for a in p["alpha_values"]):
-            raise ConfigError("alpha values must be positive")
-        if "n" in p and p["n"] < 4:
-            raise ConfigError("n must be at least 4")
-        if "n_values" in p and any(n < 4 for n in p["n_values"]):
-            raise ConfigError("all n values must be at least 4")
+        for key in ("alpha", "alpha_values", "tau", "tau_values", "eps", "gamma", "gammas"):
+            if key in p and np.any(np.asarray(p[key]) <= 0):
+                raise ConfigError(f"{key} must be positive")
+        # spectra reads SPECTRA_K_MAX eigenvalues of each graph
+        least = {"n": 4, "n_values": SPECTRA_K_MAX if e == "spectra" else 4, "eps_count": 3,
+                 "n_seeds": 1, "thinning": 1, "batches": 1,
+                 "grid_n": 8, "continuum_grid_n": 8, "weyl_grid_n_3d": 8}
+        for key, low in least.items():
+            if key in p and np.any(np.asarray(p[key]) < low):
+                raise ConfigError(f"{key} must be at least {low}")
         if "eps_min" in p and not 0 < p["eps_min"] < p["eps_max"]:
             raise ConfigError("need 0 < eps_min < eps_max")
-        if "eps_count" in p and p["eps_count"] < 3:
-            raise ConfigError("eps_count must be at least 3")
-        if "gammas" in p and any(g <= 0 for g in p["gammas"]):
-            raise ConfigError("gammas must be positive")
         if "beta" in p and not 0 < p["beta"] <= 1:
             raise ConfigError("beta must lie in (0, 1]")
-        if "thinning" in p and p["thinning"] < 1:
-            raise ConfigError("thinning must be at least 1")
-        if "batches" in p and p["batches"] < 1:
-            raise ConfigError("batches must be at least 1")
         if "iterations" in p and (p["iterations"] - p["burn_in"]) // p["thinning"] < 100:
             raise ConfigError("(iterations - burn_in) // thinning must be at least 100")
-        if any(p.get(k, 8) < 8 for k in ("grid_n", "continuum_grid_n", "weyl_grid_n_3d")):
-            raise ConfigError("grids need at least 8 cells per side")
         # the node counts of the operators whose every eigenpair the run
         # takes, which only the dense eigensolver gives
-        e, full = self.experiment, []
+        full = []
         if e in ("extrapolation", "smallnoise"):
             full = [p["n"]]
         elif e in ("rates-krige", "rates-probit") and not factored(p["alpha"]):
@@ -223,6 +211,15 @@ class ExperimentConfig:
             full = [p["grid_n"] ** 2]
         elif e == "mcmc-moons" and p["modes"] >= p["grid_n"] ** 2:
             full = [p["grid_n"] ** 2]
+        elif e == "spectra":
+            k_min, k_max = p["cont_weyl_k_min"], p["cont_weyl_k_max"]
+            nodes = [p["continuum_grid_n"] ** 2, p["weyl_grid_n_3d"] ** 3]
+            # the continuum Weyl fits take cont_weyl_k_max + 5 eigenpairs
+            if k_min < 2 or k_max - k_min < 4 or k_max + 5 > min(nodes):
+                raise ConfigError(f"the continuum Weyl fit needs 2 <= cont_weyl_k_min <= "
+                                  f"cont_weyl_k_max - 4 and cont_weyl_k_max + 5 <= "
+                                  f"{min(nodes)}, the nodes of the smaller grid")
+            full = [c for c in nodes if c == k_max + 5]
         if e == "mcmc-moons" and p["modes"] > p["grid_n"] ** 2:
             raise ConfigError(f"modes = {p['modes']} exceeds the {p['grid_n'] ** 2} "
                               f"nodes of the grid")
@@ -230,8 +227,6 @@ class ExperimentConfig:
             raise ConfigError(f"the run takes the full spectrum of an operator on "
                               f"{max(full)} nodes; the dense eigensolver takes at most "
                               f"{DENSE_CUTOFF}")
-        if "n_seeds" in p and p["n_seeds"] < 1:
-            raise ConfigError("n_seeds must be at least 1")
         for m in str(p.get("models", "krige")).split(","):
             if m.strip() not in ("krige", "probit"):
                 raise ConfigError(f"unknown rates model {m.strip()!r}")
@@ -515,7 +510,7 @@ def run_rates(cfg: ExperimentConfig) -> dict:
                             if by_factor:
                                 u = sparse_krige(factor, labels.indices, labels.y)
                             else:
-                                u = krige(prior, labels)
+                                u = krige(prior, labels.indices, labels.y)
                         else:
                             pot = ProbitPotential.for_graph(labels, p["gamma"])
                             if by_factor:
@@ -591,10 +586,9 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
         if eps not in eigs:
             with _counted_warnings(caught):
                 g = build_graph(cloud, Kernel(epsilon=eps, dim=d))
-            eigs[eps] = (g.s_n, decompose_graph(g))
-        s_n, eig = eigs[eps]
-        prior = FractionalOperator(eig, alpha=alpha, tau=p["tau"], scale=s_n)
-        u = krige(prior, labels)
+            eigs[eps] = decompose_graph(g)
+        prior = FractionalOperator(eigs[eps], alpha=alpha, tau=p["tau"])
+        u = krige(prior, labels.indices, labels.y)
         score = float(np.mean(np.abs(u[unlabeled]) < SPIKE_THRESHOLD))
         scores[alpha] = score
         rows.append([alpha, eps, score])
@@ -740,7 +734,7 @@ def run_smallnoise(cfg: ExperimentConfig) -> dict:
     with _counted_warnings(caught):
         g = build_graph(cloud, Kernel(epsilon=p["eps"], dim=2))
     eig = decompose_graph(g)
-    prior = FractionalOperator(eig, alpha=p["alpha"], tau=p["tau"], scale=g.s_n)
+    prior = FractionalOperator(eig, alpha=p["alpha"], tau=p["tau"])
 
     pcn = PcnConfig(beta=p["beta"], iterations=p["iterations"],
                     burn_in=p["burn_in"], thinning=p["thinning"],

@@ -65,9 +65,7 @@ class WeightedGraph:
     cloud: PointCloud
     weights: sp.csr_matrix
     degrees: np.ndarray
-    epsilon: float
     s_n: float
-    sigma_eta: float
     disconnected: bool = False
 
     @property
@@ -143,8 +141,7 @@ def build_graph(cloud: PointCloud, k: Kernel) -> WeightedGraph:
     if disconnected:
         _warn_disconnected()
     return WeightedGraph(
-        cloud=cloud, weights=W, degrees=degrees, epsilon=k.epsilon,
-        s_n=s_n, sigma_eta=sigma_eta, disconnected=disconnected,
+        cloud=cloud, weights=W, degrees=degrees, s_n=s_n, disconnected=disconnected,
     )
 
 
@@ -212,8 +209,7 @@ class EpsilonSweep:
         if n + 2 * edges <= _DENSE_FILL * n * n:
             W, degrees = _weights(n, k, self.neighbors)
             g = WeightedGraph(cloud=self.cloud, weights=W, degrees=degrees,
-                              epsilon=k.epsilon, s_n=s_n, sigma_eta=self.sigma_eta,
-                              disconnected=disconnected)
+                              s_n=s_n, disconnected=disconnected)
             return laplacian(g) * s_n
         W = k.weight(self.dists)
         # L = D - W: the off-diagonal weights keep their bits; the degrees are

@@ -36,11 +36,26 @@ class Model1Spec:
     omega_minus: Ball
 
 
+class LabelValidationError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class Model2Spec:
-    """Fixed labeled points with signs, prepended to the cloud."""
+    """Fixed labeled points in the closed unit box, each with a sign in
+    {-1,+1}, prepended to the cloud."""
     points: np.ndarray
     signs: np.ndarray
+
+    def __post_init__(self):
+        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        signs = np.asarray(self.signs, dtype=float)
+        if len(pts) != len(signs) or not np.all(np.abs(signs) == 1):
+            raise LabelValidationError("model 2 needs one sign in {-1,+1} per fixed point")
+        for pt in pts:
+            if not np.all((pt >= 0) & (pt <= 1)):
+                raise LabelValidationError(f"label point {tuple(pt.tolist())} lies outside "
+                                           f"the closed unit box")
 
 
 @dataclass(frozen=True)
@@ -55,10 +70,6 @@ class LabelSet:
     @property
     def size(self) -> int:
         return len(self.indices)
-
-
-class LabelValidationError(ValueError):
-    pass
 
 
 def region_labels(spec: Model1Spec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,8 +100,6 @@ def assign_labels(cloud: PointCloud, spec) -> tuple[PointCloud, LabelSet]:
     if isinstance(spec, Model2Spec):
         fixed = np.atleast_2d(np.asarray(spec.points, dtype=float))
         signs = np.asarray(spec.signs, dtype=float)
-        if len(fixed) != len(signs) or not np.all(np.abs(signs) == 1):
-            raise LabelValidationError("model 2 needs one sign in {-1,+1} per fixed point")
         pts = np.vstack([fixed, cloud.points])
         new_cloud = PointCloud(points=pts, seed=cloud.seed)
         idx = np.arange(len(fixed))

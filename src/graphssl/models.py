@@ -41,7 +41,8 @@ import scipy.sparse.linalg as spla
 from scipy.special import erfc, log_ndtr
 
 from graphssl.continuum import ContinuumOperator
-from graphssl.labels import LabelSet, Model1Spec, Model2Spec, region_labels
+from graphssl.labels import (LabelSet, LabelValidationError, Model1Spec, Model2Spec,
+                             region_labels)
 from graphssl.spectral import FractionalOperator, label_covariance, quadratic_form
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -155,11 +156,16 @@ def continuum_labeled_nodes(op: ContinuumOperator, spec) -> tuple[np.ndarray, np
 
     Model 1 labels every node in the regions with its mu-weight (the discrete
     analogue of integrating the misfit over the region); model 2 snaps each
-    fixed point to its nearest grid node with unit multiplier.
+    fixed point to its nearest grid node with unit multiplier.  Raises
+    LabelValidationError when a model-1 ball holds no grid node.
     """
     coords = op.grid.coordinates()
     if isinstance(spec, Model1Spec):
         idx, y = region_labels(spec, coords)
+        for sgn, name in ((1.0, "omega_plus"), (-1.0, "omega_minus")):
+            if not np.any(y == sgn):
+                raise LabelValidationError(f"label ball {name}, {getattr(spec, name)}, "
+                                           f"holds no grid node")
         return idx, y, op.weights[idx]
     if isinstance(spec, Model2Spec):
         pts = np.atleast_2d(np.asarray(spec.points, dtype=float))
@@ -282,25 +288,18 @@ def _label_space_map(space: _LabelSpace, pot: ProbitPotential,
 def probit_map(prior: FractionalOperator, pot: ProbitPotential,
                init: np.ndarray | None = None) -> np.ndarray:
     """Probit MAP over the span of the prior's eigenpairs, minimizing
-    1/2 sum_k lam_k^alpha a_k^2 + Phi(Q_lab a) in label space; every mode
-    needs positive precision (tau > 0)."""
-    if prior.tau <= 0.0 or prior.powered(1.0).min() <= 0.0:
-        raise ValueError("probit MAP requires a strictly positive spectrum (tau > 0)")
+    1/2 sum_k (lam_k + tau^2)^alpha a_k^2 + Phi(Q_lab a) in label space."""
     return _label_space_map(_spectral_space(prior, pot.indices), pot, init)
 
 
-def krige(prior: FractionalOperator, labels_or_indices, y: np.ndarray | None = None) -> np.ndarray:
+def krige(prior: FractionalOperator, indices: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Minimum-energy interpolation of label values (closed form).
 
     u = A^{-1} R* (R A^{-1} R*)^{-1} y where R restricts to the labeled
     coordinates.  The interpolation property u(x_j) = y_j is independent of
     the adjoint's inner-product convention.
     """
-    if isinstance(labels_or_indices, LabelSet):
-        idx, yv = labels_or_indices.indices, labels_or_indices.y
-    else:
-        idx, yv = np.asarray(labels_or_indices), np.asarray(y, dtype=float)
-    return _krige(_spectral_space(prior, idx), yv)
+    return _krige(_spectral_space(prior, np.asarray(indices)), np.asarray(y, dtype=float))
 
 
 def _solve_gram(gram: np.ndarray, y: np.ndarray, **kwargs) -> np.ndarray:
@@ -499,7 +498,7 @@ def continuum_krige(op: ContinuumOperator, alpha: float, tau: float,
     """
     if factored(alpha):
         return sparse_krige(op.factor(int(alpha), tau), indices, y)
-    prior = FractionalOperator(op.eigendecomposition(), alpha=alpha, tau=tau, scale=1.0)
+    prior = FractionalOperator(op.eigendecomposition(), alpha=alpha, tau=tau)
     return krige(prior, indices, y)
 
 
@@ -516,5 +515,5 @@ def continuum_probit_map(op: ContinuumOperator, alpha: float, tau: float,
     """
     if factored(alpha):
         return _node_space_probit_map(op.factor(int(alpha), tau), op.weights, pot, init)
-    prior = FractionalOperator(op.eigendecomposition(), alpha=alpha, tau=tau, scale=1.0)
+    prior = FractionalOperator(op.eigendecomposition(), alpha=alpha, tau=tau)
     return probit_map(prior, pot, init=init)

@@ -2,8 +2,9 @@
 
 An operator that is symmetric with respect to a weighted inner product
 <a,b>_w = sum_i a_i b_i w_i is diagonalized into eigenpairs whose
-eigenvectors are orthonormal in that inner product.  Fractional powers
-A^p = (scale*L + tau^2 I)^{alpha p} act diagonally on the eigenbasis; this is
+eigenvectors are orthonormal in that inner product.  A prior's precision
+A = (L + tau^2 I)^alpha, for the decomposed operator L and tau > 0, and its
+powers A^p = (L + tau^2 I)^{alpha p} act diagonally on the eigenbasis; this is
 exact at the truncation level, no matrix-function approximation is involved.
 
 On graphs the inner product carries weights w_i = 1/n, so the 1/n appearing
@@ -13,7 +14,7 @@ in the energy (1/2n) <u, A u> is absorbed consistently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -46,9 +47,6 @@ class EigenDecomposition:
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
-
-    def norm(self, a: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(a * a * self.weights)))
 
     def coeffs(self, u: np.ndarray) -> np.ndarray:
         """Spectral coefficients <u, q_k>_w."""
@@ -112,67 +110,48 @@ def decompose(op, weights=None, m: int | None = None) -> EigenDecomposition:
 
 
 def decompose_graph(g) -> EigenDecomposition:
-    """Eigendecomposition of the unnormalized Laplacian in the empirical inner product."""
+    """Eigendecomposition of the scaled Laplacian s_n L in the empirical inner
+    product: the eigenvalues of L times ``g.s_n``, the eigenvectors of L."""
     from graphssl.graph import laplacian
 
-    return decompose(laplacian(g))
+    eig = decompose(laplacian(g))
+    return replace(eig, eigenvalues=g.s_n * eig.eigenvalues)
 
 
 @dataclass(frozen=True)
 class FractionalOperator:
-    """A = (scale*L + tau^2 I)^alpha realized on an eigendecomposition."""
+    """A = (L + tau^2 I)^alpha of the decomposed operator L, with tau > 0."""
 
     eig: EigenDecomposition
     alpha: float
-    tau: float = 0.0
-    scale: float = 1.0
+    tau: float
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
-
-    def base_eigenvalues(self) -> np.ndarray:
-        """scale*lambda_k + tau^2, with tiny negative lambda clipped to zero."""
-        return self.scale * np.clip(self.eig.eigenvalues, 0.0, None) + self.tau ** 2
+        if self.tau <= 0:
+            raise ValueError("tau must be positive")
 
     def powered(self, p: float = 1.0) -> np.ndarray:
-        """Eigenvalues of A^p, i.e. (scale*lambda + tau^2)^{alpha*p}."""
-        base = self.base_eigenvalues()
-        # zero where base is 0: a negative power is the inverse restricted to
-        # the complement of constants
-        out = np.zeros_like(base)
-        pos = base > 0
-        out[pos] = base[pos] ** (self.alpha * p)
-        return out
+        """Eigenvalues of A^p, (lambda + tau^2)^{alpha*p}, with tiny negative
+        lambda clipped to zero."""
+        return (np.clip(self.eig.eigenvalues, 0.0, None) + self.tau ** 2) ** (self.alpha * p)
 
 
 def apply_power(A: FractionalOperator, u: np.ndarray, p: float = 1.0) -> np.ndarray:
-    """Spectral action of A^p on u.
-
-    For tau = 0 negative powers are only defined on the orthogonal complement
-    of constants; a constant component above tolerance raises.
-    """
-    a = A.eig.coeffs(u)
-    if p < 0 and A.tau == 0.0:
-        nrm = max(A.eig.norm(u), 1e-300)
-        if abs(a[0]) > 1e-8 * nrm:
-            raise ValueError("negative power with tau=0 requires u orthogonal to constants")
-        a = a.copy()
-        a[0] = 0.0
-    return A.eig.reconstruct(A.powered(p) * a)
+    """Spectral action of A^p on u."""
+    return A.eig.reconstruct(A.powered(p) * A.eig.coeffs(u))
 
 
 def quadratic_form(A: FractionalOperator, u: np.ndarray) -> float:
-    """J(u) = 1/2 sum_k (scale*lambda_k + tau^2)^alpha <u, q_k>_w^2."""
+    """J(u) = 1/2 sum_k (lambda_k + tau^2)^alpha <u, q_k>_w^2."""
     a = A.eig.coeffs(u)
     return float(0.5 * np.sum(A.powered(1.0) * a ** 2))
 
 
-def prior_std(A: FractionalOperator, r: float = 1.0) -> np.ndarray:
-    """Per-mode standard deviations of N(0, r*A^{-1})."""
-    return np.sqrt(r) * A.powered(-0.5)
+def prior_std(A: FractionalOperator) -> np.ndarray:
+    """Per-mode standard deviations of N(0, A^{-1})."""
+    return A.powered(-0.5)
 
 
 def label_covariance(A: FractionalOperator, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -85,7 +85,7 @@ def test_criterion_01_spectral_oracle():
         alpha = float(rng.uniform(0.3, 2.5))
         tau = float(rng.uniform(0.2, 2.0))
         eig = decompose_graph(g)
-        prior = FractionalOperator(eig, alpha=alpha, tau=tau, scale=g.s_n)
+        prior = FractionalOperator(eig, alpha=alpha, tau=tau)
         M = g.s_n * laplacian(g).toarray() + tau ** 2 * np.eye(n)
         M = 0.5 * (M + M.T)
         Ma = scipy.linalg.fractional_matrix_power(M, alpha).real
@@ -139,7 +139,7 @@ def test_criterion_05_probit_uniqueness(small_graph):
     graph, labels = small_graph
     t0 = time.perf_counter()
     eig = decompose_graph(graph)
-    prior = FractionalOperator(eig, alpha=2.0, tau=1.0, scale=graph.s_n)
+    prior = FractionalOperator(eig, alpha=2.0, tau=1.0)
     pot = ProbitPotential.for_graph(labels, 0.1)
     rng = np.random.default_rng(1)
     u1 = probit_map(prior, pot, init=rng.standard_normal(graph.n))
@@ -161,9 +161,9 @@ def test_criterion_05_probit_uniqueness(small_graph):
 def test_criterion_06_levelset_no_minimizer(small_graph):
     graph, labels = small_graph
     eig = decompose_graph(graph)
-    prior = FractionalOperator(eig, alpha=2.0, tau=1.0, scale=graph.s_n)
+    prior = FractionalOperator(eig, alpha=2.0, tau=1.0)
     pot = LevelSetPotential.for_graph(labels, 0.5)
-    u = krige(prior, labels)
+    u = krige(prior, labels.indices, labels.y)
     assert pot.value(u) == 0.0
     vals = [levelset_objective(c * u, prior, pot) for c in (1.0, 0.5, 0.1)]
     ok = vals[0] > vals[1] > vals[2] > 0.0
@@ -174,8 +174,8 @@ def test_criterion_06_levelset_no_minimizer(small_graph):
 def test_criterion_07_kriging_spikes(tmp_path_factory, small_graph):
     graph, labels = small_graph
     eig = decompose_graph(graph)
-    prior = FractionalOperator(eig, alpha=1.0, tau=1.0, scale=graph.s_n)
-    u = krige(prior, labels)
+    prior = FractionalOperator(eig, alpha=1.0, tau=1.0)
+    u = krige(prior, labels.indices, labels.y)
     interp = float(np.max(np.abs(u[labels.indices] - labels.y)))
     result, dt, _ = _run_experiment(tmp_path_factory, "extrapolation")
     s = result["scores"]
@@ -264,14 +264,14 @@ def test_criterion_11_pcn_prior_preservation():
     cloud = sample_cloud(Density("uniform"), 60, seed=0)
     g = build_graph(cloud, Kernel(epsilon=0.35, dim=2))
     eig = decompose_graph(g)
-    prior = FractionalOperator(eig, alpha=2.0, tau=1.0, scale=g.s_n)
+    prior = FractionalOperator(eig, alpha=2.0, tau=1.0)
     from graphssl.models import IndicatorPotential
     free = IndicatorPotential(indices=np.array([], dtype=int), y=np.array([]))
     cfg = PcnConfig(beta=0.9, iterations=100_000, burn_in=1000, thinning=1,
                     seed=5, store_samples=True)
     chain = run_pcn(prior, free, cfg)
     coeffs = np.array([prior.eig.coeffs(u) for u in chain.samples])
-    ref_var = prior_std(prior, 1.0) ** 2
+    ref_var = prior_std(prior) ** 2
     var_dev = float(np.max(np.abs(coeffs.var(axis=0) - ref_var) / ref_var))
     cfg1 = PcnConfig(beta=1.0, iterations=4000, burn_in=0, thinning=1,
                      seed=6, store_samples=True)

@@ -91,6 +91,41 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out")]) == 2
         assert "separation" in capsys.readouterr().err
 
+    def test_empty_label_ball_exits_2(self, tmp_path, capsys):
+        # no node of a 16^2 grid lies within 0.02 of a label center
+        cfg = _write_cfg(tmp_path, "[channel]\ngrid_n = 16\nlabel_radius = 0.02\n"
+                                   "h_values = 1.0\nalpha_values = 1\n")
+        assert cli.main(["channel", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "label ball omega_plus" in capsys.readouterr().err
+
+    def test_label_point_outside_unit_box_exits_2(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "[rates-krige]\nlabel_plus = 1.5 0.5\nn_values = 20\n"
+                                   "n_seeds = 1\neps_count = 3\ncontinuum_grid_n = 8\n")
+        assert cli.main(["rates-krige", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "(1.5, 0.5) lies outside the closed unit box" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, body, message", [
+        ("smallnoise", "eps = 0\n", "eps must be positive"),
+        ("spectra", "eps = -0.1\n", "eps must be positive"),
+        ("spectra", "n_values = 8\n", "at least 10"),
+        ("spectra", "cont_weyl_k_min = 1\n", "2 <= cont_weyl_k_min"),
+        ("spectra", "cont_weyl_k_min = 50\ncont_weyl_k_max = 53\n", "<= cont_weyl_k_max - 4"),
+        ("spectra", "continuum_grid_n = 16\ncont_weyl_k_max = 600\n", "+ 5 <= 256,"),
+        ("spectra", "weyl_grid_n_3d = 8\ncont_weyl_k_max = 600\n", "+ 5 <= 512,"),
+        ("spectra", "continuum_grid_n = 65\ncont_weyl_k_max = 4220\n"
+                    "weyl_grid_n_3d = 20\n", "4096"),
+    ], ids=["smallnoise-eps", "spectra-eps", "spectra-n", "weyl-k-min", "weyl-range",
+            "weyl-2d-grid", "weyl-3d-grid", "weyl-full-spectrum"])
+    def test_bad_spectra_and_eps_exit_2(self, tmp_path, capsys, experiment, body, message):
+        # refused with the config, before the output directory exists
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, f"[{experiment}]\n{body}")
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = _write_cfg(tmp_path, "[extrapolation]\nbogus = 1\n")
         assert cli.main(["extrapolation", "--config", str(cfg),

@@ -73,10 +73,21 @@ class TestModel2:
         assert np.array_equal(labels.y, [1.0, -1.0])
 
     def test_invalid_signs_rejected(self):
-        cloud = sample_cloud(Density("uniform"), 10, seed=1)
-        spec = Model2Spec(points=np.array([[0.2, 0.2]]), signs=np.array([0.5]))
-        with pytest.raises(LabelValidationError):
-            assign_labels(cloud, spec)
+        # refused when the spec is built, before any cloud or grid sees it
+        with pytest.raises(LabelValidationError, match="sign"):
+            Model2Spec(points=np.array([[0.2, 0.2]]), signs=np.array([0.5]))
+        with pytest.raises(LabelValidationError, match="sign"):
+            Model2Spec(points=np.array([[0.2, 0.2]]), signs=np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("point", [[1.5, 0.5], [0.5, -0.01], [np.nan, 0.5]])
+    def test_point_outside_unit_box_rejected(self, point):
+        with pytest.raises(LabelValidationError, match="unit box"):
+            Model2Spec(points=np.array([[0.2, 0.2], point]), signs=np.array([1.0, -1.0]))
+
+    def test_closed_box_boundary_accepted(self):
+        spec = Model2Spec(points=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                          signs=np.array([1.0, -1.0]))
+        assert spec.points.shape == (2, 2)
 
     def test_unknown_spec_type(self):
         cloud = sample_cloud(Density("uniform"), 10, seed=1)

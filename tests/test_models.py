@@ -15,7 +15,7 @@ import graphssl.models as models
 from graphssl.continuum import discretize
 from graphssl.density import Density, sample_cloud
 from graphssl.graph import EpsilonSweep, Kernel, build_graph, laplacian
-from graphssl.labels import Ball, Model1Spec, Model2Spec, assign_labels
+from graphssl.labels import Ball, LabelValidationError, Model1Spec, Model2Spec, assign_labels
 from graphssl.models import (
     IndicatorPotential,
     LevelSetPotential,
@@ -40,7 +40,7 @@ from graphssl.spectral import FractionalOperator, decompose, decompose_graph
 
 def _prior(graph, alpha=2.0, tau=1.0):
     eig = decompose_graph(graph)
-    return FractionalOperator(eig, alpha=alpha, tau=tau, scale=graph.s_n)
+    return FractionalOperator(eig, alpha=alpha, tau=tau)
 
 
 def _rel(u, ref):
@@ -131,13 +131,13 @@ class TestKrige:
     def test_interpolates_labels(self, small_graph):
         graph, labels = small_graph
         prior = _prior(graph)
-        u = krige(prior, labels)
+        u = krige(prior, labels.indices, labels.y)
         assert np.allclose(u[labels.indices], labels.y, atol=1e-8)
 
     def test_minimum_energy_among_interpolants(self, small_graph):
         graph, labels = small_graph
         prior = _prior(graph)
-        u = krige(prior, labels)
+        u = krige(prior, labels.indices, labels.y)
         rng = np.random.default_rng(0)
         from graphssl.spectral import quadratic_form
         for _ in range(5):
@@ -149,7 +149,7 @@ class TestKrige:
     def test_sparse_route_matches_spectral(self, small_graph):
         graph, labels = small_graph
         prior = _prior(graph, alpha=2.0, tau=1.0)
-        u_spec = krige(prior, labels)
+        u_spec = krige(prior, labels.indices, labels.y)
         factor = PoweredFactor(laplacian(graph) * graph.s_n, 2, 1.0)
         u_sparse = sparse_krige(factor, labels.indices, labels.y)
         assert np.allclose(u_spec, u_sparse, rtol=1e-9, atol=1e-11)
@@ -204,12 +204,14 @@ class TestProbitMap:
         assert np.allclose(u1, u2, atol=1e-6)
 
     def test_requires_positive_spectrum(self, small_graph):
+        # the Newton solve divides by the prior's spectrum: tau > 0 lifts the
+        # graph's zero eigenvalue to tau^2, and a tau = 0 prior cannot be built
         graph, labels = small_graph
         eig = decompose_graph(graph)
-        prior = FractionalOperator(eig, alpha=1.0, tau=0.0, scale=graph.s_n)
         pot = ProbitPotential.for_graph(labels, 0.1)
+        assert np.min(_prior(graph, alpha=1.0, tau=0.5).powered(1.0)) >= 0.25
         with pytest.raises(ValueError, match="tau"):
-            probit_map(prior, pot)
+            probit_map(FractionalOperator(eig, alpha=1.0, tau=0.0), pot)
 
     def test_budget_exhaustion_raises(self, small_graph, monkeypatch):
         graph, labels = small_graph
@@ -399,7 +401,7 @@ class TestPoweredFactor:
         factor = PoweredFactor(base, 2, 1.0)
         u_krige = sparse_krige(factor, labels.indices, labels.y)
         u_map = sparse_probit_map(factor, np.full(g.n, 1.0 / g.n), pot)
-        assert _rel(u_krige, krige(prior, labels)) <= 1e-9
+        assert _rel(u_krige, krige(prior, labels.indices, labels.y)) <= 1e-9
         assert _rel(u_map, probit_map(prior, pot)) <= 1e-9
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
@@ -471,9 +473,10 @@ def test_spectral_sweep_route_matches_build_graph(small_graph, eps, dense):
     assert isinstance(base, np.ndarray) == dense
     swept = FractionalOperator(decompose(base), alpha=1.5, tau=1.0)
     g = build_graph(graph.cloud, kern)
-    prior = FractionalOperator(decompose_graph(g), alpha=1.5, tau=1.0, scale=g.s_n)
+    prior = FractionalOperator(decompose_graph(g), alpha=1.5, tau=1.0)
     pot = ProbitPotential.for_graph(labels, 0.1)
-    assert _rel(krige(swept, labels), krige(prior, labels)) <= 1e-9
+    idx, y = labels.indices, labels.y
+    assert _rel(krige(swept, idx, y), krige(prior, idx, y)) <= 1e-9
     assert _rel(probit_map(swept, pot), probit_map(prior, pot)) <= 1e-9
 
 
@@ -640,7 +643,7 @@ def test_label_space_backends_agree_property(n, seed, eps, alpha, gamma):
     assert _rel(probit_map(prior, pot), ref) <= 1e-9
     factor = PoweredFactor(base, alpha, 1.0)
     assert _rel(sparse_probit_map(factor, w, pot), ref) <= 1e-9
-    u_krige = krige(prior, labels)
+    u_krige = krige(prior, labels.indices, labels.y)
     assert _rel(sparse_krige(factor, labels.indices, labels.y), u_krige) <= 1e-9
 
 
@@ -649,7 +652,7 @@ class TestLevelSetScaling:
         graph, labels = small_graph
         prior = _prior(graph)
         pot = LevelSetPotential.for_graph(labels, 0.5)
-        u = krige(prior, labels)  # correct signs at labels: zero misfit
+        u = krige(prior, labels.indices, labels.y)  # correct signs at labels: zero misfit
         assert pot.value(u) == 0.0
         vals = [levelset_objective(c * u, prior, pot) for c in (1.0, 0.5, 0.1)]
         assert vals[0] > vals[1] > vals[2] > 0.0
@@ -682,6 +685,15 @@ class TestContinuumSolvers:
         idx, y, w = continuum_labeled_nodes(op, spec)
         assert len(idx) > 0 and set(np.unique(y)) == {-1.0, 1.0}
         assert np.allclose(w, op.weights[idx])
+
+    def test_labeled_nodes_empty_ball_rejected(self):
+        # no node of a 16^2 grid lies within 0.02 of (0.25, 0.25): the
+        # nearest cell centers are 0.044 away
+        op = discretize(Density("uniform"), 16)
+        spec = Model1Spec(omega_plus=Ball((0.25, 0.25), 0.02),
+                          omega_minus=Ball((0.75, 0.75), 0.1))
+        with pytest.raises(LabelValidationError, match="omega_plus"):
+            continuum_labeled_nodes(op, spec)
 
     def test_labeled_nodes_model2_snaps(self):
         op = discretize(Density("uniform"), 16)

@@ -33,13 +33,13 @@ def _prior(n=60, seed=0, alpha=2.0, tau=1.0):
     cloud = sample_cloud(Density("uniform"), n, seed=seed)
     g = build_graph(cloud, Kernel(epsilon=0.35, dim=2))
     eig = decompose_graph(g)
-    return g, FractionalOperator(eig, alpha=alpha, tau=tau, scale=g.s_n)
+    return g, FractionalOperator(eig, alpha=alpha, tau=tau)
 
 
 def _small_prior(small_graph):
     graph, labels = small_graph
     eig = decompose_graph(graph)
-    return labels, FractionalOperator(eig, alpha=2.0, tau=1.0, scale=graph.s_n)
+    return labels, FractionalOperator(eig, alpha=2.0, tau=1.0)
 
 
 def _free_potential():
@@ -62,7 +62,7 @@ class TestPcnMechanics:
     def test_deterministic_given_seed(self, small_graph):
         graph, labels = small_graph
         eig = decompose_graph(graph)
-        prior = FractionalOperator(eig, alpha=2.0, tau=1.0, scale=graph.s_n)
+        prior = FractionalOperator(eig, alpha=2.0, tau=1.0)
         pot = ProbitPotential.for_graph(labels, 0.5)
         cfg = PcnConfig(beta=0.3, iterations=2000, burn_in=200, thinning=5, seed=9)
         c1 = run_pcn(prior, pot, cfg)
@@ -83,12 +83,12 @@ class TestPcnMechanics:
         assert chain.acceptance_rate == 1.0
 
 
-def _reference_pcn(prior, pot, cfg, r=1.0, init=None):
+def _reference_pcn(prior, pot, cfg, init=None):
     """Plain full-state pCN: one `pcn_step` per step on the spectral
     coefficients, and one field rebuilt and recorded per kept state."""
     eig = prior.eig
     rng = np.random.default_rng(cfg.seed)
-    std = prior_std(prior, r)
+    std = prior_std(prior)
     Q_lab = eig.vectors[pot.indices, :]
     a = np.zeros(eig.m) if init is None else eig.coeffs(init)
     chain = Chain(state=a, phi=pot.value_at_labeled(Q_lab @ a))
@@ -113,7 +113,7 @@ def _case(small_graph, case):
     elif case.startswith("levelset"):
         pot = LevelSetPotential.for_graph(labels, float(case[8:]))
     else:
-        pot, init = IndicatorPotential.for_graph(labels), krige(prior, labels)
+        pot, init = IndicatorPotential.for_graph(labels), krige(prior, labels.indices, labels.y)
     return labels, prior, pot, init
 
 
@@ -433,7 +433,7 @@ class TestPriorPreservation:
         chain = run_pcn(prior, _free_potential(), cfg)
         coeffs = np.array([prior.eig.coeffs(u) for u in chain.samples])
         emp = coeffs.std(axis=0)
-        ref = prior_std(prior, 1.0)
+        ref = prior_std(prior)
         assert np.max(np.abs(emp - ref) / ref) < 0.08
 
     def test_beta_one_gives_independent_prior_draws(self):
@@ -449,7 +449,7 @@ class TestPriorPreservation:
             np.sqrt(np.sum(a * a, axis=0) * np.sum(b * b, axis=0)))
         assert np.max(np.abs(corr)) < 0.08
         emp = coeffs.std(axis=0)
-        assert np.max(np.abs(emp - prior_std(prior, 1.0)) / prior_std(prior, 1.0)) < 0.1
+        assert np.max(np.abs(emp - prior_std(prior)) / prior_std(prior)) < 0.1
 
     def test_thinned_states_decorrelate_like_pcn(self):
         # Phi = 0, so every step is accepted: between kept states the

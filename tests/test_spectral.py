@@ -23,7 +23,7 @@ def _random_graph_prior(n, seed, alpha=1.5, tau=0.7, eps=0.35):
     cloud = sample_cloud(Density("uniform"), n, seed=seed)
     g = build_graph(cloud, Kernel(epsilon=eps, dim=2))
     eig = decompose_graph(g)
-    return g, FractionalOperator(eig, alpha=alpha, tau=tau, scale=g.s_n)
+    return g, FractionalOperator(eig, alpha=alpha, tau=tau)
 
 
 class TestDecompose:
@@ -71,10 +71,21 @@ class TestFractionalOperator:
     def test_parameter_validation(self):
         eig = EigenDecomposition(np.array([0.0, 1.0]), np.eye(2) * np.sqrt(2),
                                  np.full(2, 0.5))
-        with pytest.raises(ValueError):
-            FractionalOperator(eig, alpha=0.0)
-        with pytest.raises(ValueError):
-            FractionalOperator(eig, alpha=1.0, tau=-1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            FractionalOperator(eig, alpha=0.0, tau=1.0)
+        for tau in (0.0, -1.0):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                FractionalOperator(eig, alpha=1.0, tau=tau)
+
+    @pytest.mark.parametrize("p", [1.0, -0.5])
+    def test_graph_prior_powers_scaled_laplacian(self, p):
+        # decompose_graph scales the eigenvalues of L by s_n; a graph prior's
+        # powers are then bit for bit (s_n clip(lambda, 0) + tau^2)^(alpha p)
+        g, prior = _random_graph_prior(80, seed=11, alpha=1.5, tau=0.7)
+        base = decompose(laplacian(g))
+        ref = (g.s_n * np.clip(base.eigenvalues, 0, None) + 0.7 ** 2) ** (1.5 * p)
+        assert np.array_equal(prior.powered(p), ref)
+        assert np.array_equal(prior.eig.vectors, base.vectors)
 
     def test_matches_dense_matrix_power(self):
         # independent oracle: scipy fractional_matrix_power of the node matrix
@@ -103,24 +114,15 @@ class TestFractionalOperator:
         assert np.allclose(apply_power(prior, apply_power(prior, u, -1.0)), u,
                            rtol=1e-8, atol=1e-8)
 
-    def test_tau_zero_negative_power_needs_mean_zero(self):
-        g, _ = _random_graph_prior(40, seed=8)
-        eig = decompose_graph(g)
-        prior = FractionalOperator(eig, alpha=1.0, tau=0.0, scale=g.s_n)
-        with pytest.raises(ValueError):
-            apply_power(prior, np.ones(g.n), -1.0)
-        u = eig.vectors[:, 3]  # orthogonal to constants
-        out = apply_power(prior, u, -1.0)
-        assert np.isfinite(out).all()
-
 
 class TestPriorSampling:
     def test_mode_variances_match(self):
         # the per-mode standard deviations that the samplers draw the prior
-        # N(0, r A^{-1}) with: sqrt(r) (scale lambda_k + tau^2)^(-alpha/2)
+        # N(0, A^{-1}) with: (s_n lambda_k + tau^2)^(-alpha/2), lambda_k of L
         g, prior = _random_graph_prior(40, seed=9, tau=1.0)
-        ref = np.sqrt(2.0) * (g.s_n * prior.eig.eigenvalues + 1.0) ** (-prior.alpha / 2)
-        np.testing.assert_allclose(prior_std(prior, r=2.0), ref, rtol=1e-12)
+        lam = np.clip(decompose(laplacian(g)).eigenvalues, 0, None)
+        ref = (g.s_n * lam + 1.0) ** (-prior.alpha / 2)
+        np.testing.assert_allclose(prior_std(prior), ref, rtol=1e-12)
 
 
 class TestDiagnostics:
