@@ -194,6 +194,10 @@ class ExperimentConfig:
         for key, low in least.items():
             if key in p and np.any(np.asarray(p[key]) < low):
                 raise ConfigError(f"{key} must be at least {low}")
+        # every domain with labeled points is the unit square
+        for key in ("label_plus", "label_minus"):
+            if key in p and len(p[key]) != 2:
+                raise ConfigError(f"{key} must have 2 coordinates")
         if "eps_min" in p and not 0 < p["eps_min"] < p["eps_max"]:
             raise ConfigError("need 0 < eps_min < eps_max")
         if "beta" in p and not 0 < p["beta"] <= 1:

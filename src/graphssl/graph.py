@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
-from scipy.spatial import cKDTree
 
 from graphssl.density import PointCloud
 
@@ -91,6 +89,8 @@ class NeighborPairs:
 
 def neighbor_pairs(cloud: PointCloud, radius: float) -> NeighborPairs:
     """Fixed-radius range search, sorted by node index."""
+    from scipy.spatial import cKDTree
+
     pts = cloud.points
     pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
     i, j = np.divmod(np.sort(pairs[:, 0] * cloud.n + pairs[:, 1]), cloud.n)
@@ -130,6 +130,8 @@ def build_graph(cloud: PointCloud, k: Kernel) -> WeightedGraph:
     Weights are stored as a symmetric CSR matrix built from the upper
     triangle so that W = W^T holds bit-exactly.
     """
+    from scipy.sparse.csgraph import connected_components
+
     n = cloud.n
     W, degrees = _weights(n, k, neighbor_pairs(cloud, k.epsilon))
 
@@ -173,6 +175,8 @@ class EpsilonSweep:
     """
 
     def __init__(self, cloud: PointCloud, kernels):
+        from scipy.sparse.csgraph import minimum_spanning_tree
+
         first = kernels[0]
         if any(k.dim != first.dim for k in kernels):
             raise ValueError("the kernels of a sweep may differ only in epsilon")

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
 
 from graphssl.continuum import Grid, interpolate_to_points
 
@@ -43,6 +41,8 @@ def tlp_exact(a: TlpPair, b: TlpPair, p: float = 2.0) -> float:
     Solves the assignment problem with cost |x_i - y_j|^p + |f_i - g_j|^p and
     returns (total matched cost / m)^{1/p}.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if a.m != b.m:
         raise ValueError("unequal atom counts; use tlp_map_bound instead")
     if a.m > EXACT_BUDGET:
@@ -65,6 +65,8 @@ def tlp_map_bound(cloud_points: np.ndarray, cloud_values: np.ndarray,
     (||Id - T||_{L^p(mu)}^p + ||f o T - g||_{L^p(mu)}^p)^{1/p} with the grid
     quadrature weighted by the density.  Returns (bound, pure transport term).
     """
+    from scipy.spatial import cKDTree
+
     coords = grid.coordinates()
     w = grid_density * grid.h ** grid.dim
     w = w / w.sum()

@@ -106,6 +106,20 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out")]) == 2
         assert "(1.5, 0.5) lies outside the closed unit box" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", ["label_plus = 0.2 0.2 0.2\n",
+                                        "label_plus = 0.2 0.2 0.2\n"
+                                        "label_minus = 0.7 0.7 0.7\n"],
+                             ids=["one-point", "both-points"])
+    def test_label_point_of_3_coordinates_exits_2(self, tmp_path, capsys, labels):
+        # refused with the config, not by a broadcast error (exit 3) after
+        # config_resolved.ini is written
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, f"[rates-krige]\n{labels}n_values = 20\n"
+                                   "n_seeds = 1\neps_count = 3\ncontinuum_grid_n = 8\n")
+        assert cli.main(["rates-krige", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "label_plus must have 2 coordinates" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment, body, message", [
         ("smallnoise", "eps = 0\n", "eps must be positive"),
         ("spectra", "eps = -0.1\n", "eps must be positive"),

@@ -125,6 +125,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot parse"):
             load_config(p)
 
+    @pytest.mark.parametrize("exp", ["rates-krige", "rates-probit", "extrapolation",
+                                     "mcmc-moons", "smallnoise"])
+    @pytest.mark.parametrize("body", ["label_plus = 0.2 0.2 0.2\n",
+                                      "label_minus = 0.7\n",
+                                      "label_plus = 0.2 0.2 0.2\nlabel_minus = 0.7 0.7 0.7\n"],
+                             ids=["plus-3", "minus-1", "both-3"])
+    def test_label_point_needs_2_coordinates(self, tmp_path, exp, body):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[{exp}]\n{body}")
+        with pytest.raises(ConfigError, match="must have 2 coordinates"):
+            load_config(p)
+
     def test_no_experiment_anywhere(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text("[run]\nseed = 1\n")
