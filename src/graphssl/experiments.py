@@ -183,16 +183,19 @@ class ExperimentConfig:
 
     def _validate(self):
         p, e = self.params, self.experiment
+        for key, value in p.items():
+            if not isinstance(value, str) and not np.all(np.isfinite(np.asarray(value, float))):
+                raise ConfigError(f"{key} must be finite")
         # at tau = 0 the kriging and MAP operators are singular
         for key in ("alpha", "alpha_values", "tau", "tau_values", "eps", "gamma", "gammas"):
-            if key in p and np.any(np.asarray(p[key]) <= 0):
+            if key in p and not np.all(np.asarray(p[key]) > 0):
                 raise ConfigError(f"{key} must be positive")
         # spectra reads SPECTRA_K_MAX eigenvalues of each graph
         least = {"n": 4, "n_values": SPECTRA_K_MAX if e == "spectra" else 4, "eps_count": 3,
-                 "n_seeds": 1, "thinning": 1, "batches": 1,
+                 "n_seeds": 1, "thinning": 1, "batches": 1, "modes": 1, "burn_in": 0,
                  "grid_n": 8, "continuum_grid_n": 8, "weyl_grid_n_3d": 8}
         for key, low in least.items():
-            if key in p and np.any(np.asarray(p[key]) < low):
+            if key in p and not np.all(np.asarray(p[key]) >= low):
                 raise ConfigError(f"{key} must be at least {low}")
         # every domain with labeled points is the unit square
         for key in ("label_plus", "label_minus"):

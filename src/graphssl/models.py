@@ -83,10 +83,22 @@ def psi_ratio(v, gamma: float = 1.0):
 # potentials
 
 
+def _stack(potentials, *names) -> list[np.ndarray]:
+    """Each attribute in ``names`` of ``potentials``, one row per potential."""
+    return [np.array([getattr(p, a) for p in potentials], dtype=float) for a in names]
+
+
 @dataclass(frozen=True)
 class _LabelPotential:
     """A potential that sees u only at the labeled nodes ``indices``, with
-    labels ``y``, noise level ``gamma`` and per-label multipliers ``weights``."""
+    labels ``y``, noise level ``gamma`` and per-label multipliers ``weights``.
+
+    Each class also gives its formula in row form: ``row_values(potentials)``
+    returns one function that values row i of a k x L array as
+    potentials[i].value_at_labeled values it, bit for bit (``np.vecdot``
+    takes each row's dot product as ``ndarray.dot`` does), so that chains
+    stepping together (`posterior.run_label_pcn`) make one numpy call per
+    operation for all of a class's rows."""
 
     gamma: float
     indices: np.ndarray
@@ -115,6 +127,13 @@ class ProbitPotential(_LabelPotential):
         # calls; this value is evaluated once per pCN step
         return -float(self.weights.dot(log_ndtr(self.y * ul / self.gamma)))
 
+    @staticmethod
+    def row_values(potentials):
+        """`value_at_labeled` of potentials[i] at row i of a k x L array."""
+        y, w, gamma = _stack(potentials, "y", "weights", "gamma")
+        w, gamma = -w, gamma[:, None]  # -w gives the negated dot exactly
+        return lambda X: np.vecdot(w, log_ndtr(y * X / gamma))
+
     def grad_at_labeled(self, ul: np.ndarray) -> np.ndarray:
         """d/du_j of the weighted potential, evaluated at labeled coordinates."""
         return -self.weights * self.y * psi_ratio(self.y * ul, self.gamma)
@@ -134,6 +153,13 @@ class LevelSetPotential(_LabelPotential):
         misfit = (self.y - np.sign(ul)) ** 2
         return float(self.weights.dot(misfit) / (2.0 * self.gamma ** 2))
 
+    @staticmethod
+    def row_values(potentials):
+        """`value_at_labeled` of potentials[i] at row i of a k x L array."""
+        y, w, gamma = _stack(potentials, "y", "weights", "gamma")
+        scale = 2.0 * gamma ** 2
+        return lambda X: np.vecdot(w, (y - np.sign(X)) ** 2) / scale
+
 
 @dataclass(frozen=True)
 class IndicatorPotential(_LabelPotential):
@@ -149,6 +175,13 @@ class IndicatorPotential(_LabelPotential):
 
     def value_at_labeled(self, ul: np.ndarray) -> float:
         return 0.0 if (self.y * ul > 0).all() else math.inf
+
+    @staticmethod
+    def row_values(potentials):
+        """`value_at_labeled` of potentials[i] at row i of a k x L array."""
+        y, = _stack(potentials, "y")
+        # logical_and.reduce: ndarray.all's Python wrapper costs more here
+        return lambda X: np.where(np.logical_and.reduce(y * X > 0, axis=1), 0, math.inf)
 
 
 def continuum_labeled_nodes(op: ContinuumOperator, spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,11 +3,17 @@
 The prior is N(0, A^{-1}) truncated to the eigenbasis; the fidelity weight
 r_n lives only in the potentials' weights.  The three supported potentials
 (probit, level-set, sign-constraint indicator) see u only at the L labeled
-nodes, so both samplers run one pCN accept/reject chain (`_label_chain`) on
-v = u_lab in R^L, whose prior is N(0, G) (`spectral.label_covariance`),
-from v = 0, or from the labels y where the potential is infinite at 0, and
-differ only in what a kept state adds.  `run_label_pcn` adds each node's
-exact conditional mean sign given v (Rao-Blackwellization).
+nodes, so both samplers run pCN accept/reject chains on v = u_lab in R^L,
+whose prior is N(0, G) (`spectral.label_covariance`), from v = 0, or from
+the labels y where the potential is infinite at 0, and differ only in what
+a kept state adds.  `run_pcn` runs one chain, one potential call per step
+(`_label_chain`).  `run_label_pcn` runs one chain per potential on one
+random stream, all stepping together as the rows of one array
+(`_lockstep_chains`), and adds each node's exact conditional mean sign
+given v (Rao-Blackwellization).  The two loops share the start rule
+(`_start`), the draws and keep schedule (`_draws`) and the record blocks
+(`_Records`); only the per-step body exists twice, because one chain
+through the array loop made `mcmc-moons` about 25 % slower.
 `run_pcn` keeps the chain's full state in the coefficients of the prior's
 eigenbasis, a = B v + R: the residual R is independent of v and moves only
 on accepted steps, so it is drawn, from a second random stream, only when a
@@ -49,6 +55,8 @@ class PcnConfig:
             raise ValueError("beta must lie in (0, 1]")
         if self.thinning < 1 or self.batches < 1:
             raise ValueError("thinning and batches must be at least 1")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be at least 0")
 
 
 @dataclass
@@ -131,22 +139,12 @@ def pcn_step(chain: Chain, potential, rng: np.random.Generator, std: np.ndarray,
     return chain
 
 
-def _label_chain(potential, chol: np.ndarray, cfg: PcnConfig,
-                 rng: np.random.Generator, record) -> Chain:
-    """pCN on the labeled values v, whose prior is N(0, chol chol^T).
-
-    The chain starts at v = 0, or at the labels y if the potential is
-    infinite at 0 (the indicator); ValueError if y is infinite too.  No
-    other chain starts at y: under common random numbers a probit or
-    level-set chain would then follow the indicator chain step for step.
-    The proposal is c v + beta chol xi, c = sqrt(1 - beta^2), with xi and
-    the uniforms drawn DRAW_CHUNK steps at a time.  Kept states wait in a
-    block of at most RECORD_BLOCK rows, flushed when full, at each
-    batch-means boundary and at the end as
-    ``record(chain, states, accepts, batch_size)``: one state per row in
-    chain order, and for each the number of steps accepted up to it.
-    Returns the chain with ``state`` the final v.
-    """
+def _start(potential) -> tuple[np.ndarray, float]:
+    """A chain's first state v and its potential: v = 0, or the labels y if
+    the potential is infinite at 0 (the indicator); ValueError if y is
+    infinite too.  No other chain starts at y: under common random numbers
+    a probit or level-set chain would then follow the indicator chain step
+    for step."""
     value = potential.value_at_labeled
     v = np.zeros(len(potential.indices))
     phi = value(v)
@@ -155,42 +153,141 @@ def _label_chain(potential, chol: np.ndarray, cfg: PcnConfig,
         phi = value(v)
         if not np.isfinite(phi):
             raise ValueError("infinite potential at 0 and at the labels y: no initial state")
-    chain = Chain(state=v, phi=phi)
+    return v, phi
 
-    kept = max((cfg.iterations - cfg.burn_in) // cfg.thinning, 1)
-    batch_size = max(kept // cfg.batches, 1)
-    c = math.sqrt(1.0 - cfg.beta ** 2)
+
+def _draws(cfg: PcnConfig, chol: np.ndarray, rng: np.random.Generator):
+    """The steps of a chain, DRAW_CHUNK at a time: for each chunk, the
+    proposal increments beta chol xi (one row per step), the logs of the
+    uniforms and whether each step's state is kept (every ``thinning``-th
+    step from ``burn_in`` on)."""
     step_factor = cfg.beta * chol.T
-    block = np.empty((min(RECORD_BLOCK, batch_size), v.size))
-    accepts = np.empty(len(block), dtype=int)
-    rows = accepted = 0
-    cv = c * v  # changes only when a proposal is accepted
-    keep = cfg.burn_in  # next step whose state is kept
     for start in range(0, cfg.iterations, DRAW_CHUNK):
         k = min(DRAW_CHUNK, cfg.iterations - start)
-        noise = rng.standard_normal((k, v.size)) @ step_factor
+        noise = rng.standard_normal((k, chol.shape[0])) @ step_factor
         # log of a uniform on (0, 1]: finite, so an infinite potential never passes
         log_u = np.log1p(-rng.random(k)).tolist()
-        for j in range(k):
-            proposal = noise[j] + cv
+        step = np.arange(start, start + k)
+        kept = ((step >= cfg.burn_in) & ((step - cfg.burn_in) % cfg.thinning == 0)).tolist()
+        yield noise, log_u, kept
+
+
+class _Records:
+    """Kept states of chains that step together, waiting in blocks of at
+    most RECORD_BLOCK rows per chain.  The blocks are flushed when full, at
+    each batch-means boundary and at the end as
+    ``record(chain, states, accepts, batch_size)``: one state per row in
+    chain order, and for each the number of steps accepted up to it."""
+
+    def __init__(self, chains: list, cfg: PcnConfig, record):
+        kept = max((cfg.iterations - cfg.burn_in) // cfg.thinning, 1)
+        self.batch_size = max(kept // cfg.batches, 1)
+        rows = min(RECORD_BLOCK, self.batch_size)
+        self.states = np.empty((len(chains), rows, chains[0].state.size))
+        self.accepts = np.empty((len(chains), rows), dtype=int)
+        self.rows = 0
+        self.chains, self.record = chains, record
+
+    def add(self, states: np.ndarray, accepted) -> None:
+        """Keep each chain's state, one row of ``states`` per chain (or one
+        state for one chain), with its accepted count."""
+        self.states[:, self.rows] = states
+        self.accepts[:, self.rows] = accepted
+        self.rows += 1
+        # every chain has recorded as many states as the first
+        if (self.rows == self.accepts.shape[1]
+                or self.chains[0].batch_count + self.rows == self.batch_size):
+            self.flush()
+
+    def flush(self) -> None:
+        if self.rows:
+            for chain, states, accepts in zip(self.chains, self.states, self.accepts):
+                self.record(chain, states[:self.rows], accepts[:self.rows], self.batch_size)
+            self.rows = 0
+
+
+def _label_chain(potential, chol: np.ndarray, cfg: PcnConfig,
+                 rng: np.random.Generator, record) -> Chain:
+    """pCN on the labeled values v, whose prior is N(0, chol chol^T).
+
+    The chain starts at `_start`.  The proposal is c v + beta chol xi,
+    c = sqrt(1 - beta^2), drawn by `_draws`; kept states go to ``record``
+    through `_Records`.  Returns the chain with ``state`` the final v.
+    """
+    value = potential.value_at_labeled
+    v, phi = _start(potential)
+    chain = Chain(state=v, phi=phi)
+    records = _Records([chain], cfg, record)
+    c = math.sqrt(1.0 - cfg.beta ** 2)
+    cv = c * v  # changes only when a proposal is accepted
+    accepted = 0
+    for noise, log_u, kept in _draws(cfg, chol, rng):
+        for xi, lu, keep in zip(noise, log_u, kept):
+            proposal = xi + cv
             phi_new = value(proposal)
-            if phi - phi_new >= log_u[j]:
+            if phi - phi_new >= lu:
                 v, phi = proposal, phi_new
                 cv = c * v
                 accepted += 1
-            if start + j == keep:
-                keep += cfg.thinning
-                block[rows] = v
-                accepts[rows] = accepted
-                rows += 1
-                if rows == len(block) or chain.batch_count + rows == batch_size:
-                    record(chain, block[:rows], accepts[:rows], batch_size)
-                    rows = 0
-    if rows:
-        record(chain, block[:rows], accepts[:rows], batch_size)
+            if keep:
+                records.add(v, accepted)
+    records.flush()
     chain.state, chain.phi = v, phi
     chain.accepted, chain.steps = accepted, cfg.iterations
     return chain
+
+
+def _lockstep_chains(potentials, chol: np.ndarray, cfg: PcnConfig,
+                     rng: np.random.Generator, record) -> list[Chain]:
+    """`_label_chain` for several potentials on one stream, as one K x L state.
+
+    Each step uses one noise row and one uniform, which every chain shares
+    (common random numbers).  The rows are grouped by potential class, each
+    class values its block of rows in one call (``row_values``, which keeps
+    the bits of ``value_at_labeled``), and each row accepts or rejects on
+    its own.  So chain k takes exactly the steps that `_label_chain` takes
+    for potentials[k] on the same stream.  Returns the chains in the order
+    of ``potentials``.
+    """
+    classes = list(dict.fromkeys(type(p) for p in potentials))
+    order = sorted(range(len(potentials)), key=lambda k: classes.index(type(potentials[k])))
+    pots = [potentials[k] for k in order]
+    starts = [_start(p) for p in pots]
+    chains = [Chain(state=v0, phi=phi0) for v0, phi0 in starts]
+    records = _Records(chains, cfg, record)
+    v = np.array([v0 for v0, _ in starts])
+    phi = np.array([phi0 for _, phi0 in starts])
+    c = math.sqrt(1.0 - cfg.beta ** 2)
+    cv = c * v  # rows change only when their proposals are accepted
+    # per-step buffers, and the block of rows that each class values
+    proposal, phi_new, diff = np.empty_like(v), np.empty_like(phi), np.empty_like(phi)
+    accept = np.empty(len(pots), dtype=bool)
+    accept_rows = accept[:, None]
+    groups, first = [], 0
+    for cls in classes:
+        members = [p for p in pots if type(p) is cls]
+        block = slice(first, first + len(members))
+        groups.append((proposal[block], phi_new[block], cls.row_values(members)))
+        first += len(members)
+    accepted = np.zeros(len(pots), dtype=int)
+    for noise, log_u, kept in _draws(cfg, chol, rng):
+        for xi, lu, keep in zip(noise, log_u, kept):
+            np.add(xi, cv, out=proposal)
+            for x, out, values in groups:
+                out[...] = values(x)
+            np.subtract(phi, phi_new, out=diff)
+            np.greater_equal(diff, lu, out=accept)
+            np.copyto(v, proposal, where=accept_rows)
+            np.copyto(phi, phi_new, where=accept)
+            np.multiply(proposal, c, out=cv, where=accept_rows)
+            accepted += accept
+            if keep:
+                records.add(v, accepted)
+    records.flush()
+    for chain, v_k, phi_k, accepted_k in zip(chains, v, phi.tolist(), accepted.tolist()):
+        chain.state, chain.phi = v_k.copy(), phi_k
+        chain.accepted, chain.steps = accepted_k, cfg.iterations
+    return [chain for _, chain in sorted(zip(order, chains), key=lambda pair: pair[0])]
 
 
 def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig) -> Chain:
@@ -298,24 +395,30 @@ class LabelConditional:
         return out
 
 
-def run_label_pcn(prior: FractionalOperator, potential, cfg: PcnConfig) -> Chain:
-    """pCN on the labeled values u_lab, with Rao-Blackwellized mean signs.
+def run_label_pcn(prior: FractionalOperator, potentials, cfg: PcnConfig) -> list[Chain]:
+    """pCN on the labeled values u_lab, with Rao-Blackwellized mean signs:
+    one chain per potential, all on one stream (`_lockstep_chains`).
 
     Targets the same posterior as `run_pcn` (prior A^{-1} truncated to the
     eigenbasis, potential seen at the labeled nodes), but the state is
     v = u_lab in R^L with prior N(0, G): the proposal c v + beta L_G xi
     costs O(L), and each kept v adds every node's exact conditional mean
     sign (`LabelConditional.mean_sign`) instead of the sign of a rebuilt
-    field.  No fields are kept, so ``cfg.store_samples`` must be False.
+    field.  The potentials must share their labeled ``indices``.  No fields
+    are kept, so ``cfg.store_samples`` must be False.
     """
     if cfg.store_samples:
         raise ValueError("run_label_pcn keeps no fields; store_samples must be False")
-    cond = LabelConditional(prior, potential.indices)
+    indices = potentials[0].indices
+    if any(not np.array_equal(p.indices, indices) for p in potentials):
+        raise ValueError("the potentials of run_label_pcn must share their labeled indices")
+    cond = LabelConditional(prior, indices)
 
     def record(chain: Chain, states: np.ndarray, accepts: np.ndarray, batch_size: int):
         chain.accumulate(cond.mean_sign(states), batch_size)
 
-    return _label_chain(potential, cond.chol, cfg, np.random.default_rng(cfg.seed), record)
+    return _lockstep_chains(potentials, cond.chol, cfg, np.random.default_rng(cfg.seed),
+                            record)
 
 
 def classification_stats(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
@@ -358,29 +461,31 @@ def small_noise_agreement(prior: FractionalOperator, labels: LabelSet,
     level-set potential per gamma, in decreasing order.  The indicator chain
     is the oracle for the zero-noise limit; the report carries per-gamma max
     node discrepancies of the mean sign field and the corresponding combined
-    MC standard errors.  Every chain is a `run_label_pcn` chain with the
-    same ``cfg.seed``: the comparison uses common random numbers.
+    MC standard errors.  The chains run in one `run_label_pcn` call, on
+    one stream: the comparison uses common random numbers.
     """
     gammas = sorted(gammas, reverse=True)
-    ind_chain = run_label_pcn(prior, IndicatorPotential.for_graph(labels), cfg)
+    kinds = (("probit", ProbitPotential), ("levelset", LevelSetPotential))
+    entries = [(name, gamma, kind.for_graph(labels, gamma))
+               for gamma in gammas for name, kind in kinds]
+    ind_chain, *chains = run_label_pcn(
+        prior, [IndicatorPotential.for_graph(labels)] + [pot for *_, pot in entries], cfg)
     ind_mean, _ = classification_stats(ind_chain)
     ind_se = mean_sign_stderr(ind_chain)
 
     report = {"gammas": gammas, "probit": [], "levelset": [],
               "indicator_acceptance": ind_chain.acceptance_rate}
-    for gamma in gammas:
-        for name, kind in (("probit", ProbitPotential), ("levelset", LevelSetPotential)):
-            ch = run_label_pcn(prior, kind.for_graph(labels, gamma), cfg)
-            mean, _ = classification_stats(ch)
-            se = mean_sign_stderr(ch)
-            comb = np.sqrt(se ** 2 + ind_se ** 2)
-            diff = np.abs(mean - ind_mean)
-            report[name].append({
-                "gamma": gamma,
-                "max_discrepancy": float(np.max(diff)),
-                "mean_discrepancy": float(np.mean(diff)),
-                # positive part: 0 when every node lies inside its 3-SE band
-                "max_excess_over_3se": float(np.max(np.maximum(diff - 3.0 * comb, 0.0))),
-                "acceptance": ch.acceptance_rate,
-            })
+    for ch, (name, gamma, _) in zip(chains, entries):
+        mean, _ = classification_stats(ch)
+        se = mean_sign_stderr(ch)
+        comb = np.sqrt(se ** 2 + ind_se ** 2)
+        diff = np.abs(mean - ind_mean)
+        report[name].append({
+            "gamma": gamma,
+            "max_discrepancy": float(np.max(diff)),
+            "mean_discrepancy": float(np.mean(diff)),
+            # positive part: 0 when every node lies inside its 3-SE band
+            "max_excess_over_3se": float(np.max(np.maximum(diff - 3.0 * comb, 0.0))),
+            "acceptance": ch.acceptance_rate,
+        })
     return report

@@ -140,6 +140,25 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment, body, message", [
+        # refused with the config, not by the chain start, the factor, the
+        # MAP solve, the eigensolver or the recorded-sample check after the
+        # run has begun
+        ("smallnoise", "gammas = nan 0.1\n", "gammas must be finite"),
+        ("rates-krige", "tau = nan\n", "tau must be finite"),
+        ("channel", "tau = inf\n", "tau must be finite"),
+        ("mcmc-moons", "modes = 0\n", "modes must be at least 1"),
+        ("smallnoise", "burn_in = -5\n", "burn_in must be at least 0"),
+    ], ids=["smallnoise-nan-gamma", "rates-nan-tau", "channel-inf-tau", "moons-no-modes",
+            "smallnoise-negative-burn-in"])
+    def test_non_finite_value_or_no_modes_exits_2(self, tmp_path, capsys, experiment, body,
+                                                   message):
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, f"[{experiment}]\n{body}")
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = _write_cfg(tmp_path, "[extrapolation]\nbogus = 1\n")
         assert cli.main(["extrapolation", "--config", str(cfg),

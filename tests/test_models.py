@@ -127,6 +127,32 @@ class TestPotentials:
         assert pot.value(np.array([1.0, -1.0])) == 0.0
 
 
+@pytest.mark.parametrize("kind", [ProbitPotential, LevelSetPotential, IndicatorPotential])
+@pytest.mark.parametrize("L", [0, 1, 2, 5, 9, 40])
+def test_row_values_equal_value_at_labeled(kind, L):
+    """Each class's row form values row i as potentials[i].value_at_labeled
+    does, bit for bit: each potential its own labels, weights and gamma,
+    rows that reach the probit tails, zeros and sign changes."""
+    rng = np.random.default_rng(L)
+    k = 7
+    pots = []
+    for gamma in np.geomspace(1e-4, 10.0, k):
+        y = rng.choice([-1.0, 1.0], L)
+        if kind is IndicatorPotential:
+            pots.append(kind(indices=np.arange(L), y=y))
+        else:
+            pots.append(kind(gamma=gamma, indices=np.arange(L), y=y,
+                             weights=rng.uniform(0.01, 100.0, L)))
+    for scale in (1e-3, 1.0, 40.0):
+        X = rng.standard_normal((k, L)) * scale
+        X[rng.random((k, L)) < 0.1] = 0.0
+        X[0] = (np.abs(X[0]) + scale) * pots[0].y  # a row on the sign-consistency set
+        rows = kind.row_values(pots)(X)
+        assert rows.shape == (k,)
+        expected = np.array([p.value_at_labeled(x) for p, x in zip(pots, X)])
+        assert np.array_equal(rows, expected)
+
+
 class TestKrige:
     def test_interpolates_labels(self, small_graph):
         graph, labels = small_graph

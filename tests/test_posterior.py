@@ -55,7 +55,8 @@ def _unsatisfiable_potential(labels):
 
 class TestPcnMechanics:
     def test_beta_validation(self):
-        for bad in ({"beta": 0.0}, {"beta": 1.5}, {"thinning": 0}, {"batches": 0}):
+        for bad in ({"beta": 0.0}, {"beta": 1.5}, {"thinning": 0}, {"batches": 0},
+                    {"burn_in": -1}):
             with pytest.raises(ValueError):
                 PcnConfig(**bad)
 
@@ -131,6 +132,11 @@ class _FirstPoint:
             self.first = np.array(ul, dtype=float)
         return phi
 
+    @staticmethod
+    def row_values(spies):
+        """The wrapped class's row form, for spies that wrap one class."""
+        return type(spies[0].pot).row_values([s.pot for s in spies])
+
 
 class TestChainStart:
     """Each chain starts at v = 0, or at the labels y where the potential is
@@ -145,26 +151,29 @@ class TestChainStart:
     def test_sampler_starts_at_zero_or_at_the_labels(self, small_graph, sampler, case):
         labels, prior, pot, _ = _case(small_graph, case)
         spy = _FirstPoint(pot)
-        sampler(prior, spy, self.CFG)
+        sampler(prior, [spy] if sampler is run_label_pcn else spy, self.CFG)
         start = labels.y if case == "indicator" else np.zeros(labels.size)
         assert np.array_equal(spy.first, start)
 
     def test_small_noise_agreement_starts_each_chain_so(self, small_graph, monkeypatch):
+        # the chains step together from the states `_start` gives them
+        # (TestLockstepChains checks each against its own scalar chain)
         labels, prior = _small_prior(small_graph)
-        spies, label_chain = [], posterior._label_chain
+        starts, start = {}, posterior._start
 
-        def spying(pot, *args):
-            spies.append(_FirstPoint(pot))
-            return label_chain(spies[-1], *args)
+        def spying(pot):
+            v, phi = start(pot)
+            starts[type(pot), pot.gamma] = v
+            return v, phi
 
-        monkeypatch.setattr(posterior, "_label_chain", spying)
+        monkeypatch.setattr(posterior, "_start", spying)
         small_noise_agreement(prior, labels, [1e-3, 0.5], self.CFG)
-        assert [(type(s.pot), s.pot.gamma) for s in spies] == [
+        assert set(starts) == {
             (IndicatorPotential, 0.0), (ProbitPotential, 0.5), (LevelSetPotential, 0.5),
-            (ProbitPotential, 1e-3), (LevelSetPotential, 1e-3)]
-        assert np.array_equal(spies[0].first, labels.y)
-        for s in spies[1:]:
-            assert np.array_equal(s.first, np.zeros(labels.size))
+            (ProbitPotential, 1e-3), (LevelSetPotential, 1e-3)}
+        for (kind, _), v in starts.items():
+            expected = labels.y if kind is IndicatorPotential else np.zeros(labels.size)
+            assert np.array_equal(v, expected)
 
 
 class TestSharedLabelChain:
@@ -178,7 +187,7 @@ class TestSharedLabelChain:
     def test_run_pcn_follows_run_label_pcn(self, small_graph, case):
         labels, prior, pot, _ = _case(small_graph, case)
         full = run_pcn(prior, pot, self.CFG)
-        label = run_label_pcn(prior, pot, self.CFG)
+        label, = run_label_pcn(prior, [pot], self.CFG)
         assert 0 < full.accepted < full.steps
         assert (full.accepted, full.steps) == (label.accepted, label.steps)
         assert full.phi == label.phi
@@ -321,7 +330,7 @@ class TestLabelConditional:
     def test_free_potential_gives_zero_mean(self):
         _, prior = _prior()
         cfg = PcnConfig(beta=0.5, iterations=3000, burn_in=0, thinning=10)
-        chain = run_label_pcn(prior, _free_potential(), cfg)
+        chain, = run_label_pcn(prior, [_free_potential()], cfg)
         mean, _ = classification_stats(chain)
         assert np.all(mean == 0.0)
         assert chain.acceptance_rate == 1.0
@@ -330,19 +339,19 @@ class TestLabelConditional:
         labels, prior = _small_prior(small_graph)
         cfg = PcnConfig(iterations=500, burn_in=0, store_samples=True)
         with pytest.raises(ValueError, match="store_samples"):
-            run_label_pcn(prior, ProbitPotential.for_graph(labels, 0.5), cfg)
+            run_label_pcn(prior, [ProbitPotential.for_graph(labels, 0.5)], cfg)
 
     def test_repeated_label_index_is_singular(self, small_graph):
         labels, prior = _small_prior(small_graph)
         idx = np.repeat(labels.indices[:1], 2)
         pot = ProbitPotential(gamma=0.5, indices=idx, y=np.ones(2), weights=np.ones(2))
         with pytest.raises(ValueError, match="singular"):
-            run_label_pcn(prior, pot, PcnConfig(iterations=500, burn_in=0))
+            run_label_pcn(prior, [pot], PcnConfig(iterations=500, burn_in=0))
 
     def test_infinite_initial_potential_rejected(self, small_graph):
         labels, prior = _small_prior(small_graph)
         with pytest.raises(ValueError, match="infinite potential"):
-            run_label_pcn(prior, _unsatisfiable_potential(labels),
+            run_label_pcn(prior, [_unsatisfiable_potential(labels)],
                           PcnConfig(iterations=500, burn_in=0))
 
     def test_deterministic_and_batched_like_run_pcn(self, small_graph):
@@ -351,13 +360,54 @@ class TestLabelConditional:
         # 3 draw chunks, the last one partial; 1450 kept in 7 batches of 207
         cfg = PcnConfig(beta=0.3, iterations=9000, burn_in=300, thinning=6, seed=9,
                         batches=7)
-        c1, c2 = run_label_pcn(prior, pot, cfg), run_label_pcn(prior, pot, cfg)
+        (c1,), (c2,) = run_label_pcn(prior, [pot], cfg), run_label_pcn(prior, [pot], cfg)
         assert np.array_equal(c1.sum_sign, c2.sum_sign)
         assert c1.accepted == c2.accepted and c1.steps == 9000
         assert c1.recorded == 1450 and len(c1.batch_sums) == 7
         # the 1450th state is in no batch; it adds a value in [-1, 1]
         rest = c1.sum_sign - np.sum(c1.batch_sums, axis=0) * 207
         assert np.all(np.abs(rest) <= 1.0 + 1e-9) and np.any(rest != 0.0)
+
+
+class TestLockstepChains:
+    """run_label_pcn steps its chains together, one noise row and one uniform
+    per step for all of them.  Each chain must take exactly the steps of
+    run_pcn's scalar loop (`_label_chain`) for its own potential and seed,
+    and record exactly what a run_label_pcn call for that potential alone
+    records: the rows do not interact, whatever the order of the classes."""
+
+    CFG = PcnConfig(beta=0.4, iterations=3000, burn_in=300, thinning=5, seed=11, batches=6)
+
+    def test_each_chain_is_its_own_scalar_chain(self, small_graph):
+        labels, prior = _small_prior(small_graph)
+        pots = [ProbitPotential.for_graph(labels, 0.1), LevelSetPotential.for_graph(labels, 0.5),
+                IndicatorPotential.for_graph(labels), LevelSetPotential.for_graph(labels, 0.1),
+                ProbitPotential.for_graph(labels, 0.5)]
+        chains = run_label_pcn(prior, pots, self.CFG)
+        cond = LabelConditional(prior, labels.indices)
+
+        def record(chain, states, accepts, batch_size):
+            chain.accumulate(cond.mean_sign(states), batch_size)
+
+        for pot, chain in zip(pots, chains):
+            scalar = posterior._label_chain(pot, cond.chol, self.CFG,
+                                            np.random.default_rng(self.CFG.seed), record)
+            alone, = run_label_pcn(prior, [pot], self.CFG)
+            assert 0 < chain.accepted < chain.steps
+            for other in (scalar, alone):
+                assert (chain.accepted, chain.steps) == (other.accepted, other.steps)
+                assert np.array_equal(chain.state, other.state) and chain.phi == other.phi
+                assert np.array_equal(chain.sum_sign, other.sum_sign)
+                assert np.array_equal(np.array(chain.batch_sums), np.array(other.batch_sums))
+        # the chains differ, so a mix-up of rows would show
+        assert len({ch.accepted for ch in chains}) == len(chains)
+
+    def test_potentials_on_other_nodes_rejected(self, small_graph):
+        labels, prior = _small_prior(small_graph)
+        other = ProbitPotential(gamma=0.5, indices=labels.indices[::-1], y=labels.y,
+                                weights=np.ones(labels.size))
+        with pytest.raises(ValueError, match="share their labeled indices"):
+            run_label_pcn(prior, [ProbitPotential.for_graph(labels, 0.5), other], self.CFG)
 
 
 class TestLabelChainAgainstReference:
@@ -393,7 +443,8 @@ class TestLabelChainAgainstReference:
         _, prior, pot, _ = _case(small_graph, case)
         pooled = []
         for sampler, seeds in ((run_pcn, [s for s, _ in self.SEEDS]),
-                               (run_label_pcn, [s for _, s in self.SEEDS])):
+                               (lambda prior, pot, cfg: run_label_pcn(prior, [pot], cfg)[0],
+                                [s for _, s in self.SEEDS])):
             chains = [sampler(prior, pot, PcnConfig(beta=0.4, iterations=40_000,
                                                     burn_in=4000, thinning=10, seed=s))
                       for s in seeds]
