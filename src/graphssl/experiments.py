@@ -205,6 +205,8 @@ class ExperimentConfig:
             raise ConfigError("need 0 < eps_min < eps_max")
         if "beta" in p and not 0 < p["beta"] <= 1:
             raise ConfigError("beta must lie in (0, 1]")
+        if "channel_width" in p and not 0 < p["channel_width"] < 1:
+            raise ConfigError("channel_width must lie in (0, 1)")
         if "iterations" in p and (p["iterations"] - p["burn_in"]) // p["thinning"] < 100:
             raise ConfigError("(iterations - burn_in) // thinning must be at least 100")
         # the node counts of the operators whose every eigenpair the run
@@ -245,7 +247,7 @@ def _parse_value(raw: str, default):
     raw = raw.strip()
     try:
         if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes", "on")
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
@@ -256,7 +258,7 @@ def _parse_value(raw: str, default):
                 return [int(s) for s in items]
             return [float(s) for s in items]
         return raw
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"cannot parse config value {raw!r}") from exc
 
 
@@ -282,12 +284,11 @@ def load_config(path, experiment: str | None = None, out_dir=None,
             raise ConfigError("experiment not specified and not inferable from config")
         experiment = sections[0]
     if paper_scale is None:
-        paper_scale = _parse_value(run.get("paper_scale", "false"), True) \
-            if "paper_scale" in run else False
+        paper_scale = _parse_value(run.get("paper_scale", "false"), False)
     if seed is None:
-        seed = int(run["seed"]) if "seed" in run else 0
+        seed = _parse_value(run.get("seed", "0"), 0)
     if threads is None:
-        threads = int(run["threads"]) if "threads" in run else 1
+        threads = _parse_value(run.get("threads", "1"), 1)
     if out_dir is None:
         out_dir = run.get("out", f"results/{experiment}")
 
@@ -620,6 +621,11 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
     p = cfg.params
     rho = Density("two_moons")
     op = discretize(rho, p["grid_n"])
+    off_curve = op.rho_at_nodes < p["offcurve_density"]
+    if not off_curve.any():
+        raise ConfigError(f"no node is off-curve: offcurve_density = {p['offcurve_density']:g} "
+                          f"is at most the smallest node density, "
+                          f"{op.rho_at_nodes.min():.6g}")
     coords = op.grid.coordinates()
     eig = op.eigendecomposition(m=p["modes"])
 
@@ -630,7 +636,6 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
 
     idx, y, _ = continuum_labeled_nodes(op, _two_labels(p))
     pot = IndicatorPotential(indices=idx, y=y)
-    off_curve = op.rho_at_nodes < p["offcurve_density"]
 
     summary = []
     for alpha in p["alpha_values"]:

@@ -11,8 +11,9 @@ a kept state adds.  `run_pcn` runs one chain, one potential call per step
 random stream, all stepping together as the rows of one array
 (`_lockstep_chains`), and adds each node's exact conditional mean sign
 given v (Rao-Blackwellization).  The two loops share the start rule
-(`_start`), the draws and keep schedule (`_draws`) and the record blocks
-(`_Records`); only the per-step body exists twice, because one chain
+(`_start`) and the draws and keep schedule (`_draws`), and only sample:
+each returns its kept states, which the samplers then record in the blocks
+of `_blocks`.  Only the per-step body exists twice, because one chain
 through the array loop made `mcmc-moons` about 25 % slower.
 `run_pcn` keeps the chain's full state in the coefficients of the prior's
 eigenbasis, a = B v + R: the residual R is independent of v and moves only
@@ -172,57 +173,35 @@ def _draws(cfg: PcnConfig, chol: np.ndarray, rng: np.random.Generator):
         yield noise, log_u, kept
 
 
-class _Records:
-    """Kept states of chains that step together, waiting in blocks of at
-    most RECORD_BLOCK rows per chain.  The blocks are flushed when full, at
-    each batch-means boundary and at the end as
-    ``record(chain, states, accepts, batch_size)``: one state per row in
-    chain order, and for each the number of steps accepted up to it."""
-
-    def __init__(self, chains: list, cfg: PcnConfig, record):
-        kept = max((cfg.iterations - cfg.burn_in) // cfg.thinning, 1)
-        self.batch_size = max(kept // cfg.batches, 1)
-        rows = min(RECORD_BLOCK, self.batch_size)
-        self.states = np.empty((len(chains), rows, chains[0].state.size))
-        self.accepts = np.empty((len(chains), rows), dtype=int)
-        self.rows = 0
-        self.chains, self.record = chains, record
-
-    def add(self, states: np.ndarray, accepted) -> None:
-        """Keep each chain's state, one row of ``states`` per chain (or one
-        state for one chain), with its accepted count."""
-        self.states[:, self.rows] = states
-        self.accepts[:, self.rows] = accepted
-        self.rows += 1
-        # every chain has recorded as many states as the first
-        if (self.rows == self.accepts.shape[1]
-                or self.chains[0].batch_count + self.rows == self.batch_size):
-            self.flush()
-
-    def flush(self) -> None:
-        if self.rows:
-            for chain, states, accepts in zip(self.chains, self.states, self.accepts):
-                self.record(chain, states[:self.rows], accepts[:self.rows], self.batch_size)
-            self.rows = 0
+def _blocks(cfg: PcnConfig, kept: int) -> tuple[int, list[slice]]:
+    """The batch-means batch size, and the blocks in which a chain's
+    ``kept`` states are recorded, in order: at most RECORD_BLOCK rows each,
+    none spanning two batches, the states after the last full batch last."""
+    batch_size = max(max((cfg.iterations - cfg.burn_in) // cfg.thinning, 1) // cfg.batches, 1)
+    rows = min(RECORD_BLOCK, batch_size)
+    starts = [start for first in range(0, kept, batch_size)
+              for start in range(first, min(first + batch_size, kept), rows)]
+    return batch_size, [slice(a, b) for a, b in zip(starts, starts[1:] + [kept])]
 
 
 def _label_chain(potential, chol: np.ndarray, cfg: PcnConfig,
-                 rng: np.random.Generator, record) -> Chain:
+                 rng: np.random.Generator) -> tuple[Chain, np.ndarray, np.ndarray]:
     """pCN on the labeled values v, whose prior is N(0, chol chol^T).
 
     The chain starts at `_start`.  The proposal is c v + beta chol xi,
-    c = sqrt(1 - beta^2), drawn by `_draws`; kept states go to ``record``
-    through `_Records`.  Returns the chain with ``state`` the final v.
+    c = sqrt(1 - beta^2), drawn by `_draws`.  Returns the chain, with
+    ``state`` the final v and nothing recorded, its kept states (kept x L)
+    and the number of steps accepted up to each.
     """
     value = potential.value_at_labeled
     v, phi = _start(potential)
-    chain = Chain(state=v, phi=phi)
-    records = _Records([chain], cfg, record)
+    kept = len(range(cfg.burn_in, cfg.iterations, cfg.thinning))
+    states, accepts = np.empty((kept, v.size)), np.empty(kept, dtype=int)
     c = math.sqrt(1.0 - cfg.beta ** 2)
     cv = c * v  # changes only when a proposal is accepted
-    accepted = 0
-    for noise, log_u, kept in _draws(cfg, chol, rng):
-        for xi, lu, keep in zip(noise, log_u, kept):
+    accepted = j = 0
+    for noise, log_u, keeps in _draws(cfg, chol, rng):
+        for xi, lu, keep in zip(noise, log_u, keeps):
             proposal = xi + cv
             phi_new = value(proposal)
             if phi - phi_new >= lu:
@@ -230,15 +209,15 @@ def _label_chain(potential, chol: np.ndarray, cfg: PcnConfig,
                 cv = c * v
                 accepted += 1
             if keep:
-                records.add(v, accepted)
-    records.flush()
-    chain.state, chain.phi = v, phi
+                states[j], accepts[j] = v, accepted
+                j += 1
+    chain = Chain(state=v, phi=phi)
     chain.accepted, chain.steps = accepted, cfg.iterations
-    return chain
+    return chain, states, accepts
 
 
 def _lockstep_chains(potentials, chol: np.ndarray, cfg: PcnConfig,
-                     rng: np.random.Generator, record) -> list[Chain]:
+                     rng: np.random.Generator) -> tuple[list[Chain], np.ndarray, np.ndarray]:
     """`_label_chain` for several potentials on one stream, as one K x L state.
 
     Each step uses one noise row and one uniform, which every chain shares
@@ -246,17 +225,14 @@ def _lockstep_chains(potentials, chol: np.ndarray, cfg: PcnConfig,
     class values its block of rows in one call (``row_values``, which keeps
     the bits of ``value_at_labeled``), and each row accepts or rejects on
     its own.  So chain k takes exactly the steps that `_label_chain` takes
-    for potentials[k] on the same stream.  Returns the chains in the order
-    of ``potentials``.
+    for potentials[k] on the same stream.  Returns the chains, their kept
+    states (K x kept x L) and accepted counts (K x kept), in the order of
+    ``potentials``.
     """
     classes = list(dict.fromkeys(type(p) for p in potentials))
     order = sorted(range(len(potentials)), key=lambda k: classes.index(type(potentials[k])))
     pots = [potentials[k] for k in order]
-    starts = [_start(p) for p in pots]
-    chains = [Chain(state=v0, phi=phi0) for v0, phi0 in starts]
-    records = _Records(chains, cfg, record)
-    v = np.array([v0 for v0, _ in starts])
-    phi = np.array([phi0 for _, phi0 in starts])
+    v, phi = map(np.array, zip(*[_start(p) for p in pots]))
     c = math.sqrt(1.0 - cfg.beta ** 2)
     cv = c * v  # rows change only when their proposals are accepted
     # per-step buffers, and the block of rows that each class values
@@ -269,9 +245,12 @@ def _lockstep_chains(potentials, chol: np.ndarray, cfg: PcnConfig,
         block = slice(first, first + len(members))
         groups.append((proposal[block], phi_new[block], cls.row_values(members)))
         first += len(members)
-    accepted = np.zeros(len(pots), dtype=int)
-    for noise, log_u, kept in _draws(cfg, chol, rng):
-        for xi, lu, keep in zip(noise, log_u, kept):
+    kept = len(range(cfg.burn_in, cfg.iterations, cfg.thinning))
+    states = np.empty((len(pots), kept, v.shape[1]))
+    accepts = np.empty((len(pots), kept), dtype=int)
+    accepted, j = np.zeros(len(pots), dtype=int), 0
+    for noise, log_u, keeps in _draws(cfg, chol, rng):
+        for xi, lu, keep in zip(noise, log_u, keeps):
             np.add(xi, cv, out=proposal)
             for x, out, values in groups:
                 out[...] = values(x)
@@ -282,12 +261,13 @@ def _lockstep_chains(potentials, chol: np.ndarray, cfg: PcnConfig,
             np.multiply(proposal, c, out=cv, where=accept_rows)
             accepted += accept
             if keep:
-                records.add(v, accepted)
-    records.flush()
-    for chain, v_k, phi_k, accepted_k in zip(chains, v, phi.tolist(), accepted.tolist()):
-        chain.state, chain.phi = v_k.copy(), phi_k
+                states[:, j], accepts[:, j] = v, accepted
+                j += 1
+    chains = [Chain(state=v_k.copy(), phi=phi_k) for v_k, phi_k in zip(v, phi.tolist())]
+    for chain, accepted_k in zip(chains, accepted.tolist()):
         chain.accepted, chain.steps = accepted_k, cfg.iterations
-    return [chain for _, chain in sorted(zip(order, chains), key=lambda pair: pair[0])]
+    rank = np.argsort(order)  # the row of each potential
+    return [chains[k] for k in rank], states[rank], accepts[rank]
 
 
 def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig) -> Chain:
@@ -315,37 +295,36 @@ def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig) -> Chain:
     rng = np.random.default_rng(cfg.seed)
     residual_rng = rng.spawn(1)[0]
 
-    R = np.zeros(eig.m)
-    seen = 0  # accepted steps that R has aged through
     # log c^2, with c = sqrt(1 - beta^2); c = 0 at beta = 1
     log_c2 = math.log1p(-cfg.beta ** 2) if cfg.beta < 1.0 else -math.inf
 
-    def age(accepts: np.ndarray) -> np.ndarray:
-        """R after each count in ``accepts`` (nondecreasing), one row each."""
-        nonlocal R, seen
-        steps = np.diff(accepts, prepend=seen)
+    def aged(R: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """R after each count of accepted steps in ``steps`` in turn, one row each."""
         z = residual_rng.standard_normal((np.count_nonzero(steps), eig.m)) * std
         rho = z - (z @ Q.T) @ B_T
-        out = np.empty((len(accepts), eig.m))
+        out = np.empty((len(steps), eig.m))
         j = 0
         for i, n in enumerate(steps.tolist()):
             if n:
                 R = math.exp(0.5 * n * log_c2) * R + math.sqrt(-math.expm1(n * log_c2)) * rho[j]
                 j += 1
             out[i] = R
-        seen = int(accepts[-1])
         return out
 
-    def record(chain: Chain, states: np.ndarray, accepts: np.ndarray, batch_size: int):
-        coeffs = age(accepts) + states @ B_T
+    chain, states, accepts = _label_chain(potential, cond.chol, cfg, rng)
+    # steps accepted since the previous kept state, at each kept state and at the end
+    steps = np.diff(accepts, prepend=0, append=chain.accepted)
+    R = np.zeros(eig.m)
+    batch_size, blocks = _blocks(cfg, len(states))
+    for block in blocks:
+        residuals = aged(R, steps[block])
+        R = residuals[-1]
         # one field per row: with the column-major eigenbasis this order of
-        # the product runs about twice as fast as eig.vectors @ coeffs.T
-        fields = coeffs @ eig.vectors.T
-        fields[:, idx] = states
+        # the product runs about twice as fast as eig.vectors @ coefficients.T
+        fields = (residuals + states[block] @ B_T) @ eig.vectors.T
+        fields[:, idx] = states[block]
         chain.record(fields, cfg.store_samples, batch_size)
-
-    chain = _label_chain(potential, cond.chol, cfg, rng, record)
-    chain.state = age(np.array([chain.accepted]))[0] + chain.state @ B_T
+    chain.state = aged(R, steps[-1:])[0] + chain.state @ B_T
     return chain
 
 
@@ -413,12 +392,13 @@ def run_label_pcn(prior: FractionalOperator, potentials, cfg: PcnConfig) -> list
     if any(not np.array_equal(p.indices, indices) for p in potentials):
         raise ValueError("the potentials of run_label_pcn must share their labeled indices")
     cond = LabelConditional(prior, indices)
-
-    def record(chain: Chain, states: np.ndarray, accepts: np.ndarray, batch_size: int):
-        chain.accumulate(cond.mean_sign(states), batch_size)
-
-    return _lockstep_chains(potentials, cond.chol, cfg, np.random.default_rng(cfg.seed),
-                            record)
+    chains, states, _ = _lockstep_chains(potentials, cond.chol, cfg,
+                                         np.random.default_rng(cfg.seed))
+    batch_size, blocks = _blocks(cfg, states.shape[1])
+    for chain, chain_states in zip(chains, states):
+        for block in blocks:
+            chain.accumulate(cond.mean_sign(chain_states[block]), batch_size)
+    return chains
 
 
 def classification_stats(chain: Chain) -> tuple[np.ndarray, np.ndarray]:

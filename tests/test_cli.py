@@ -159,6 +159,47 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("run", ["seed = abc\n", "threads = two\n", "paper_scale = ture\n"],
+                             ids=["seed", "threads", "paper-scale"])
+    def test_unparsable_run_value_exits_2(self, tmp_path, capsys, run):
+        # not an uncaught ValueError (exit 1), and no run at desk scale for a
+        # misspelt paper_scale
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, f"[run]\n{run}\n[extrapolation]\nn = 150\n")
+        assert cli.main(["extrapolation", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "cannot parse config value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("run, expected", [
+        ("seed = 3\nthreads = 1\npaper_scale = off\n", (3, 1, False)),
+        ("seed = 0\nthreads = 2\npaper_scale = Yes\n", (0, 2, True)),
+        ("", (0, 1, False)),
+    ], ids=["off", "yes", "defaults"])
+    def test_run_section_values_parse(self, tmp_path, run, expected):
+        cfg = experiments.load_config(_write_cfg(tmp_path, f"[run]\n{run}\n[extrapolation]\n"),
+                                      experiment="extrapolation")
+        assert (cfg.seed, cfg.threads, cfg.paper_scale) == expected
+
+    @pytest.mark.parametrize("width", ["-0.1", "0", "1", "1.5"])
+    def test_channel_width_outside_unit_interval_exits_2(self, tmp_path, capsys, width):
+        # a width outside (0, 1) leaves no channel in the density
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, f"[channel]\ngrid_n = 16\nh_values = 1\n"
+                                   f"channel_width = {width}\n")
+        assert cli.main(["channel", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "channel_width must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_off_curve_node_exits_2(self, tmp_path, capsys):
+        # offcurve_certainty would be the mean over no node: nan
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, "[mcmc-moons]\ngrid_n = 24\nmodes = 30\n"
+                                   "offcurve_density = -1\nalpha_values = 2\n"
+                                   "tau_values = 1\niterations = 1500\nburn_in = 150\n")
+        assert cli.main(["mcmc-moons", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "smallest node density" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = _write_cfg(tmp_path, "[extrapolation]\nbogus = 1\n")
         assert cli.main(["extrapolation", "--config", str(cfg),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graphssl.density import Density, sample_cloud
@@ -282,6 +282,40 @@ class TestBlockedRecords:
         assert np.array_equal(U[:, labels.indices], U1[:, labels.indices])
         assert np.all(np.sign(U[:, labels.indices]) == labels.y)
 
+    @settings(max_examples=80, deadline=None)
+    @given(iterations=st.integers(1, 4000), burn_in=st.integers(0, 400),
+           thinning=st.integers(1, 12), batches=st.integers(1, 40))
+    # 181 kept, in batches of 9 sized from (2005 - 200) // 10 = 180: 1 left over
+    @example(iterations=2005, burn_in=200, thinning=10, batches=20)
+    # batches of 4, then 30 states left over: more than one batch
+    @example(iterations=430, burn_in=0, thinning=1, batches=100)
+    # one batch of 3000 in blocks of RECORD_BLOCK
+    @example(iterations=3000, burn_in=0, thinning=1, batches=1)
+    def test_block_schedule_records_like_one_state_at_a_time(self, iterations, burn_in,
+                                                             thinning, batches):
+        cfg = PcnConfig(iterations=iterations, burn_in=burn_in, thinning=thinning,
+                        batches=batches)
+        kept = len(range(burn_in, iterations, thinning))
+        assume(kept > 0)
+        batch_size, blocks = posterior._blocks(cfg, kept)
+        assert batch_size == max(max((iterations - burn_in) // thinning, 1) // batches, 1)
+        # the blocks cover the kept states in order, each within one batch
+        assert [i for block in blocks for i in range(kept)[block]] == list(range(kept))
+        for block in blocks:
+            assert 0 < block.stop - block.start <= posterior.RECORD_BLOCK
+            assert block.start // batch_size == (block.stop - 1) // batch_size
+        U = np.random.default_rng(kept).standard_normal((kept, 5))
+        U[::7, 0] = 0.0
+        blocked, single = Chain(state=np.zeros(1), phi=0.0), Chain(state=np.zeros(1), phi=0.0)
+        for block in blocks:
+            blocked.record(U[block], store=False, batch_size=batch_size)
+        for u in U:
+            single.record(u, store=False, batch_size=batch_size)
+        assert blocked.recorded == single.recorded == kept
+        assert len(blocked.batch_sums) == len(single.batch_sums) == kept // batch_size
+        assert np.array_equal(blocked.sum_sign, single.sum_sign)
+        assert np.array_equal(np.array(blocked.batch_sums), np.array(single.batch_sums))
+
     def test_record_takes_one_field_or_a_block(self):
         from graphssl.posterior import Chain
         U = np.array([[1.0, -1.0], [-2.0, -3.0], [0.0, 4.0]])  # 3 fields, 2 nodes
@@ -385,13 +419,17 @@ class TestLockstepChains:
                 ProbitPotential.for_graph(labels, 0.5)]
         chains = run_label_pcn(prior, pots, self.CFG)
         cond = LabelConditional(prior, labels.indices)
+        _, lock_states, lock_accepts = posterior._lockstep_chains(
+            pots, cond.chol, self.CFG, np.random.default_rng(self.CFG.seed))
 
-        def record(chain, states, accepts, batch_size):
-            chain.accumulate(cond.mean_sign(states), batch_size)
-
-        for pot, chain in zip(pots, chains):
-            scalar = posterior._label_chain(pot, cond.chol, self.CFG,
-                                            np.random.default_rng(self.CFG.seed), record)
+        for k, (pot, chain) in enumerate(zip(pots, chains)):
+            scalar, states, accepts = posterior._label_chain(
+                pot, cond.chol, self.CFG, np.random.default_rng(self.CFG.seed))
+            assert np.array_equal(states, lock_states[k])
+            assert np.array_equal(accepts, lock_accepts[k])
+            batch_size, blocks = posterior._blocks(self.CFG, len(states))
+            for block in blocks:
+                scalar.accumulate(cond.mean_sign(states[block]), batch_size)
             alone, = run_label_pcn(prior, [pot], self.CFG)
             assert 0 < chain.accepted < chain.steps
             for other in (scalar, alone):
