@@ -209,6 +209,12 @@ class ExperimentConfig:
             raise ConfigError("channel_width must lie in (0, 1)")
         if "iterations" in p and (p["iterations"] - p["burn_in"]) // p["thinning"] < 100:
             raise ConfigError("(iterations - burn_in) // thinning must be at least 100")
+        if e == "smallnoise":  # more batches than kept states
+            try:
+                PcnConfig(iterations=p["iterations"], burn_in=p["burn_in"],
+                          thinning=p["thinning"], batches=p["batches"])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         # the node counts of the operators whose every eigenpair the run
         # takes, which only the dense eigensolver gives
         full = []

@@ -1,4 +1,4 @@
-"""pCN MCMC posteriors, with running classification statistics.
+"""pCN MCMC posteriors, with their classification statistics.
 
 The prior is N(0, A^{-1}) truncated to the eigenbasis; the fidelity weight
 r_n lives only in the potentials' weights.  The three supported potentials
@@ -12,9 +12,11 @@ random stream, all stepping together as the rows of one array
 (`_lockstep_chains`), and adds each node's exact conditional mean sign
 given v (Rao-Blackwellization).  The two loops share the start rule
 (`_start`) and the draws and keep schedule (`_draws`), and only sample:
-each returns its kept states, which the samplers then record in the blocks
-of `_blocks`.  Only the per-step body exists twice, because one chain
-through the array loop made `mcmc-moons` about 25 % slower.
+each returns its kept states, which the samplers then record
+(`Chain.record`) in the blocks of `_blocks`: ``batches`` batches of
+``kept // batches`` states, then the leftover, which counts in the mean
+only.  Only the per-step body exists twice, because one chain through the
+array loop made `mcmc-moons` about 25 % slower.
 `run_pcn` keeps the chain's full state in the coefficients of the prior's
 eigenbasis, a = B v + R: the residual R is independent of v and moves only
 on accepted steps, so it is drawn, from a second random stream, only when a
@@ -49,7 +51,7 @@ class PcnConfig:
     thinning: int = 10
     seed: int = 0
     store_samples: bool = False
-    batches: int = 20  # batch-means blocks for MC standard errors
+    batches: int = 20  # batch-means batches for MC standard errors
 
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
@@ -58,14 +60,24 @@ class PcnConfig:
             raise ValueError("thinning and batches must be at least 1")
         if self.burn_in < 0:
             raise ValueError("burn_in must be at least 0")
+        if self.kept < self.batches:
+            raise ValueError(f"batches = {self.batches} exceeds the {self.kept} kept states")
+
+    @property
+    def kept(self) -> int:
+        """The number of kept states: every ``thinning``-th step from ``burn_in`` on."""
+        return len(range(self.burn_in, self.iterations, self.thinning))
 
 
 @dataclass
 class Chain:
-    """Running pCN state plus accumulated per-node classification statistics.
+    """A pCN chain's final state and per-node classification statistics.
 
     ``state`` holds spectral coefficients for `run_pcn` and the values at
-    the labeled nodes for `run_label_pcn`."""
+    the labeled nodes for `run_label_pcn`.  ``sum_sign`` sums the node
+    values of every recorded state, ``batch_sums[b]`` those of batch b.  The
+    samplers record ``batches`` equal batches and a leftover shorter than
+    ``batches`` in none, so a batch holds ``recorded // len(batch_sums)``."""
 
     state: np.ndarray
     phi: float
@@ -74,45 +86,27 @@ class Chain:
     recorded: int = field(default=0, init=False)
     sum_sign: np.ndarray | None = field(default=None, init=False)
     batch_sums: list = field(default_factory=list, init=False)
-    batch_count: int = field(default=0, init=False)
     samples: list = field(default_factory=list, init=False)
-    _batch_acc: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def acceptance_rate(self) -> float:
         return self.accepted / max(self.steps, 1)
 
-    def accumulate(self, S: np.ndarray, batch_size: int) -> None:
+    def record(self, S: np.ndarray, batch: int | None) -> None:
         """Add a k x n block of per-state node values (signs, or conditional
-        mean signs), one state per row in chain order, to the running mean
-        and the batch means.  A block must lie within one batch-means batch."""
-        k = S.shape[0]
-        if self.batch_count + k > batch_size:
-            raise ValueError("a record block may not span two batches")
-        # sums of signs (from `record`) are exact integers, so summing a block
-        # first is exact; sums of conditional mean signs depend on the
-        # blocking at roundoff level
+        mean signs), one state per row in chain order, to ``sum_sign`` and,
+        unless ``batch`` is None, to that batch's sum (batches begin in order)."""
+        # sums of signs are exact integers, so summing a block first is exact;
+        # sums of conditional mean signs depend on the blocking at roundoff
         s = S.sum(axis=0)
         if self.sum_sign is None:
             self.sum_sign = np.zeros_like(s)
-            self._batch_acc = np.zeros_like(s)
         self.sum_sign += s
-        self.recorded += k
-        self._batch_acc += s
-        self.batch_count += k
-        if self.batch_count == batch_size:
-            self.batch_sums.append(self._batch_acc / batch_size)
-            self._batch_acc = np.zeros_like(s)
-            self.batch_count = 0
-
-    def record(self, U: np.ndarray, store: bool, batch_size: int) -> None:
-        """Add a field, or a k x n block of fields (one per row, in chain
-        order), to the running statistics.  A block must lie within one
-        batch-means batch."""
-        U = np.atleast_2d(U)
-        self.accumulate(sign(U), batch_size)
-        if store:
-            self.samples.extend(U.copy())
+        self.recorded += S.shape[0]
+        if batch is not None:
+            if batch == len(self.batch_sums):
+                self.batch_sums.append(np.zeros_like(s))
+            self.batch_sums[batch] += s
 
 
 def pcn_step(chain: Chain, potential, rng: np.random.Generator, std: np.ndarray,
@@ -173,15 +167,17 @@ def _draws(cfg: PcnConfig, chol: np.ndarray, rng: np.random.Generator):
         yield noise, log_u, kept
 
 
-def _blocks(cfg: PcnConfig, kept: int) -> tuple[int, list[slice]]:
-    """The batch-means batch size, and the blocks in which a chain's
-    ``kept`` states are recorded, in order: at most RECORD_BLOCK rows each,
-    none spanning two batches, the states after the last full batch last."""
-    batch_size = max(max((cfg.iterations - cfg.burn_in) // cfg.thinning, 1) // cfg.batches, 1)
-    rows = min(RECORD_BLOCK, batch_size)
-    starts = [start for first in range(0, kept, batch_size)
-              for start in range(first, min(first + batch_size, kept), rows)]
-    return batch_size, [slice(a, b) for a, b in zip(starts, starts[1:] + [kept])]
+def _blocks(cfg: PcnConfig) -> list[tuple[slice, int | None]]:
+    """The blocks in which a chain's kept states are recorded, in order, each
+    with its batch: ``batches`` batches of ``kept // batches`` states, then
+    the leftover states in batch None.  A block has at most RECORD_BLOCK
+    rows and starts a new one at each multiple of the batch size."""
+    size = cfg.kept // cfg.batches
+    rows = min(RECORD_BLOCK, size)
+    starts = [start for first in range(0, cfg.kept, size)
+              for start in range(first, min(first + size, cfg.kept), rows)]
+    return [(slice(a, b), a // size if a // size < cfg.batches else None)
+            for a, b in zip(starts, starts[1:] + [cfg.kept])]
 
 
 def _label_chain(potential, chol: np.ndarray, cfg: PcnConfig,
@@ -195,8 +191,7 @@ def _label_chain(potential, chol: np.ndarray, cfg: PcnConfig,
     """
     value = potential.value_at_labeled
     v, phi = _start(potential)
-    kept = len(range(cfg.burn_in, cfg.iterations, cfg.thinning))
-    states, accepts = np.empty((kept, v.size)), np.empty(kept, dtype=int)
+    states, accepts = np.empty((cfg.kept, v.size)), np.empty(cfg.kept, dtype=int)
     c = math.sqrt(1.0 - cfg.beta ** 2)
     cv = c * v  # changes only when a proposal is accepted
     accepted = j = 0
@@ -245,9 +240,8 @@ def _lockstep_chains(potentials, chol: np.ndarray, cfg: PcnConfig,
         block = slice(first, first + len(members))
         groups.append((proposal[block], phi_new[block], cls.row_values(members)))
         first += len(members)
-    kept = len(range(cfg.burn_in, cfg.iterations, cfg.thinning))
-    states = np.empty((len(pots), kept, v.shape[1]))
-    accepts = np.empty((len(pots), kept), dtype=int)
+    states = np.empty((len(pots), cfg.kept, v.shape[1]))
+    accepts = np.empty((len(pots), cfg.kept), dtype=int)
     accepted, j = np.zeros(len(pots), dtype=int), 0
     for noise, log_u, keeps in _draws(cfg, chol, rng):
         for xi, lu, keep in zip(noise, log_u, keeps):
@@ -271,7 +265,7 @@ def _lockstep_chains(potentials, chol: np.ndarray, cfg: PcnConfig,
 
 
 def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig) -> Chain:
-    """Run a full pCN chain; returns the chain with accumulated statistics.
+    """Run a full pCN chain; returns the chain with its recorded statistics.
 
     The accept/reject chain is `run_label_pcn`'s chain on v = u_lab, drawn
     from the same stream, so the two accept the same steps for one seed.
@@ -284,7 +278,7 @@ def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig) -> Chain:
     z ~ N(0, I_m), so it is drawn, from a second stream spawned from the
     first, only when a state is kept; it starts at 0.  Each kept a is
     rebuilt into the field V a, whose labeled entries are set to v exactly,
-    and recorded by sign.
+    and recorded by sign; with ``cfg.store_samples`` the fields are kept.
     """
     eig = prior.eig
     idx = np.asarray(potential.indices, dtype=int)
@@ -315,15 +309,16 @@ def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig) -> Chain:
     # steps accepted since the previous kept state, at each kept state and at the end
     steps = np.diff(accepts, prepend=0, append=chain.accepted)
     R = np.zeros(eig.m)
-    batch_size, blocks = _blocks(cfg, len(states))
-    for block in blocks:
+    for block, batch in _blocks(cfg):
         residuals = aged(R, steps[block])
         R = residuals[-1]
         # one field per row: with the column-major eigenbasis this order of
         # the product runs about twice as fast as eig.vectors @ coefficients.T
         fields = (residuals + states[block] @ B_T) @ eig.vectors.T
         fields[:, idx] = states[block]
-        chain.record(fields, cfg.store_samples, batch_size)
+        chain.record(sign(fields), batch)
+        if cfg.store_samples:
+            chain.samples.extend(fields)
     chain.state = aged(R, steps[-1:])[0] + chain.state @ B_T
     return chain
 
@@ -394,10 +389,10 @@ def run_label_pcn(prior: FractionalOperator, potentials, cfg: PcnConfig) -> list
     cond = LabelConditional(prior, indices)
     chains, states, _ = _lockstep_chains(potentials, cond.chol, cfg,
                                          np.random.default_rng(cfg.seed))
-    batch_size, blocks = _blocks(cfg, states.shape[1])
+    blocks = _blocks(cfg)
     for chain, chain_states in zip(chains, states):
-        for block in blocks:
-            chain.accumulate(cond.mean_sign(chain_states[block]), batch_size)
+        for block, batch in blocks:
+            chain.record(cond.mean_sign(chain_states[block]), batch)
     return chains
 
 
@@ -420,14 +415,14 @@ def mean_sign_stderr(chain: Chain) -> np.ndarray:
     """Batch-means MC standard error of the per-node mean sign.
 
     Robust to autocorrelation at the batch scale; falls back to the naive
-    i.i.d. estimate sqrt((1 - mean^2) / N) when fewer than 4 batches
-    completed.  For a Rao-Blackwellized chain that fallback is an upper
-    bound, not the estimate: each state adds a conditional mean sign h in
-    [-1, 1], and Var h = E h^2 - mean^2 <= 1 - mean^2.
+    i.i.d. estimate sqrt((1 - mean^2) / N) when ``batches`` < 4.  For a
+    Rao-Blackwellized chain that fallback is an upper bound, not the
+    estimate: each state adds a conditional mean sign h in [-1, 1], and
+    Var h = E h^2 - mean^2 <= 1 - mean^2.
     """
     mean = chain.sum_sign / chain.recorded
     if len(chain.batch_sums) >= 4:
-        B = np.asarray(chain.batch_sums)
+        B = np.asarray(chain.batch_sums) / (chain.recorded // len(chain.batch_sums))
         return np.std(B, axis=0, ddof=1) / math.sqrt(B.shape[0])
     var = np.clip(1.0 - mean ** 2, 0.0, None)
     return np.sqrt(var / chain.recorded)

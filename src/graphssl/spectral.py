@@ -44,10 +44,6 @@ class EigenDecomposition:
     def m(self) -> int:
         return len(self.eigenvalues)
 
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
     def coeffs(self, u: np.ndarray) -> np.ndarray:
         """Spectral coefficients <u, q_k>_w."""
         return self.vectors.T @ (u * self.weights)

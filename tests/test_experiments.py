@@ -80,6 +80,7 @@ class TestConfig:
         ("mcmc-moons", {"tau_values": [1.0, -0.2]}),
         ("mcmc-moons", {"tau_values": [0.0]}),
         ("rates-probit", {"alpha": 0.5, "continuum_grid_n": 65}),
+        ("smallnoise", {"iterations": 2000, "burn_in": 0, "batches": 201}),  # 200 kept
     ])
     def test_invalid_parameters(self, exp, params):
         with pytest.raises(ConfigError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphssl.density import Density, sample_cloud
@@ -56,7 +56,8 @@ def _unsatisfiable_potential(labels):
 class TestPcnMechanics:
     def test_beta_validation(self):
         for bad in ({"beta": 0.0}, {"beta": 1.5}, {"thinning": 0}, {"batches": 0},
-                    {"burn_in": -1}):
+                    {"burn_in": -1},
+                    {"iterations": 2000, "burn_in": 200, "batches": 181}):  # 180 kept
             with pytest.raises(ValueError):
                 PcnConfig(**bad)
 
@@ -93,13 +94,14 @@ def _reference_pcn(prior, pot, cfg, init=None):
     Q_lab = eig.vectors[pot.indices, :]
     a = np.zeros(eig.m) if init is None else eig.coeffs(init)
     chain = Chain(state=a, phi=pot.value_at_labeled(Q_lab @ a))
-    batch_size = max(max((cfg.iterations - cfg.burn_in) // cfg.thinning, 1)
-                     // cfg.batches, 1)
+    batch_size = cfg.kept // cfg.batches
     c = math.sqrt(1.0 - cfg.beta ** 2)
     for it in range(cfg.iterations):
         pcn_step(chain, pot, rng, std, Q_lab, cfg.beta, c)
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
-            chain.record(eig.reconstruct(chain.state), False, batch_size)
+            batch = chain.recorded // batch_size
+            chain.record(np.sign(eig.reconstruct(chain.state))[None],
+                         batch if batch < cfg.batches else None)
     return chain
 
 
@@ -268,7 +270,8 @@ class TestBlockedRecords:
         single = run_pcn(prior, pot, cfg)
         kept = (iterations - burn_in + thinning - 1) // thinning
         assert blocked.recorded == single.recorded == len(blocked.samples) == kept
-        assert len(blocked.batch_sums) == len(single.batch_sums) == kept // batch_size
+        assert len(blocked.batch_sums) == len(single.batch_sums) == batches
+        assert kept // batches == batch_size
         assert blocked.accepted == single.accepted
         assert np.array_equal(blocked.sum_sign, single.sum_sign)
         assert np.array_equal(np.array(blocked.batch_sums), np.array(single.batch_sums))
@@ -284,52 +287,69 @@ class TestBlockedRecords:
 
     @settings(max_examples=80, deadline=None)
     @given(iterations=st.integers(1, 4000), burn_in=st.integers(0, 400),
-           thinning=st.integers(1, 12), batches=st.integers(1, 40))
-    # 181 kept, in batches of 9 sized from (2005 - 200) // 10 = 180: 1 left over
-    @example(iterations=2005, burn_in=200, thinning=10, batches=20)
-    # batches of 4, then 30 states left over: more than one batch
+           thinning=st.integers(1, 12), batches=st.integers(1, 200))
+    # 430 kept: 100 batches of 4 and 30 left over, not 107 batches of 4
     @example(iterations=430, burn_in=0, thinning=1, batches=100)
+    # 181 kept: 20 batches of 9 and 1 left over
+    @example(iterations=2005, burn_in=200, thinning=10, batches=20)
+    # 135 kept: 20 batches of 6 and 15 left over, not 22 batches of 6
+    @example(iterations=1500, burn_in=150, thinning=10, batches=20)
     # one batch of 3000 in blocks of RECORD_BLOCK
     @example(iterations=3000, burn_in=0, thinning=1, batches=1)
     def test_block_schedule_records_like_one_state_at_a_time(self, iterations, burn_in,
                                                              thinning, batches):
+        """Every chain has ``batches`` batches of kept // batches states, and
+        the states after them count in the mean only; fewer kept states than
+        batches is a config error."""
+        kept = len(range(burn_in, iterations, thinning))
+        if kept < batches:
+            with pytest.raises(ValueError, match="exceeds"):
+                PcnConfig(iterations=iterations, burn_in=burn_in, thinning=thinning,
+                          batches=batches)
+            return
         cfg = PcnConfig(iterations=iterations, burn_in=burn_in, thinning=thinning,
                         batches=batches)
-        kept = len(range(burn_in, iterations, thinning))
-        assume(kept > 0)
-        batch_size, blocks = posterior._blocks(cfg, kept)
-        assert batch_size == max(max((iterations - burn_in) // thinning, 1) // batches, 1)
+        assert cfg.kept == kept
+        blocks = posterior._blocks(cfg)
+        size = kept // batches
         # the blocks cover the kept states in order, each within one batch
-        assert [i for block in blocks for i in range(kept)[block]] == list(range(kept))
-        for block in blocks:
-            assert 0 < block.stop - block.start <= posterior.RECORD_BLOCK
-            assert block.start // batch_size == (block.stop - 1) // batch_size
-        U = np.random.default_rng(kept).standard_normal((kept, 5))
-        U[::7, 0] = 0.0
-        blocked, single = Chain(state=np.zeros(1), phi=0.0), Chain(state=np.zeros(1), phi=0.0)
-        for block in blocks:
-            blocked.record(U[block], store=False, batch_size=batch_size)
-        for u in U:
-            single.record(u, store=False, batch_size=batch_size)
-        assert blocked.recorded == single.recorded == kept
-        assert len(blocked.batch_sums) == len(single.batch_sums) == kept // batch_size
-        assert np.array_equal(blocked.sum_sign, single.sum_sign)
-        assert np.array_equal(np.array(blocked.batch_sums), np.array(single.batch_sums))
+        # or within the leftover, and carry that batch's index
+        assert [i for block, _ in blocks for i in range(kept)[block]] == list(range(kept))
+        for block, batch in blocks:
+            assert 0 < block.stop - block.start <= min(posterior.RECORD_BLOCK, size)
+            assert block.start // size == (block.stop - 1) // size
+            assert batch == (block.start // size if block.start < batches * size else None)
+        S = np.sign(np.random.default_rng(kept).standard_normal((kept, 5)))
+        S[::7, 0] = 0.0
+        chain = Chain(state=np.zeros(1), phi=0.0)
+        for block, batch in blocks:
+            chain.record(S[block], batch)
+        # the same statistics, one state at a time, written out
+        sum_sign, batch_sums = np.zeros(5), np.zeros((batches, 5))
+        for i, s in enumerate(S):
+            sum_sign += s
+            if i < batches * size:
+                batch_sums[i // size] += s
+        assert chain.recorded == kept
+        assert len(chain.batch_sums) == batches
+        assert np.array_equal(chain.sum_sign, sum_sign)
+        assert np.array_equal(np.array(chain.batch_sums), batch_sums)
 
     def test_record_takes_one_field_or_a_block(self):
         from graphssl.posterior import Chain
-        U = np.array([[1.0, -1.0], [-2.0, -3.0], [0.0, 4.0]])  # 3 fields, 2 nodes
+        S = np.sign([[1.0, -1.0], [-2.0, -3.0], [0.0, 4.0]])  # 3 states, 2 nodes
         single, block = Chain(state=np.zeros(1), phi=0.0), Chain(state=np.zeros(1), phi=0.0)
-        for u in U:
-            single.record(u, store=True, batch_size=3)
-        block.record(U, store=True, batch_size=3)
+        for s in S:
+            single.record(s[None], 0)
+        block.record(S, 0)
         for chain in (single, block):
-            assert chain.recorded == 3 and chain.batch_count == 0
+            assert chain.recorded == 3
             assert np.array_equal(chain.sum_sign, [0.0, -1.0])
-            assert np.array_equal(chain.batch_sums[0], [0.0, -1.0 / 3.0])
-            assert np.array_equal(np.array(chain.samples), U)
-        with pytest.raises(ValueError, match="span"):
-            block.record(np.ones((4, 2)), store=False, batch_size=3)
+            assert np.array_equal(chain.batch_sums[0], [0.0, -1.0])
+        # a state in no batch counts in the mean only
+        block.record(S[:1], None)
+        assert block.recorded == 4 and len(block.batch_sums) == 1
+        assert np.array_equal(block.sum_sign, [1.0, -2.0])
 
 
 class TestLabelConditional:
@@ -399,7 +419,7 @@ class TestLabelConditional:
         assert c1.accepted == c2.accepted and c1.steps == 9000
         assert c1.recorded == 1450 and len(c1.batch_sums) == 7
         # the 1450th state is in no batch; it adds a value in [-1, 1]
-        rest = c1.sum_sign - np.sum(c1.batch_sums, axis=0) * 207
+        rest = c1.sum_sign - np.sum(c1.batch_sums, axis=0)
         assert np.all(np.abs(rest) <= 1.0 + 1e-9) and np.any(rest != 0.0)
 
 
@@ -427,9 +447,8 @@ class TestLockstepChains:
                 pot, cond.chol, self.CFG, np.random.default_rng(self.CFG.seed))
             assert np.array_equal(states, lock_states[k])
             assert np.array_equal(accepts, lock_accepts[k])
-            batch_size, blocks = posterior._blocks(self.CFG, len(states))
-            for block in blocks:
-                scalar.accumulate(cond.mean_sign(states[block]), batch_size)
+            for block, batch in posterior._blocks(self.CFG):
+                scalar.record(cond.mean_sign(states[block]), batch)
             alone, = run_label_pcn(prior, [pot], self.CFG)
             assert 0 < chain.accepted < chain.steps
             for other in (scalar, alone):
@@ -559,7 +578,7 @@ class TestStatistics:
     def test_classification_stats_needs_samples(self):
         from graphssl.posterior import Chain
         chain = Chain(state=np.zeros(3), phi=0.0)
-        chain.record(np.array([1.0, -1.0]), store=False, batch_size=10)
+        chain.record(np.array([[1.0, -1.0]]), None)
         with pytest.raises(ValueError, match="100"):
             classification_stats(chain)
 
@@ -579,7 +598,7 @@ class TestStatistics:
         se = mean_sign_stderr(chain)
         assert np.all(se >= 0) and np.all(np.isfinite(se))
         short_cfg = PcnConfig(beta=0.8, iterations=1100, burn_in=0, thinning=10,
-                              batches=2)  # too few full batches: iid fallback
+                              batches=2)  # fewer than 4 batches: iid fallback
         chain2 = run_pcn(prior, _free_potential(), short_cfg)
         assert len(chain2.batch_sums) < 4
         assert np.all(np.isfinite(mean_sign_stderr(chain2)))
@@ -600,7 +619,7 @@ class TestRaoBlackwellizedStatistics:
         cond, states = self._states(small_graph, 300)
         h = cond.mean_sign(states)
         chain = Chain(state=np.zeros(2), phi=0.0)
-        chain.accumulate(h, batch_size=1000)  # no batch completes: fallback
+        chain.record(h, None)  # in no batch: fallback
         se = mean_sign_stderr(chain)
         iid = h.std(axis=0) / math.sqrt(len(h))  # the i.i.d. SE of the h average
         # a bound, not the estimate: strictly above it wherever |h| < 1, and
@@ -613,7 +632,7 @@ class TestRaoBlackwellizedStatistics:
         cond, states = self._states(small_graph, 200)
         h = cond.mean_sign(states)
         chain = Chain(state=np.zeros(2), phi=0.0)
-        chain.accumulate(h, batch_size=len(h))
+        chain.record(h, 0)
         mean, var = classification_stats(chain)
         # S(u) itself: 100 draws of u from its conditional law per state
         rng = np.random.default_rng(4)

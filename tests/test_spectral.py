@@ -37,7 +37,7 @@ class TestDecompose:
         g, prior = _random_graph_prior(60, seed=1)
         eig = prior.eig
         rng = np.random.default_rng(2)
-        u = rng.standard_normal(eig.n)
+        u = rng.standard_normal(eig.vectors.shape[0])
         assert np.allclose(eig.reconstruct(eig.coeffs(u)), u, atol=1e-10)
 
     def test_sparse_lanczos_matches_dense(self):
