@@ -48,7 +48,7 @@ from graphssl.models import (
 from graphssl.posterior import (
     PcnConfig,
     classification_stats,
-    run_pcn,
+    run_pcn_chains,
     small_noise_agreement,
 )
 from graphssl.spectral import (
@@ -643,21 +643,22 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
     idx, y, _ = continuum_labeled_nodes(op, _two_labels(p))
     pot = IndicatorPotential(indices=idx, y=y)
 
+    # one chain per (alpha, tau), all stepping together
+    points = [(alpha, tau) for alpha in p["alpha_values"] for tau in p["tau_values"]]
+    chains = run_pcn_chains(
+        [FractionalOperator(eig, alpha=alpha, tau=tau) for alpha, tau in points], pot,
+        PcnConfig(beta=p["beta"], iterations=p["iterations"], burn_in=p["burn_in"],
+                  thinning=p["thinning"]),
+        [_point_seed(cfg.seed, int(alpha * 10), int(tau * 10)) for alpha, tau in points])
     summary = []
-    for alpha in p["alpha_values"]:
-        for tau in p["tau_values"]:
-            prior = FractionalOperator(eig, alpha=alpha, tau=tau)
-            pcn = PcnConfig(beta=p["beta"], iterations=p["iterations"],
-                            burn_in=p["burn_in"], thinning=p["thinning"],
-                            seed=_point_seed(cfg.seed, int(alpha * 10), int(tau * 10)))
-            chain = run_pcn(prior, pot, pcn)
-            mean, var = classification_stats(chain)
-            _write_csv(cfg.out_dir / f"moons_alpha{alpha:g}_tau{tau:g}.csv",
-                       ["x1", "x2", "mean_sign", "variance"],
-                       np.column_stack([coords, mean, var]))
-            summary.append([alpha, tau, chain.acceptance_rate,
-                            float(mean[idx[0]]), float(mean[idx[1]]),
-                            float(np.mean(np.abs(mean[off_curve])))])
+    for (alpha, tau), chain in zip(points, chains):
+        mean, var = classification_stats(chain)
+        _write_csv(cfg.out_dir / f"moons_alpha{alpha:g}_tau{tau:g}.csv",
+                   ["x1", "x2", "mean_sign", "variance"],
+                   np.column_stack([coords, mean, var]))
+        summary.append([alpha, tau, chain.acceptance_rate,
+                        float(mean[idx[0]]), float(mean[idx[1]]),
+                        float(np.mean(np.abs(mean[off_curve])))])
     _write_csv(cfg.out_dir / "summary.csv",
                ["alpha", "tau", "acceptance", "mean_sign_label_plus",
                 "mean_sign_label_minus", "offcurve_certainty"], summary)

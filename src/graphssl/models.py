@@ -443,6 +443,23 @@ def sparse_probit_map(factor: PoweredFactor, weights: np.ndarray,
     return _label_space_map(_factored_space(factor, pot.indices, weights), pot, init)
 
 
+def _splu_solve(H: sp.csc_matrix, b: np.ndarray,
+                order: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Solve H x = b by SuperLU; returns x and the column order of the factor.
+
+    With ``order`` None SuperLU picks the order (COLAMD and its elimination
+    tree postorder).  Given the order that a matrix of the same sparsity got,
+    the factorization reuses it (``permc_spec="NATURAL"`` on the permuted
+    columns) and gives the bits of a fresh `splu` without computing the order.
+    """
+    if order is None:
+        lu = spla.splu(H)
+        return lu.solve(b), lu.perm_c.copy()  # a copy: perm_c keeps the factor alive
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    return spla.splu(H[:, inverse], permc_spec="NATURAL").solve(b)[order], order
+
+
 def _node_space_probit_map(factor: PoweredFactor, weights: np.ndarray,
                            pot: ProbitPotential, init: np.ndarray | None) -> np.ndarray:
     """Damped Newton minimization of the probit objective in node space.
@@ -450,7 +467,8 @@ def _node_space_probit_map(factor: PoweredFactor, weights: np.ndarray,
     ``factor`` holds the discretized continuum operator and ``weights`` its
     quadrature weights.  With few labels the Hessian solve uses a Woodbury
     update of the once-factored prior operator; with many labels (label
-    regions) the full Hessian is refactored per step.  Termination uses the
+    regions) the full Hessian is refactored per step, in the column order of
+    the first (`_splu_solve`).  Termination uses the
     Newton decrement, which is invariant to the extreme scale spread of the
     powered operator, or the weighted norm of the damped step.
     """
@@ -475,6 +493,7 @@ def _node_space_probit_map(factor: PoweredFactor, weights: np.ndarray,
         return v
 
     Av = None  # A v at the last objective evaluation: the next gradient
+    order = None  # the first Hessian's column order, which every later one shares
 
     def objective(v):
         nonlocal Av
@@ -482,9 +501,11 @@ def _node_space_probit_map(factor: PoweredFactor, weights: np.ndarray,
         return 0.5 * float(np.sum(w * v * Av)) + pot.value_at_labeled(v[idx])
 
     def hessian_solve(grad, curv):
+        nonlocal order
         if not use_woodbury:
             H = A + sp.csr_matrix((curv, (idx, idx)), shape=(n, n))
-            return spla.splu(H.tocsc()).solve(-grad)
+            delta, order = _splu_solve(H.tocsc(), -grad, order)
+            return delta
         # (A + E diag(curv) E^T)^{-1} via Woodbury on the factored A
         g1 = factor.solve(grad)
         active = curv > 0

@@ -7,21 +7,25 @@ nodes, so both samplers run pCN accept/reject chains on v = u_lab in R^L,
 whose prior is N(0, G) (`spectral.label_covariance`), from v = 0, or from
 the labels y where the potential is infinite at 0, and differ only in what
 a kept state adds.  `run_pcn` runs one chain, one potential call per step
-(`_label_chain`).  `run_label_pcn` runs one chain per potential on one
-random stream, all stepping together as the rows of one array
-(`_lockstep_chains`), and adds each node's exact conditional mean sign
-given v (Rao-Blackwellization).  The two loops share the start rule
-(`_start`) and the draws and keep schedule (`_draws`), and only sample:
-each returns its kept states, which the samplers then record
+(`_label_chain`).  `run_pcn_chains` runs `run_pcn`'s chains for several
+priors, each on its own random stream with its own prior's label factor,
+and `run_label_pcn` runs one chain per potential on one random stream;
+both step their chains together as the rows of one array
+(`_lockstep_chains`).  `run_label_pcn` adds each node's exact conditional
+mean sign given v (Rao-Blackwellization).  The two loops share the start
+rule (`_start`) and the draws and keep schedule (`_draws`), and only
+sample: each returns its kept states, which the samplers then record
 (`Chain.record`) in the blocks of `_blocks`: ``batches`` batches of
 ``kept // batches`` states, then the leftover, which counts in the mean
 only.  Only the per-step body exists twice, because one chain through the
-array loop made `mcmc-moons` about 25 % slower.
-`run_pcn` keeps the chain's full state in the coefficients of the prior's
-eigenbasis, a = B v + R: the residual R is independent of v and moves only
-on accepted steps, so it is drawn, from a second random stream, only when a
-state is kept, and the sign of the rebuilt field V a is recorded.  For one
-seed the two samplers accept the same steps.  The acceptance rule depends on
+array loop ran 2.8 times slower per step (0.61 s against 0.22 s per 1e5
+steps).
+`run_pcn` and `run_pcn_chains` keep a chain's full state in the
+coefficients of the prior's eigenbasis, a = B v + R: the residual R is
+independent of v and moves only on accepted steps, so it is drawn, from a
+second random stream, only when a state is kept, and the sign of the
+rebuilt field V a is recorded (`_record_fields`).  For one seed `run_pcn`
+and `run_label_pcn` accept the same steps.  The acceptance rule depends on
 the potential only through differences, so the potentials can be compared
 on identical proposal streams.  `pcn_step` is the plain one-step kernel on
 the coefficients, kept as the reference the chains are tested against.
@@ -211,18 +215,31 @@ def _label_chain(potential, chol: np.ndarray, cfg: PcnConfig,
     return chain, states, accepts
 
 
-def _lockstep_chains(potentials, chol: np.ndarray, cfg: PcnConfig,
-                     rng: np.random.Generator) -> tuple[list[Chain], np.ndarray, np.ndarray]:
-    """`_label_chain` for several potentials on one stream, as one K x L state.
+def _row_draws(cfg: PcnConfig, chols, rngs):
+    """`_draws` for chains that each draw from their own stream with their
+    own factor: for each chunk, every chain's `_draws` chunk, stacked as
+    k x K x L increments and k x K logs of uniforms, and the keep flags,
+    which ``cfg`` sets for all of them."""
+    for parts in zip(*(_draws(cfg, chol, rng) for chol, rng in zip(chols, rngs))):
+        noise, log_u, keeps = zip(*parts)
+        yield np.stack(noise, axis=1), np.array(log_u).T, keeps[0]
 
-    Each step uses one noise row and one uniform, which every chain shares
-    (common random numbers).  The rows are grouped by potential class, each
-    class values its block of rows in one call (``row_values``, which keeps
-    the bits of ``value_at_labeled``), and each row accepts or rejects on
-    its own.  So chain k takes exactly the steps that `_label_chain` takes
-    for potentials[k] on the same stream.  Returns the chains, their kept
-    states (K x kept x L) and accepted counts (K x kept), in the order of
-    ``potentials``.
+
+def _lockstep_chains(potentials, draws,
+                     cfg: PcnConfig) -> tuple[list[Chain], np.ndarray, np.ndarray]:
+    """`_label_chain` for several potentials, as one K x L state.
+
+    ``draws`` yields chunks as `_draws` does.  From `_draws` each step has
+    one noise row and one uniform, which every chain shares (common random
+    numbers); from `_row_draws` each step has one row and one uniform per
+    chain, in the order of the rows below.  The rows are grouped by
+    potential class (a stable sort, so potentials of one class keep their
+    order), each class values its block of rows in one call
+    (``row_values``, which keeps the bits of ``value_at_labeled``), and each
+    row accepts or rejects on its own.  So chain k takes exactly the steps
+    that `_label_chain` takes for potentials[k] on the same draws.  Returns
+    the chains, their kept states (K x kept x L) and accepted counts
+    (K x kept), in the order of ``potentials``.
     """
     classes = list(dict.fromkeys(type(p) for p in potentials))
     order = sorted(range(len(potentials)), key=lambda k: classes.index(type(potentials[k])))
@@ -243,7 +260,7 @@ def _lockstep_chains(potentials, chol: np.ndarray, cfg: PcnConfig,
     states = np.empty((len(pots), cfg.kept, v.shape[1]))
     accepts = np.empty((len(pots), cfg.kept), dtype=int)
     accepted, j = np.zeros(len(pots), dtype=int), 0
-    for noise, log_u, keeps in _draws(cfg, chol, rng):
+    for noise, log_u, keeps in draws:
         for xi, lu, keep in zip(noise, log_u, keeps):
             np.add(xi, cv, out=proposal)
             for x, out, values in groups:
@@ -278,15 +295,44 @@ def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig) -> Chain:
     z ~ N(0, I_m), so it is drawn, from a second stream spawned from the
     first, only when a state is kept; it starts at 0.  Each kept a is
     rebuilt into the field V a, whose labeled entries are set to v exactly,
-    and recorded by sign; with ``cfg.store_samples`` the fields are kept.
+    and recorded by sign (`_record_fields`); with ``cfg.store_samples`` the
+    fields are kept.
     """
-    eig = prior.eig
-    idx = np.asarray(potential.indices, dtype=int)
+    cond = LabelConditional(prior, potential.indices)
+    rng = np.random.default_rng(cfg.seed)
+    return _record_fields(prior, cond, cfg, rng,
+                          *_label_chain(potential, cond.chol, cfg, rng))
+
+
+def run_pcn_chains(priors, potential, cfg: PcnConfig, seeds) -> list[Chain]:
+    """`run_pcn(priors[k], potential, cfg)` with ``cfg.seed`` set to
+    ``seeds[k]``, for every k, bit for bit, with the chains stepping
+    together (`_lockstep_chains`), each on its own stream with its own
+    prior's label factor (`_row_draws`).
+    """
+    if not priors or len(priors) != len(seeds):
+        raise ValueError(f"run_pcn_chains needs one seed per prior: "
+                         f"{len(priors)} priors, {len(seeds)} seeds")
+    conds = [LabelConditional(prior, potential.indices) for prior in priors]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    sampled = _lockstep_chains([potential] * len(priors),
+                               _row_draws(cfg, [cond.chol for cond in conds], rngs), cfg)
+    return [_record_fields(prior, cond, cfg, rng, *chain)
+            for prior, cond, rng, *chain in zip(priors, conds, rngs, *sampled)]
+
+
+def _record_fields(prior: FractionalOperator, cond: LabelConditional, cfg: PcnConfig,
+                   rng: np.random.Generator, chain: Chain, states: np.ndarray,
+                   accepts: np.ndarray) -> Chain:
+    """Record the kept labeled values ``states`` of a chain that drew from
+    ``rng``, with ``accepts`` steps accepted up to each, as `run_pcn`
+    describes: age the residual through each block of `_blocks`, rebuild
+    the block's fields and record their signs.  ``chain.state`` becomes the
+    final coefficients."""
+    eig, idx = prior.eig, cond.indices
     std = prior_std(prior)
-    cond = LabelConditional(prior, idx)
     Q = eig.vectors[idx, :]
     B_T = np.linalg.solve(cond.G, Q * std ** 2)  # L x m
-    rng = np.random.default_rng(cfg.seed)
     residual_rng = rng.spawn(1)[0]
 
     # log c^2, with c = sqrt(1 - beta^2); c = 0 at beta = 1
@@ -305,7 +351,6 @@ def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig) -> Chain:
             out[i] = R
         return out
 
-    chain, states, accepts = _label_chain(potential, cond.chol, cfg, rng)
     # steps accepted since the previous kept state, at each kept state and at the end
     steps = np.diff(accepts, prepend=0, append=chain.accepted)
     R = np.zeros(eig.m)
@@ -330,9 +375,9 @@ class LabelConditional:
     eigenbasis, K = C[:, idx] and G = K[idx] (`label_covariance`), node i
     given u_lab = v is Gaussian with mean (M v)_i, M = K G^{-1}, and variance
     s2_i = C_ii - (M K^T)_ii.  The labeled rows are exact: M is the identity
-    there and s2 is 0.  ``G`` is the prior covariance of u_lab and ``chol``
-    its lower Cholesky factor.  Raises ValueError when G is singular (to
-    roundoff).
+    there and s2 is 0.  ``indices`` holds idx, ``G`` the prior covariance of
+    u_lab and ``chol`` its lower Cholesky factor.  Raises ValueError when G
+    is singular (to roundoff).
     """
 
     def __init__(self, prior: FractionalOperator, indices: np.ndarray):
@@ -352,7 +397,7 @@ class LabelConditional:
                      0.0, None)
         M[idx] = np.eye(idx.size)
         s2[idx] = 0.0
-        self.G, self.chol, self.M, self.s2 = G, chol, M, s2
+        self.indices, self.G, self.chol, self.M, self.s2 = idx, G, chol, M, s2
         self._exact = np.flatnonzero(s2 == 0.0)
         self._inv_scale = np.zeros_like(s2)
         pos = s2 > 0.0
@@ -387,8 +432,8 @@ def run_label_pcn(prior: FractionalOperator, potentials, cfg: PcnConfig) -> list
     if any(not np.array_equal(p.indices, indices) for p in potentials):
         raise ValueError("the potentials of run_label_pcn must share their labeled indices")
     cond = LabelConditional(prior, indices)
-    chains, states, _ = _lockstep_chains(potentials, cond.chol, cfg,
-                                         np.random.default_rng(cfg.seed))
+    chains, states, _ = _lockstep_chains(
+        potentials, _draws(cfg, cond.chol, np.random.default_rng(cfg.seed)), cfg)
     blocks = _blocks(cfg)
     for chain, chain_states in zip(chains, states):
         for block, batch in blocks:

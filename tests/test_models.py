@@ -23,6 +23,7 @@ from graphssl.models import (
     PoweredFactor,
     ProbitPotential,
     _armijo,
+    _splu_solve,
     continuum_krige,
     continuum_labeled_nodes,
     continuum_probit_map,
@@ -620,6 +621,7 @@ class TestLineSearch:
         class _Climbing:
             def __init__(self, H):
                 self.lu = splu(H)
+                self.perm_c = self.lu.perm_c
 
             def solve(self, b):
                 return -self.lu.solve(b)
@@ -703,6 +705,28 @@ class TestContinuumSolvers:
         direct = continuum_probit_map(op, 2.0, tau=1.0, pot=pot)
         spectral = probit_map(FractionalOperator(op.eigendecomposition(), 2.0, 1.0), pot)
         assert np.allclose(direct, spectral, rtol=1e-6, atol=1e-8)
+
+    def test_hessian_solves_reuse_the_first_column_order(self):
+        # the node-space Newton loop's full-Hessian route: every Hessian of
+        # one MAP has the sparsity of A = A1^2, so a later factorization in
+        # the first one's column order must solve exactly as a fresh splu
+        op = discretize(Density("channel"), 16)
+        spec = Model1Spec(omega_plus=Ball((0.25, 0.25), 0.15),
+                          omega_minus=Ball((0.75, 0.75), 0.15))
+        idx, _, _ = continuum_labeled_nodes(op, spec)
+        A1 = op.factor(2, 1.0).A1
+        A = (A1 @ A1).tocsr()
+        n = A.shape[0]
+        rng = np.random.default_rng(3)
+        order = None
+        for scale in (1.0, 1e3, 1e-3, 1e6):
+            H = A + sp.csr_matrix((scale * rng.random(idx.size), (idx, idx)), shape=(n, n))
+            b = rng.standard_normal(n)
+            fresh = spla.splu(H.tocsc())
+            x, order = _splu_solve(H.tocsc(), b, order)
+            assert np.array_equal(order, fresh.perm_c)
+            assert np.array_equal(x, fresh.solve(b))
+        assert not np.array_equal(order, np.arange(n))
 
     def test_labeled_nodes_model1_weights(self):
         op = discretize(Density("uniform"), 16)

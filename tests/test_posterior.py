@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from graphssl.posterior import (
     pcn_step,
     run_label_pcn,
     run_pcn,
+    run_pcn_chains,
     small_noise_agreement,
 )
 from graphssl.spectral import FractionalOperator, decompose_graph, prior_std
@@ -440,7 +442,8 @@ class TestLockstepChains:
         chains = run_label_pcn(prior, pots, self.CFG)
         cond = LabelConditional(prior, labels.indices)
         _, lock_states, lock_accepts = posterior._lockstep_chains(
-            pots, cond.chol, self.CFG, np.random.default_rng(self.CFG.seed))
+            pots, posterior._draws(self.CFG, cond.chol, np.random.default_rng(self.CFG.seed)),
+            self.CFG)
 
         for k, (pot, chain) in enumerate(zip(pots, chains)):
             scalar, states, accepts = posterior._label_chain(
@@ -465,6 +468,62 @@ class TestLockstepChains:
                                 weights=np.ones(labels.size))
         with pytest.raises(ValueError, match="share their labeled indices"):
             run_label_pcn(prior, [ProbitPotential.for_graph(labels, 0.5), other], self.CFG)
+
+
+class TestRunPcnChains:
+    """run_pcn_chains steps run_pcn's chains together, each drawing from its
+    own stream with its own prior's label factor.  Each chain must be the
+    chain run_pcn gives for its prior and seed alone, bit for bit: its kept
+    states and accept counts in the loop, and everything it records."""
+
+    CFG = PcnConfig(beta=0.4, iterations=2500, burn_in=250, thinning=5, batches=6,
+                    store_samples=True)
+    PRIORS = ((2.0, 1.0), (1.0, 0.5), (2.0, 0.2))  # (alpha, tau); the last accepts < 5 %
+    SEEDS = [21, 22, 23]
+
+    @staticmethod
+    def _priors(small_graph):
+        eig = decompose_graph(small_graph[0])
+        return [FractionalOperator(eig, alpha=a, tau=t) for a, t in TestRunPcnChains.PRIORS]
+
+    @pytest.mark.parametrize("case", ["indicator", "probit0.1", "levelset0.1"])
+    def test_each_chain_is_run_pcn_alone(self, small_graph, case):
+        labels, _, pot, _ = _case(small_graph, case)
+        priors = self._priors(small_graph)
+        chains = run_pcn_chains(priors, pot, self.CFG, self.SEEDS)
+        chols = [LabelConditional(prior, labels.indices).chol for prior in priors]
+        _, lock_states, lock_accepts = posterior._lockstep_chains(
+            [pot] * len(priors),
+            posterior._row_draws(self.CFG, chols,
+                                 [np.random.default_rng(seed) for seed in self.SEEDS]),
+            self.CFG)
+
+        for k, (prior, seed, chain) in enumerate(zip(priors, self.SEEDS, chains)):
+            cfg = replace(self.CFG, seed=seed)
+            _, states, accepts = posterior._label_chain(
+                pot, chols[k], cfg, np.random.default_rng(seed))
+            assert np.array_equal(states, lock_states[k])
+            assert np.array_equal(accepts, lock_accepts[k])
+            alone = run_pcn(prior, pot, cfg)
+            assert (chain.accepted, chain.steps, chain.recorded) == (
+                alone.accepted, alone.steps, alone.recorded)
+            assert chain.acceptance_rate == alone.acceptance_rate
+            assert np.array_equal(chain.state, alone.state) and chain.phi == alone.phi
+            assert np.array_equal(chain.sum_sign, alone.sum_sign)
+            assert np.array_equal(np.array(chain.batch_sums), np.array(alone.batch_sums))
+            assert len(chain.samples) == self.CFG.kept
+            assert np.array_equal(np.array(chain.samples), np.array(alone.samples))
+        rates = [ch.acceptance_rate for ch in chains]
+        # the chains differ, so a mix-up of rows would show
+        assert len(set(rates)) == len(rates) and 0.0 < rates[-1] < 0.05
+
+    def test_one_seed_per_prior(self, small_graph):
+        _, _, pot, _ = _case(small_graph, "probit0.1")
+        priors = self._priors(small_graph)
+        with pytest.raises(ValueError, match="one seed per prior"):
+            run_pcn_chains(priors, pot, self.CFG, self.SEEDS[:2])
+        with pytest.raises(ValueError, match="one seed per prior"):
+            run_pcn_chains([], pot, self.CFG, [])
 
 
 class TestLabelChainAgainstReference:
