@@ -56,9 +56,6 @@ class ContinuumOperator:
         """Quadrature weights rho(x_i) h^d of the mu-weighted inner product."""
         return self.rho_at_nodes * self.grid.h ** self.grid.dim
 
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.sum(a * b * self.weights))
-
     def eigendecomposition(self, m: int | None = None) -> EigenDecomposition:
         key = m if m is not None else self.grid.size
         if key not in self._eig_cache:

@@ -9,7 +9,7 @@ two arcs with a fixed contrast ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -162,24 +162,6 @@ class Density:
         if self.kind == "channel":
             return 1.0
         return self.contrast
-
-    def marginal_cdf_x1(self, m: int = 4096) -> Callable[[np.ndarray], np.ndarray]:
-        """CDF of the first coordinate, for goodness-of-fit checks."""
-        x = np.linspace(0.0, 1.0, m + 1)
-        if self.kind == "channel":
-            pdf = _channel_profile(x, self.h, self.width) / self.normalization
-        elif self.kind == "uniform":
-            pdf = np.ones_like(x)
-        else:
-            # integrate over the second coordinate on a fine grid
-            y = np.linspace(0.5 / m, 1.0 - 0.5 / m, m)
-            pdf = np.empty_like(x)
-            for i, xi in enumerate(x):
-                pts = np.column_stack([np.full(m, xi), y])
-                pdf[i] = np.mean(self._raw(pts)) / self.normalization
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[:-1] + pdf[1:]) * np.diff(x))])
-        cdf /= cdf[-1]
-        return lambda q: np.interp(q, x, cdf)
 
 
 @dataclass(frozen=True)

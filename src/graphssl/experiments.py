@@ -242,9 +242,12 @@ class ExperimentConfig:
             raise ConfigError(f"the run takes the full spectrum of an operator on "
                               f"{max(full)} nodes; the dense eigensolver takes at most "
                               f"{DENSE_CUTOFF}")
-        for m in str(p.get("models", "krige")).split(","):
-            if m.strip() not in ("krige", "probit"):
-                raise ConfigError(f"unknown rates model {m.strip()!r}")
+        models = [m.strip() for m in str(p.get("models", "krige")).split(",")]
+        for m in models:
+            if m not in ("krige", "probit"):
+                raise ConfigError(f"unknown rates model {m!r}")
+        if len(set(models)) < len(models):
+            raise ConfigError(f"a rates model is repeated in models = {p['models']}")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
 

@@ -3,32 +3,29 @@
 The prior is N(0, A^{-1}) truncated to the eigenbasis; the fidelity weight
 r_n lives only in the potentials' weights.  The three supported potentials
 (probit, level-set, sign-constraint indicator) see u only at the L labeled
-nodes, so both samplers run pCN accept/reject chains on v = u_lab in R^L,
+nodes, so every sampler runs pCN accept/reject chains on v = u_lab in R^L,
 whose prior is N(0, G) (`spectral.label_covariance`), from v = 0, or from
-the labels y where the potential is infinite at 0, and differ only in what
-a kept state adds.  `run_pcn` runs one chain, one potential call per step
-(`_label_chain`).  `run_pcn_chains` runs `run_pcn`'s chains for several
-priors, each on its own random stream with its own prior's label factor,
-and `run_label_pcn` runs one chain per potential on one random stream;
-both step their chains together as the rows of one array
-(`_lockstep_chains`).  `run_label_pcn` adds each node's exact conditional
-mean sign given v (Rao-Blackwellization).  The two loops share the start
-rule (`_start`) and the draws and keep schedule (`_draws`), and only
-sample: each returns its kept states, which the samplers then record
+the labels y where the potential is infinite at 0 (`_start`), and the
+samplers differ only in their draws and in what a kept state adds.  One
+loop steps every chain (`_lockstep_chains`): the chains are the rows of
+one array, and each row accepts or rejects on its own.  The loop only
+samples: it returns the kept states, which the samplers then record
 (`Chain.record`) in the blocks of `_blocks`: ``batches`` batches of
 ``kept // batches`` states, then the leftover, which counts in the mean
-only.  Only the per-step body exists twice, because one chain through the
-array loop ran 2.8 times slower per step (0.61 s against 0.22 s per 1e5
-steps).
-`run_pcn` and `run_pcn_chains` keep a chain's full state in the
-coefficients of the prior's eigenbasis, a = B v + R: the residual R is
-independent of v and moves only on accepted steps, so it is drawn, from a
-second random stream, only when a state is kept, and the sign of the
-rebuilt field V a is recorded (`_record_fields`).  For one seed `run_pcn`
-and `run_label_pcn` accept the same steps.  The acceptance rule depends on
-the potential only through differences, so the potentials can be compared
-on identical proposal streams.  `pcn_step` is the plain one-step kernel on
-the coefficients, kept as the reference the chains are tested against.
+only.  `run_pcn_chains` runs one chain per prior, each on its own random
+stream with its own prior's label factor (`_row_draws`), and `run_pcn` is
+its one-prior case.  `run_label_pcn` runs one chain per potential, all on
+one random stream (`_draws`), and adds each node's exact conditional mean
+sign given v (Rao-Blackwellization).
+`run_pcn_chains` keeps a chain's full state in the coefficients of the
+prior's eigenbasis, a = B v + R: the residual R is independent of v and
+moves only on accepted steps, so it is drawn, from a second random stream,
+only when a state is kept, and the sign of the rebuilt field V a is
+recorded (`_record_fields`).  For one seed `run_pcn` and `run_label_pcn`
+accept the same steps.  The acceptance rule depends on the potential only
+through differences, so the potentials can be compared on identical
+proposal streams.  `pcn_step` is the plain one-step kernel on the
+coefficients, kept as the reference the chains are tested against.
 """
 
 from __future__ import annotations
@@ -184,37 +181,6 @@ def _blocks(cfg: PcnConfig) -> list[tuple[slice, int | None]]:
             for a, b in zip(starts, starts[1:] + [cfg.kept])]
 
 
-def _label_chain(potential, chol: np.ndarray, cfg: PcnConfig,
-                 rng: np.random.Generator) -> tuple[Chain, np.ndarray, np.ndarray]:
-    """pCN on the labeled values v, whose prior is N(0, chol chol^T).
-
-    The chain starts at `_start`.  The proposal is c v + beta chol xi,
-    c = sqrt(1 - beta^2), drawn by `_draws`.  Returns the chain, with
-    ``state`` the final v and nothing recorded, its kept states (kept x L)
-    and the number of steps accepted up to each.
-    """
-    value = potential.value_at_labeled
-    v, phi = _start(potential)
-    states, accepts = np.empty((cfg.kept, v.size)), np.empty(cfg.kept, dtype=int)
-    c = math.sqrt(1.0 - cfg.beta ** 2)
-    cv = c * v  # changes only when a proposal is accepted
-    accepted = j = 0
-    for noise, log_u, keeps in _draws(cfg, chol, rng):
-        for xi, lu, keep in zip(noise, log_u, keeps):
-            proposal = xi + cv
-            phi_new = value(proposal)
-            if phi - phi_new >= lu:
-                v, phi = proposal, phi_new
-                cv = c * v
-                accepted += 1
-            if keep:
-                states[j], accepts[j] = v, accepted
-                j += 1
-    chain = Chain(state=v, phi=phi)
-    chain.accepted, chain.steps = accepted, cfg.iterations
-    return chain, states, accepts
-
-
 def _row_draws(cfg: PcnConfig, chols, rngs):
     """`_draws` for chains that each draw from their own stream with their
     own factor: for each chunk, every chain's `_draws` chunk, stacked as
@@ -227,19 +193,23 @@ def _row_draws(cfg: PcnConfig, chols, rngs):
 
 def _lockstep_chains(potentials, draws,
                      cfg: PcnConfig) -> tuple[list[Chain], np.ndarray, np.ndarray]:
-    """`_label_chain` for several potentials, as one K x L state.
+    """pCN on the labeled values of K chains, one per potential, as the rows
+    of one K x L state v.
 
-    ``draws`` yields chunks as `_draws` does.  From `_draws` each step has
-    one noise row and one uniform, which every chain shares (common random
-    numbers); from `_row_draws` each step has one row and one uniform per
-    chain, in the order of the rows below.  The rows are grouped by
-    potential class (a stable sort, so potentials of one class keep their
-    order), each class values its block of rows in one call
-    (``row_values``, which keeps the bits of ``value_at_labeled``), and each
-    row accepts or rejects on its own.  So chain k takes exactly the steps
-    that `_label_chain` takes for potentials[k] on the same draws.  Returns
-    the chains, their kept states (K x kept x L) and accepted counts
-    (K x kept), in the order of ``potentials``.
+    Each row starts at `_start` of its potential.  Its proposal is
+    c v + beta chol xi, c = sqrt(1 - beta^2), with chol a Cholesky factor
+    of the row's prior covariance of v; the increments beta chol xi and the
+    logs of the uniforms come from ``draws`` in chunks, as `_draws` yields
+    them.  From `_draws` each step has one noise row and one uniform, which
+    every chain shares (common random numbers); from `_row_draws` each step
+    has one row and one uniform per chain, in the order of the rows below.
+    The rows are grouped by potential class (a stable sort, so potentials of
+    one class keep their order), each class values its block of rows in one
+    call (``row_values``, which keeps the bits of ``value_at_labeled``), and
+    each row accepts or rejects on its own, so the rows do not interact.
+    Returns the chains, with ``state`` the final v and nothing recorded,
+    their kept states (K x kept x L) and the number of steps accepted up to
+    each (K x kept), in the order of ``potentials``.
     """
     classes = list(dict.fromkeys(type(p) for p in potentials))
     order = sorted(range(len(potentials)), key=lambda k: classes.index(type(potentials[k])))
@@ -282,9 +252,18 @@ def _lockstep_chains(potentials, draws,
 
 
 def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig) -> Chain:
-    """Run a full pCN chain; returns the chain with its recorded statistics.
+    """Run a full pCN chain on the stream of ``cfg.seed``; returns the chain
+    with its recorded statistics.  The one-prior case of `run_pcn_chains`."""
+    return run_pcn_chains([prior], potential, cfg, [cfg.seed])[0]
 
-    The accept/reject chain is `run_label_pcn`'s chain on v = u_lab, drawn
+
+def run_pcn_chains(priors, potential, cfg: PcnConfig, seeds) -> list[Chain]:
+    """Run a full pCN chain for each prior, chain k on the stream of
+    ``seeds[k]`` with its own prior's label factor (`_row_draws`), the
+    chains stepping together (`_lockstep_chains`); returns the chains with
+    their recorded statistics, in the order of ``priors``.
+
+    Each accept/reject chain is `run_label_pcn`'s chain on v = u_lab, drawn
     from the same stream, so the two accept the same steps for one seed.
     The coefficients are a = B v + R with B = diag(S) Q^T G^{-1}
     (Q = V[labeled], S the prior variances, G = Q diag(S) Q^T as
@@ -297,18 +276,6 @@ def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig) -> Chain:
     rebuilt into the field V a, whose labeled entries are set to v exactly,
     and recorded by sign (`_record_fields`); with ``cfg.store_samples`` the
     fields are kept.
-    """
-    cond = LabelConditional(prior, potential.indices)
-    rng = np.random.default_rng(cfg.seed)
-    return _record_fields(prior, cond, cfg, rng,
-                          *_label_chain(potential, cond.chol, cfg, rng))
-
-
-def run_pcn_chains(priors, potential, cfg: PcnConfig, seeds) -> list[Chain]:
-    """`run_pcn(priors[k], potential, cfg)` with ``cfg.seed`` set to
-    ``seeds[k]``, for every k, bit for bit, with the chains stepping
-    together (`_lockstep_chains`), each on its own stream with its own
-    prior's label factor (`_row_draws`).
     """
     if not priors or len(priors) != len(seeds):
         raise ValueError(f"run_pcn_chains needs one seed per prior: "
@@ -325,7 +292,7 @@ def _record_fields(prior: FractionalOperator, cond: LabelConditional, cfg: PcnCo
                    rng: np.random.Generator, chain: Chain, states: np.ndarray,
                    accepts: np.ndarray) -> Chain:
     """Record the kept labeled values ``states`` of a chain that drew from
-    ``rng``, with ``accepts`` steps accepted up to each, as `run_pcn`
+    ``rng``, with ``accepts`` steps accepted up to each, as `run_pcn_chains`
     describes: age the residual through each block of `_blocks`, rebuild
     the block's fields and record their signs.  ``chain.state`` becomes the
     final coefficients."""
@@ -428,6 +395,8 @@ def run_label_pcn(prior: FractionalOperator, potentials, cfg: PcnConfig) -> list
     """
     if cfg.store_samples:
         raise ValueError("run_label_pcn keeps no fields; store_samples must be False")
+    if not potentials:
+        raise ValueError("run_label_pcn needs at least one potential")
     indices = potentials[0].indices
     if any(not np.array_equal(p.indices, indices) for p in potentials):
         raise ValueError("the potentials of run_label_pcn must share their labeled indices")

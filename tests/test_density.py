@@ -15,6 +15,26 @@ from graphssl.density import (
 )
 
 
+def _marginal_cdf_x1(rho):
+    """CDF of the first coordinate under rho, by the trapezoid rule on 4097
+    points of [0, 1] (and a 4096-point midpoint rule in x2 for two moons)."""
+    m = 4096
+    x = np.linspace(0.0, 1.0, m + 1)
+    if rho.kind == "channel":
+        pdf = _channel_profile(x, rho.h, rho.width) / rho.normalization
+    elif rho.kind == "uniform":
+        pdf = np.ones_like(x)
+    else:
+        y = np.linspace(0.5 / m, 1.0 - 0.5 / m, m)
+        pdf = np.empty_like(x)
+        for i, xi in enumerate(x):
+            pts = np.column_stack([np.full(m, xi), y])
+            pdf[i] = np.mean(rho._raw(pts)) / rho.normalization
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[:-1] + pdf[1:]) * np.diff(x))])
+    cdf /= cdf[-1]
+    return lambda q: np.interp(q, x, cdf)
+
+
 class TestChannelProfile:
     def test_h_one_is_uniform(self):
         x = np.linspace(0.0, 1.0, 257)
@@ -130,7 +150,7 @@ class TestSampling:
     ])
     def test_marginal_ks(self, rho):
         cloud = sample_cloud(rho, 4000, seed=11)
-        cdf = rho.marginal_cdf_x1()
+        cdf = _marginal_cdf_x1(rho)
         stat = kstest(cloud.points[:, 0], cdf)
         assert stat.pvalue > 1e-3
 

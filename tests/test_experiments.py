@@ -81,6 +81,7 @@ class TestConfig:
         ("mcmc-moons", {"tau_values": [0.0]}),
         ("rates-probit", {"alpha": 0.5, "continuum_grid_n": 65}),
         ("smallnoise", {"iterations": 2000, "burn_in": 0, "batches": 201}),  # 200 kept
+        ("rates-krige", {"models": "krige,krige"}),
     ])
     def test_invalid_parameters(self, exp, params):
         with pytest.raises(ConfigError):

@@ -107,6 +107,32 @@ def _reference_pcn(prior, pot, cfg, init=None):
     return chain
 
 
+def _scalar_label_chain(potential, chol, cfg, rng):
+    """Plain pCN on the labeled values v, whose prior is N(0, chol chol^T):
+    one chain and one `value_at_labeled` call per step, from `_start`, on
+    the draws of `_draws`.  Returns the chain (``state`` the final v,
+    nothing recorded), its kept states (kept x L) and the number of steps
+    accepted up to each: the oracle for each row of `_lockstep_chains`."""
+    value = potential.value_at_labeled
+    v, phi = posterior._start(potential)
+    states, accepts = np.empty((cfg.kept, v.size)), np.empty(cfg.kept, dtype=int)
+    c = math.sqrt(1.0 - cfg.beta ** 2)
+    accepted = j = 0
+    for noise, log_u, keeps in posterior._draws(cfg, chol, rng):
+        for xi, lu, keep in zip(noise, log_u, keeps):
+            proposal = xi + c * v
+            phi_new = value(proposal)
+            if phi - phi_new >= lu:
+                v, phi = proposal, phi_new
+                accepted += 1
+            if keep:
+                states[j], accepts[j] = v, accepted
+                j += 1
+    chain = Chain(state=v, phi=phi)
+    chain.accepted, chain.steps = accepted, cfg.iterations
+    return chain, states, accepts
+
+
 def _case(small_graph, case):
     """(labels, prior, potential, init) for a named posterior; ``init`` is a
     start of finite potential for `_reference_pcn` (the samplers pick their
@@ -230,14 +256,12 @@ class TestRunPcnAgainstReference:
     @pytest.mark.parametrize("case", ["probit0.1", "levelset0.5", "indicator"])
     def test_mean_sign_and_acceptance_agree(self, small_graph, case):
         _, prior, pot, init = _case(small_graph, case)
+        cfg = PcnConfig(beta=0.4, iterations=40_000, burn_in=4000, thinning=10)
         pooled = []
-        for sampler, seeds in (
-                (lambda cfg: _reference_pcn(prior, pot, cfg, init=init),
-                 [s for s, _ in self.SEEDS]),
-                (lambda cfg: run_pcn(prior, pot, cfg),
-                 [s for _, s in self.SEEDS])):
-            chains = [sampler(PcnConfig(beta=0.4, iterations=40_000, burn_in=4000,
-                                        thinning=10, seed=s)) for s in seeds]
+        # run_pcn's three chains step together, bit for bit as each alone
+        for chains in ([_reference_pcn(prior, pot, replace(cfg, seed=s), init=init)
+                        for s, _ in self.SEEDS],
+                       run_pcn_chains([prior] * 3, pot, cfg, [s for _, s in self.SEEDS])):
             means = [classification_stats(ch)[0] for ch in chains]
             se = np.sqrt(sum(mean_sign_stderr(ch) ** 2 for ch in chains)) / len(chains)
             pooled.append((np.mean(means, axis=0), se, [ch.acceptance_rate for ch in chains]))
@@ -428,8 +452,8 @@ class TestLabelConditional:
 class TestLockstepChains:
     """run_label_pcn steps its chains together, one noise row and one uniform
     per step for all of them.  Each chain must take exactly the steps of
-    run_pcn's scalar loop (`_label_chain`) for its own potential and seed,
-    and record exactly what a run_label_pcn call for that potential alone
+    the plain one-chain loop (`_scalar_label_chain`) for its own potential
+    and seed, and record exactly what a run_label_pcn call for that potential alone
     records: the rows do not interact, whatever the order of the classes."""
 
     CFG = PcnConfig(beta=0.4, iterations=3000, burn_in=300, thinning=5, seed=11, batches=6)
@@ -446,7 +470,7 @@ class TestLockstepChains:
             self.CFG)
 
         for k, (pot, chain) in enumerate(zip(pots, chains)):
-            scalar, states, accepts = posterior._label_chain(
+            scalar, states, accepts = _scalar_label_chain(
                 pot, cond.chol, self.CFG, np.random.default_rng(self.CFG.seed))
             assert np.array_equal(states, lock_states[k])
             assert np.array_equal(accepts, lock_accepts[k])
@@ -468,6 +492,11 @@ class TestLockstepChains:
                                 weights=np.ones(labels.size))
         with pytest.raises(ValueError, match="share their labeled indices"):
             run_label_pcn(prior, [ProbitPotential.for_graph(labels, 0.5), other], self.CFG)
+
+    def test_no_potentials_rejected(self, small_graph):
+        _, prior = _small_prior(small_graph)
+        with pytest.raises(ValueError, match="at least one potential"):
+            run_label_pcn(prior, [], self.CFG)
 
 
 class TestRunPcnChains:
@@ -500,7 +529,7 @@ class TestRunPcnChains:
 
         for k, (prior, seed, chain) in enumerate(zip(priors, self.SEEDS, chains)):
             cfg = replace(self.CFG, seed=seed)
-            _, states, accepts = posterior._label_chain(
+            _, states, accepts = _scalar_label_chain(
                 pot, chols[k], cfg, np.random.default_rng(seed))
             assert np.array_equal(states, lock_states[k])
             assert np.array_equal(accepts, lock_accepts[k])
@@ -557,13 +586,12 @@ class TestLabelChainAgainstReference:
     @pytest.mark.parametrize("case", ["probit1", "probit0.1", "levelset0.5", "indicator"])
     def test_mean_sign_and_acceptance_agree(self, small_graph, case):
         _, prior, pot, _ = _case(small_graph, case)
+        cfg = PcnConfig(beta=0.4, iterations=40_000, burn_in=4000, thinning=10)
         pooled = []
-        for sampler, seeds in ((run_pcn, [s for s, _ in self.SEEDS]),
-                               (lambda prior, pot, cfg: run_label_pcn(prior, [pot], cfg)[0],
-                                [s for _, s in self.SEEDS])):
-            chains = [sampler(prior, pot, PcnConfig(beta=0.4, iterations=40_000,
-                                                    burn_in=4000, thinning=10, seed=s))
-                      for s in seeds]
+        # run_pcn's three chains step together, bit for bit as each alone
+        for chains in (run_pcn_chains([prior] * 3, pot, cfg, [s for s, _ in self.SEEDS]),
+                       [run_label_pcn(prior, [pot], replace(cfg, seed=s))[0]
+                        for _, s in self.SEEDS]):
             means = [classification_stats(ch)[0] for ch in chains]
             se = np.sqrt(sum(mean_sign_stderr(ch) ** 2 for ch in chains)) / len(chains)
             pooled.append((np.mean(means, axis=0), se, [ch.acceptance_rate for ch in chains]))
