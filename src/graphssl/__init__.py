@@ -17,9 +17,8 @@ The package provides:
 * reproducible experiment drivers and a CLI (``experiments``, ``cli``).
 """
 
-from graphssl.density import Density, PointCloud, sample_cloud
-from graphssl.graph import (Kernel, WeightedGraph, kernel_constants, build_graph, laplacian,
-                            EpsilonSweep)
+from graphssl.density import Density, sample_cloud
+from graphssl.graph import WeightedGraph, kernel_constants, build_graph, laplacian, EpsilonSweep
 from graphssl.spectral import (
     EigenDecomposition,
     FractionalOperator,
@@ -58,8 +57,8 @@ from graphssl.transport import TlpPair, tlp_exact, tlp_map_bound, discrete_vs_co
 __version__ = "0.1.0"
 
 __all__ = [
-    "Density", "PointCloud", "sample_cloud",
-    "Kernel", "WeightedGraph", "kernel_constants", "build_graph", "laplacian", "EpsilonSweep",
+    "Density", "sample_cloud",
+    "WeightedGraph", "kernel_constants", "build_graph", "laplacian", "EpsilonSweep",
     "EigenDecomposition", "FractionalOperator", "decompose", "decompose_graph",
     "apply_power", "quadratic_form", "weyl_exponent",
     "Grid", "ContinuumOperator", "discretize", "interpolate_to_points", "fiedler_vector",

@@ -1,4 +1,4 @@
-"""Sampling densities on the unit box and i.i.d. point clouds.
+"""Sampling densities on the unit box and i.i.d. point clouds as n x d arrays.
 
 All densities live on Omega = (0,1)^d and are normalized to integrate to one.
 Three families are supported: uniform, a "channel" density that dips to a
@@ -159,31 +159,16 @@ class Density:
         """An upper bound on the unnormalized density (rejection envelope)."""
         if self.kind == "uniform":
             return 1.0
-        if self.kind == "channel":
-            return 1.0
+        if self.kind == "channel":  # the larger of the profile's two levels
+            return max(1.0, self.h)
         return self.contrast
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """An i.i.d. sample from a Density, with the seed that produced it."""
+def sample_cloud(rho: Density, n: int, seed: int) -> np.ndarray:
+    """Draw n i.i.d. points by rejection against the uniform envelope; returns
+    them as an n x d array.
 
-    points: np.ndarray
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
-def sample_cloud(rho: Density, n: int, seed: int) -> PointCloud:
-    """Draw n i.i.d. points by rejection against the uniform envelope.
-
-    Reproducible: the same (rho, n, seed) yields the identical cloud.
+    Reproducible: the same (rho, n, seed) yields the identical points.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -202,4 +187,4 @@ def sample_cloud(rho: Density, n: int, seed: int) -> PointCloud:
         take = min(len(cand), n - filled)
         out[filled:filled + take] = cand[:take]
         filled += take
-    return PointCloud(points=out, seed=seed)
+    return out

@@ -30,7 +30,7 @@ import numpy as np
 
 from graphssl.continuum import discretize, fiedler_vector, interpolate_to_points
 from graphssl.density import Density, sample_cloud
-from graphssl.graph import EpsilonSweep, Kernel, build_graph, laplacian
+from graphssl.graph import EpsilonSweep, build_graph, laplacian
 from graphssl.labels import Ball, Model1Spec, Model2Spec, assign_labels, sign
 from graphssl.models import (
     IndicatorPotential,
@@ -203,18 +203,16 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must have 2 coordinates")
         if "eps_min" in p and not 0 < p["eps_min"] < p["eps_max"]:
             raise ConfigError("need 0 < eps_min < eps_max")
-        if "beta" in p and not 0 < p["beta"] <= 1:
-            raise ConfigError("beta must lie in (0, 1]")
         if "channel_width" in p and not 0 < p["channel_width"] < 1:
             raise ConfigError("channel_width must lie in (0, 1)")
-        if "iterations" in p and (p["iterations"] - p["burn_in"]) // p["thinning"] < 100:
-            raise ConfigError("(iterations - burn_in) // thinning must be at least 100")
-        if e == "smallnoise":  # more batches than kept states
+        if "iterations" in p:  # the chains' PcnConfig, as the run builds it
+            keys = ("beta", "iterations", "burn_in", "thinning", "batches")
             try:
-                PcnConfig(iterations=p["iterations"], burn_in=p["burn_in"],
-                          thinning=p["thinning"], batches=p["batches"])
+                kept = PcnConfig(**{k: p[k] for k in keys if k in p}).kept
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+            if kept < 100:  # the states classification_stats needs
+                raise ConfigError(f"the chains keep {kept} states; at least 100 are needed")
         # the node counts of the operators whose every eigenpair the run
         # takes, which only the dense eigensolver gives
         full = []
@@ -499,18 +497,16 @@ def run_rates(cfg: ExperimentConfig) -> dict:
 
     def sweep_seed(n, seed_idx):
         seed = _point_seed(cfg.seed, n, seed_idx)
-        cloud = sample_cloud(Density("uniform"), n - 2, seed=seed)
+        points = sample_cloud(Density("uniform"), n - 2, seed=seed)
         with _counted_warnings(caught):
-            cloud, labels = assign_labels(cloud, spec)
+            points, labels = assign_labels(points, spec)
             # the empirical L^2 error of discrete_vs_continuum_error, with each
-            # reference interpolated at the cloud once
-            at_cloud = {m: interpolate_to_points(grid, refs[m], cloud.points)
-                        for m in models}
+            # reference interpolated at the points once
+            at_points = {m: interpolate_to_points(grid, refs[m], points) for m in models}
             errs = {m: np.full(len(eps_grid), np.nan) for m in models}
-            kernels = [Kernel(epsilon=eps, dim=2) for eps in eps_grid]
-            sweep = EpsilonSweep(cloud, kernels)
-            for k, kern in enumerate(kernels):
-                base = sweep.scaled_laplacian(kern)
+            sweep = EpsilonSweep(points, eps_grid)
+            for k, eps in enumerate(eps_grid):
+                base = sweep.scaled_laplacian(eps)
                 if by_factor:
                     # takes base over; factored on first use, it serves both models
                     factor = PoweredFactor(base, int(p["alpha"]), p["tau"])
@@ -518,7 +514,7 @@ def run_rates(cfg: ExperimentConfig) -> dict:
                     try:
                         eig = decompose(base)
                     except (EigensolverError, np.linalg.LinAlgError) as exc:
-                        drop(n, seed, kern.epsilon, models, exc)
+                        drop(n, seed, eps, models, exc)
                         continue
                     prior = FractionalOperator(eig, alpha=p["alpha"], tau=p["tau"])
                 for m in models:
@@ -531,12 +527,12 @@ def run_rates(cfg: ExperimentConfig) -> dict:
                         else:
                             pot = ProbitPotential.for_graph(labels, p["gamma"])
                             if by_factor:
-                                u = sparse_probit_map(factor, np.full(n, 1.0 / n), pot)
+                                u = sparse_probit_map(factor, pot)
                             else:
                                 u = probit_map(prior, pot)
-                        errs[m][k] = float(np.sqrt(np.mean((u - at_cloud[m]) ** 2)))
+                        errs[m][k] = float(np.sqrt(np.mean((u - at_points[m]) ** 2)))
                     except (ValueError, RuntimeError) as exc:
-                        drop(n, seed, kern.epsilon, [m], exc)
+                        drop(n, seed, eps, [m], exc)
                         continue
         return errs
 
@@ -588,12 +584,11 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
     ``result["warnings"]``.
     """
     p = cfg.params
-    cloud = sample_cloud(Density("uniform"), p["n"] - 2,
-                         seed=_point_seed(cfg.seed, 0))
-    cloud, labels = assign_labels(cloud, _two_labels(p))
-    unlabeled = np.setdiff1d(np.arange(cloud.n), labels.indices)
+    points = sample_cloud(Density("uniform"), p["n"] - 2, seed=_point_seed(cfg.seed, 0))
+    points, labels = assign_labels(points, _two_labels(p))
+    unlabeled = np.setdiff1d(np.arange(len(points)), labels.indices)
 
-    d = cloud.dim
+    d = points.shape[1]
     eigs = {}
     rows = []
     scores = {}
@@ -602,7 +597,7 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
         eps = EPS_LOW_ALPHA if alpha <= d / 2 else EPS_HIGH_ALPHA
         if eps not in eigs:
             with _counted_warnings(caught):
-                g = build_graph(cloud, Kernel(epsilon=eps, dim=d))
+                g = build_graph(points, eps)
             eigs[eps] = decompose_graph(g)
         prior = FractionalOperator(eigs[eps], alpha=alpha, tau=p["tau"])
         u = krige(prior, labels.indices, labels.y)
@@ -611,7 +606,7 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
         rows.append([alpha, eps, score])
         _write_csv(cfg.out_dir / f"field_alpha{alpha:g}.csv",
                    [*(f"x{i+1}" for i in range(d)), "u"],
-                   np.column_stack([cloud.points, u]))
+                   np.column_stack([points, u]))
     _write_csv(cfg.out_dir / "spikes.csv", ["alpha", "epsilon", "spike_score"], rows)
     return {"scores": scores, "warnings": dict(caught)}
 
@@ -698,10 +693,9 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
     for n in p["n_values"]:
         lams = []
         for s in range(p["n_seeds"]):
-            cloud = sample_cloud(Density("uniform"), n,
-                                 seed=_point_seed(cfg.seed, n, s))
+            points = sample_cloud(Density("uniform"), n, seed=_point_seed(cfg.seed, n, s))
             with _counted_warnings(caught):
-                g = build_graph(cloud, Kernel(epsilon=p["eps"], dim=2))
+                g = build_graph(points, p["eps"])
             eig = decompose(laplacian(g, normalized=True), m=min(m_graph, n))
             scale = g.s_n * float(np.mean(g.degrees))
             lams.append(scale * np.clip(eig.eigenvalues, 0.0, None))
@@ -749,19 +743,17 @@ def run_smallnoise(cfg: ExperimentConfig) -> dict:
     Warnings from the graph build are counted in ``report["warnings"]``.
     """
     p = cfg.params
-    cloud = sample_cloud(Density("uniform"), p["n"] - 2,
-                         seed=_point_seed(cfg.seed, 0))
-    cloud, labels = assign_labels(cloud, _two_labels(p))
+    points = sample_cloud(Density("uniform"), p["n"] - 2, seed=_point_seed(cfg.seed, 0))
+    points, labels = assign_labels(points, _two_labels(p))
     caught = Counter()
     with _counted_warnings(caught):
-        g = build_graph(cloud, Kernel(epsilon=p["eps"], dim=2))
+        g = build_graph(points, p["eps"])
     eig = decompose_graph(g)
     prior = FractionalOperator(eig, alpha=p["alpha"], tau=p["tau"])
 
     pcn = PcnConfig(beta=p["beta"], iterations=p["iterations"],
-                    burn_in=p["burn_in"], thinning=p["thinning"],
-                    seed=_point_seed(cfg.seed, 1), batches=p["batches"])
-    report = small_noise_agreement(prior, labels, p["gammas"], pcn)
+                    burn_in=p["burn_in"], thinning=p["thinning"], batches=p["batches"])
+    report = small_noise_agreement(prior, labels, p["gammas"], pcn, _point_seed(cfg.seed, 1))
     report["warnings"] = dict(caught)
 
     rows = [["indicator", "", "", "", "", report["indicator_acceptance"]]]

@@ -2,7 +2,7 @@
 
 Labelling model 1 labels every sampled point falling in one of two separated
 balls (fidelity weight r_n = 1/n); labelling model 2 prepends a fixed set
-of labeled points to the cloud (r_n = 1).
+of labeled points to the n x d array of points (r_n = 1).
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from graphssl.density import PointCloud
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,6 @@ class Model2Spec:
 class LabelSet:
     """Labeled index set Z', labels y in {-1,+1}, and fidelity weight r_n."""
 
-    model: int
     indices: np.ndarray
     y: np.ndarray
     r_n: float
@@ -84,26 +81,25 @@ def region_labels(spec: Model1Spec, pts: np.ndarray) -> tuple[np.ndarray, np.nda
     return idx, np.where(in_plus[idx], 1.0, -1.0)
 
 
-def assign_labels(cloud: PointCloud, spec) -> tuple[PointCloud, LabelSet]:
-    """Apply a labelling model; returns the (possibly augmented) cloud and labels.
+def assign_labels(points: np.ndarray, spec) -> tuple[np.ndarray, LabelSet]:
+    """Apply a labelling model to n x d ``points``; returns the (possibly
+    augmented) points and the labels.
 
-    Model 1 leaves the cloud unchanged and labels points falling in the
+    Model 1 leaves the points unchanged and labels those falling in the
     regions; model 2 prepends the fixed labeled points, which then take part
     in graph construction identically to sampled points.
     """
     if isinstance(spec, Model1Spec):
-        idx, y = region_labels(spec, cloud.points)
+        idx, y = region_labels(spec, points)
         if len(idx) == 0:
             warnings.warn("no samples fell in the labelled regions", stacklevel=2)
-        return cloud, LabelSet(model=1, indices=idx, y=y, r_n=1.0 / cloud.n)
+        return points, LabelSet(indices=idx, y=y, r_n=1.0 / len(points))
 
     if isinstance(spec, Model2Spec):
         fixed = np.atleast_2d(np.asarray(spec.points, dtype=float))
         signs = np.asarray(spec.signs, dtype=float)
-        pts = np.vstack([fixed, cloud.points])
-        new_cloud = PointCloud(points=pts, seed=cloud.seed)
         idx = np.arange(len(fixed))
-        return new_cloud, LabelSet(model=2, indices=idx, y=signs, r_n=1.0)
+        return np.vstack([fixed, points]), LabelSet(indices=idx, y=signs, r_n=1.0)
 
     raise TypeError(f"unknown labelling spec {type(spec)!r}")
 

@@ -266,16 +266,6 @@ def _spectral_space(prior: FractionalOperator, indices: np.ndarray) -> _LabelSpa
     return _LabelSpace(K=K, gram=G, assume_a="pos")
 
 
-def _factored_space(factor: PoweredFactor, indices: np.ndarray,
-                    weights: np.ndarray | None = None) -> _LabelSpace:
-    """K from the unit solves A1^-alpha e_j, column j scaled by 1/w_j
-    (kriging passes no weights: its interpolant does not depend on them)."""
-    K = factor.unit_solves(indices)
-    if weights is not None:
-        K = K / np.asarray(weights, dtype=float)[indices]
-    return _LabelSpace(K=K, gram=K[indices, :])
-
-
 def _krige(space: _LabelSpace, y: np.ndarray) -> np.ndarray:
     return space.K @ _solve_gram(space.gram, y, assume_a=space.assume_a)
 
@@ -427,20 +417,23 @@ def sparse_krige(factor: PoweredFactor, indices: np.ndarray, y: np.ndarray) -> n
     interpolant is invariant to the inner-product convention of the
     evaluation adjoint.
     """
-    return _krige(_factored_space(factor, np.asarray(indices)),
-                  np.asarray(y, dtype=float))
+    indices = np.asarray(indices)
+    K = factor.unit_solves(indices)
+    return _krige(_LabelSpace(K=K, gram=K[indices, :]), np.asarray(y, dtype=float))
 
 
-def sparse_probit_map(factor: PoweredFactor, weights: np.ndarray,
-                      pot: ProbitPotential,
+def sparse_probit_map(factor: PoweredFactor, pot: ProbitPotential,
                       init: np.ndarray | None = None) -> np.ndarray:
-    """Probit MAP in label space with the factored precision operator.
+    """Probit MAP in label space with the factored precision operator s_n L
+    + tau^2 I of an n-node graph.
 
-    ``weights`` are the inner-product weights that make the factored
-    operator symmetric: uniform 1/n weights for s_n * L on graphs.  No
-    spectral truncation is involved.
+    K = A^-1 W^-1 R* takes the uniform weights w = 1/n that make s_n L
+    symmetric: each unit solve is divided by 1/n.  No spectral truncation
+    is involved.
     """
-    return _label_space_map(_factored_space(factor, pot.indices, weights), pot, init)
+    # divided by 1/n, not multiplied by n, which rounds differently
+    K = factor.unit_solves(pot.indices) / (1.0 / factor.A1.shape[0])
+    return _label_space_map(_LabelSpace(K=K, gram=K[pot.indices, :]), pot, init)
 
 
 def _splu_solve(H: sp.csc_matrix, b: np.ndarray,

@@ -50,7 +50,6 @@ class PcnConfig:
     iterations: int = 20_000
     burn_in: int = 2_000
     thinning: int = 10
-    seed: int = 0
     store_samples: bool = False
     batches: int = 20  # batch-means batches for MC standard errors
 
@@ -251,10 +250,10 @@ def _lockstep_chains(potentials, draws,
     return [chains[k] for k in rank], states[rank], accepts[rank]
 
 
-def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig) -> Chain:
-    """Run a full pCN chain on the stream of ``cfg.seed``; returns the chain
-    with its recorded statistics.  The one-prior case of `run_pcn_chains`."""
-    return run_pcn_chains([prior], potential, cfg, [cfg.seed])[0]
+def run_pcn(prior: FractionalOperator, potential, cfg: PcnConfig, seed: int) -> Chain:
+    """Run a full pCN chain on the stream of ``seed``; returns the chain with
+    its recorded statistics.  The one-prior case of `run_pcn_chains`."""
+    return run_pcn_chains([prior], potential, cfg, [seed])[0]
 
 
 def run_pcn_chains(priors, potential, cfg: PcnConfig, seeds) -> list[Chain]:
@@ -381,9 +380,10 @@ class LabelConditional:
         return out
 
 
-def run_label_pcn(prior: FractionalOperator, potentials, cfg: PcnConfig) -> list[Chain]:
+def run_label_pcn(prior: FractionalOperator, potentials, cfg: PcnConfig,
+                  seed: int) -> list[Chain]:
     """pCN on the labeled values u_lab, with Rao-Blackwellized mean signs:
-    one chain per potential, all on one stream (`_lockstep_chains`).
+    one chain per potential, all on the stream of ``seed`` (`_lockstep_chains`).
 
     Targets the same posterior as `run_pcn` (prior A^{-1} truncated to the
     eigenbasis, potential seen at the labeled nodes), but the state is
@@ -402,7 +402,7 @@ def run_label_pcn(prior: FractionalOperator, potentials, cfg: PcnConfig) -> list
         raise ValueError("the potentials of run_label_pcn must share their labeled indices")
     cond = LabelConditional(prior, indices)
     chains, states, _ = _lockstep_chains(
-        potentials, _draws(cfg, cond.chol, np.random.default_rng(cfg.seed)), cfg)
+        potentials, _draws(cfg, cond.chol, np.random.default_rng(seed)), cfg)
     blocks = _blocks(cfg)
     for chain, chain_states in zip(chains, states):
         for block, batch in blocks:
@@ -443,7 +443,7 @@ def mean_sign_stderr(chain: Chain) -> np.ndarray:
 
 
 def small_noise_agreement(prior: FractionalOperator, labels: LabelSet,
-                          gammas, cfg: PcnConfig) -> dict:
+                          gammas, cfg: PcnConfig, seed: int) -> dict:
     """Compare probit and level-set chains against the indicator chain.
 
     Each potential is built from ``labels`` by ``for_graph``, a probit and a
@@ -451,14 +451,14 @@ def small_noise_agreement(prior: FractionalOperator, labels: LabelSet,
     is the oracle for the zero-noise limit; the report carries per-gamma max
     node discrepancies of the mean sign field and the corresponding combined
     MC standard errors.  The chains run in one `run_label_pcn` call, on
-    one stream: the comparison uses common random numbers.
+    the stream of ``seed``: the comparison uses common random numbers.
     """
     gammas = sorted(gammas, reverse=True)
     kinds = (("probit", ProbitPotential), ("levelset", LevelSetPotential))
     entries = [(name, gamma, kind.for_graph(labels, gamma))
                for gamma in gammas for name, kind in kinds]
-    ind_chain, *chains = run_label_pcn(
-        prior, [IndicatorPotential.for_graph(labels)] + [pot for *_, pot in entries], cfg)
+    pots = [IndicatorPotential.for_graph(labels)] + [pot for *_, pot in entries]
+    ind_chain, *chains = run_label_pcn(prior, pots, cfg, seed)
     ind_mean, _ = classification_stats(ind_chain)
     ind_se = mean_sign_stderr(ind_chain)
 

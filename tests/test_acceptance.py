@@ -15,7 +15,7 @@ import scipy.linalg
 
 from graphssl.density import Density, sample_cloud
 from graphssl.experiments import ExperimentConfig, run
-from graphssl.graph import Kernel, build_graph, laplacian
+from graphssl.graph import build_graph, laplacian
 from graphssl.labels import Model2Spec, assign_labels
 from graphssl.models import (
     LevelSetPotential,
@@ -81,7 +81,7 @@ def test_criterion_01_spectral_oracle():
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            g = build_graph(cloud, Kernel(epsilon=float(rng.uniform(0.4, 0.8)), dim=2))
+            g = build_graph(cloud, float(rng.uniform(0.4, 0.8)))
         alpha = float(rng.uniform(0.3, 2.5))
         tau = float(rng.uniform(0.2, 2.0))
         eig = decompose_graph(g)
@@ -226,11 +226,11 @@ def test_criterion_09_label_information_loss():
         for s in range(3):
             cloud = sample_cloud(Density("uniform"), n - 2, seed=1000 * s + n)
             cloud, labels = assign_labels(cloud, spec)
-            g = build_graph(cloud, Kernel(epsilon=0.3, dim=2))
+            g = build_graph(cloud, 0.3)
             pot = ProbitPotential(gamma=0.01, indices=labels.indices,
                                   y=labels.y, weights=np.ones(2))
             factor = PoweredFactor(laplacian(g) * g.s_n, 2, 1.0)
-            v = sparse_probit_map(factor, np.full(g.n, 1.0 / g.n), pot)
+            v = sparse_probit_map(factor, pot)
             vals.append(float(np.sqrt(np.mean(v ** 2))))
         norms[n] = float(np.mean(vals))
     dt = time.perf_counter() - t0
@@ -262,20 +262,19 @@ def test_criterion_10_small_noise_limit(smallnoise_result):
 def test_criterion_11_pcn_prior_preservation():
     t0 = time.perf_counter()
     cloud = sample_cloud(Density("uniform"), 60, seed=0)
-    g = build_graph(cloud, Kernel(epsilon=0.35, dim=2))
+    g = build_graph(cloud, 0.35)
     eig = decompose_graph(g)
     prior = FractionalOperator(eig, alpha=2.0, tau=1.0)
     from graphssl.models import IndicatorPotential
     free = IndicatorPotential(indices=np.array([], dtype=int), y=np.array([]))
     cfg = PcnConfig(beta=0.9, iterations=100_000, burn_in=1000, thinning=1,
-                    seed=5, store_samples=True)
-    chain = run_pcn(prior, free, cfg)
+                    store_samples=True)
+    chain = run_pcn(prior, free, cfg, 5)
     coeffs = np.array([prior.eig.coeffs(u) for u in chain.samples])
     ref_var = prior_std(prior) ** 2
     var_dev = float(np.max(np.abs(coeffs.var(axis=0) - ref_var) / ref_var))
-    cfg1 = PcnConfig(beta=1.0, iterations=4000, burn_in=0, thinning=1,
-                     seed=6, store_samples=True)
-    chain1 = run_pcn(prior, free, cfg1)
+    cfg1 = PcnConfig(beta=1.0, iterations=4000, burn_in=0, thinning=1, store_samples=True)
+    chain1 = run_pcn(prior, free, cfg1, 6)
     c1 = np.array([prior.eig.coeffs(u) for u in chain1.samples])
     a = c1[:-1] - c1[:-1].mean(axis=0)
     b = c1[1:] - c1[1:].mean(axis=0)

@@ -78,9 +78,8 @@ def test_first_call_imports_give_the_same_values(tmp_path):
         bound = gs.tlp_map_bound(a.points, a.values, grid, rng.standard_normal(grid.size),
                                  np.ones(grid.size))
         cloud = gs.sample_cloud(gs.Density("uniform"), 300, seed=5)
-        g = gs.build_graph(cloud, gs.Kernel(epsilon=0.1))
-        L = gs.EpsilonSweep(cloud, [gs.Kernel(epsilon=e) for e in (0.05, 0.1)]
-                            ).scaled_laplacian(gs.Kernel(epsilon=0.05))
+        g = gs.build_graph(cloud, 0.1)
+        L = gs.EpsilonSweep(cloud, [0.05, 0.1]).scaled_laplacian(0.05)
         print(json.dumps({{
             "exact": gs.tlp_exact(a, b).hex(),
             "bound": [x.hex() for x in bound],

@@ -9,7 +9,6 @@ from graphssl.density import (
     CHANNEL_RAMP,
     Density,
     DomainError,
-    PointCloud,
     sample_cloud,
     _channel_profile,
 )
@@ -136,12 +135,12 @@ class TestSampling:
         rho = Density("channel", h=0.3)
         a = sample_cloud(rho, 500, seed=3)
         b = sample_cloud(rho, 500, seed=3)
-        assert np.array_equal(a.points, b.points)
-        assert not np.array_equal(a.points, sample_cloud(rho, 500, seed=4).points)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, sample_cloud(rho, 500, seed=4))
 
     def test_points_strictly_interior(self):
         cloud = sample_cloud(Density("uniform"), 2000, seed=0)
-        assert np.all(cloud.points > 0.0) and np.all(cloud.points < 1.0)
+        assert np.all(cloud > 0.0) and np.all(cloud < 1.0)
 
     @pytest.mark.parametrize("rho", [
         Density("uniform"),
@@ -151,7 +150,7 @@ class TestSampling:
     def test_marginal_ks(self, rho):
         cloud = sample_cloud(rho, 4000, seed=11)
         cdf = _marginal_cdf_x1(rho)
-        stat = kstest(cloud.points[:, 0], cdf)
+        stat = kstest(cloud[:, 0], cdf)
         assert stat.pvalue > 1e-3
 
     def test_channel_strip_mass_binomial(self):
@@ -162,9 +161,21 @@ class TestSampling:
         half = rho.width / 2
         x = np.linspace(0.5 - half, 0.5 + half, 20001)
         p_strip = np.trapezoid(_channel_profile(x, rho.h, rho.width), x) / rho.normalization
-        hits = np.sum(np.abs(cloud.points[:, 0] - 0.5) <= half)
+        hits = np.sum(np.abs(cloud[:, 0] - 0.5) <= half)
         sigma = np.sqrt(n * p_strip * (1 - p_strip))
         assert abs(hits - n * p_strip) <= 3 * sigma
+
+    def test_channel_deeper_than_one_keeps_its_strip_mass(self):
+        # at h > 1 the profile peaks at h, so the rejection envelope must
+        # reach h: a cap at 1 put 10 % of the points in a strip of mass 24 %
+        rho = Density("channel", h=3.0)
+        n = 200_000
+        cloud = sample_cloud(rho, n, seed=5)
+        half = rho.width / 2
+        x = np.linspace(0.5 - half, 0.5 + half, 20001)
+        p_strip = np.trapezoid(_channel_profile(x, rho.h, rho.width), x) / rho.normalization
+        hits = np.sum(np.abs(cloud[:, 0] - 0.5) <= half)
+        assert abs(hits - n * p_strip) <= 4 * np.sqrt(n * p_strip * (1 - p_strip))
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):

@@ -82,10 +82,20 @@ class TestConfig:
         ("rates-probit", {"alpha": 0.5, "continuum_grid_n": 65}),
         ("smallnoise", {"iterations": 2000, "burn_in": 0, "batches": 201}),  # 200 kept
         ("rates-krige", {"models": "krige,krige"}),
+        # range(100, 1090, 10) keeps 99 states
+        ("smallnoise", {"iterations": 1090, "burn_in": 100, "thinning": 10}),
+        ("mcmc-moons", {"iterations": 1090, "burn_in": 100, "thinning": 10}),
     ])
     def test_invalid_parameters(self, exp, params):
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment=exp, out_dir="/tmp/x", params=params)
+
+    @pytest.mark.parametrize("exp", ["smallnoise", "mcmc-moons"])
+    def test_chains_keeping_100_states_accepted(self, exp):
+        # range(100, 1091, 10) keeps the 100 states classification_stats needs
+        cfg = ExperimentConfig(experiment=exp, out_dir="/tmp/x",
+                               params={"iterations": 1091, "burn_in": 100, "thinning": 10})
+        assert cfg.params["iterations"] == 1091
 
     def test_unknown_rates_model(self, tmp_path):
         # rejected with the config, before run() creates the output directory

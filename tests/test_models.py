@@ -14,7 +14,7 @@ from scipy.special import erfc, log_ndtr
 import graphssl.models as models
 from graphssl.continuum import discretize
 from graphssl.density import Density, sample_cloud
-from graphssl.graph import EpsilonSweep, Kernel, build_graph, laplacian
+from graphssl.graph import EpsilonSweep, build_graph, laplacian
 from graphssl.labels import Ball, LabelValidationError, Model1Spec, Model2Spec, assign_labels
 from graphssl.models import (
     IndicatorPotential,
@@ -212,7 +212,7 @@ class TestProbitMap:
         spec = Model2Spec(points=np.array([[0.25, 0.25], [0.75, 0.75]]),
                           signs=np.array([1.0, -1.0]))
         cloud, labels = assign_labels(cloud, spec)
-        g = build_graph(cloud, Kernel(epsilon=0.5, dim=2))
+        g = build_graph(cloud, 0.5)
         prior = _prior(g, alpha=1.0, tau=1.0)
         pot = ProbitPotential.for_graph(labels, 0.5)
         u = probit_map(prior, pot)
@@ -266,7 +266,7 @@ class TestProbitMap:
         pot = ProbitPotential.for_graph(labels, 0.1)
         u_spec = probit_map(prior, pot)
         factor = PoweredFactor(laplacian(graph) * graph.s_n, 3, 1.0)
-        u_sparse = sparse_probit_map(factor, np.full(graph.n, 1.0 / graph.n), pot)
+        u_sparse = sparse_probit_map(factor, pot)
         assert np.allclose(u_spec, u_sparse, rtol=1e-7, atol=1e-9)
 
     def test_midpoint_convexity(self, small_graph):
@@ -342,7 +342,7 @@ class TestPoweredFactor:
     @pytest.mark.parametrize("eps, dense", [(0.1, False), (0.25, True)])
     def test_shared_factor_matches_reference_loop(self, small_graph, eps, dense):
         graph, labels = small_graph
-        g = build_graph(graph.cloud, Kernel(epsilon=eps, dim=2))
+        g = build_graph(graph.points, eps)
         base = laplacian(g) * g.s_n
         w = np.full(g.n, 1.0 / g.n)
         pot = ProbitPotential.for_graph(labels, 0.01)
@@ -350,12 +350,12 @@ class TestPoweredFactor:
         factor = PoweredFactor(base, 2, 1.0)
         assert (factor.A1.nnz > 0.05 * g.n ** 2) == dense
         u_krige = sparse_krige(factor, labels.indices, labels.y)
-        u_shared = sparse_probit_map(factor, w, pot)
+        u_shared = sparse_probit_map(factor, pot)
         # the label-space Newton iteration takes the node-space loop's steps
         # in other coordinates, so the two agree to rounding
         assert _rel(u_shared, ref) <= 1e-9
         # bit for bit: sharing the factor changes no arithmetic
-        assert np.array_equal(sparse_probit_map(PoweredFactor(base, 2, 1.0), w, pot),
+        assert np.array_equal(sparse_probit_map(PoweredFactor(base, 2, 1.0), pot),
                               u_shared)
         assert np.array_equal(
             u_krige, sparse_krige(PoweredFactor(base, 2, 1.0), labels.indices, labels.y))
@@ -385,7 +385,7 @@ class TestPoweredFactor:
     def test_factors_on_first_solve(self, small_graph, monkeypatch):
         # the solver that first uses a shared factor owns its factorization
         graph, labels = small_graph
-        g = build_graph(graph.cloud, Kernel(epsilon=0.1, dim=2))
+        g = build_graph(graph.points, 0.1)
         calls = []
         splu = spla.splu
         monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
@@ -419,15 +419,14 @@ class TestPoweredFactor:
     @pytest.mark.parametrize("eps", [0.25, 0.4])
     def test_dense_sweep_route_matches_spectral(self, small_graph, eps):
         graph, labels = small_graph
-        kern = Kernel(epsilon=eps, dim=2)
-        base = EpsilonSweep(graph.cloud, [kern]).scaled_laplacian(kern)
+        base = EpsilonSweep(graph.points, [eps]).scaled_laplacian(eps)
         assert isinstance(base, np.ndarray)
-        g = build_graph(graph.cloud, kern)
+        g = build_graph(graph.points, eps)
         prior = _prior(g, alpha=2.0, tau=1.0)
         pot = ProbitPotential.for_graph(labels, 0.1)
         factor = PoweredFactor(base, 2, 1.0)
         u_krige = sparse_krige(factor, labels.indices, labels.y)
-        u_map = sparse_probit_map(factor, np.full(g.n, 1.0 / g.n), pot)
+        u_map = sparse_probit_map(factor, pot)
         assert _rel(u_krige, krige(prior, labels.indices, labels.y)) <= 1e-9
         assert _rel(u_map, probit_map(prior, pot)) <= 1e-9
 
@@ -495,11 +494,10 @@ def test_spectral_sweep_route_matches_build_graph(small_graph, eps, dense):
     # at scale 1, against those of L from build_graph at scale s_n, on both
     # sides of the dense-fill threshold
     graph, labels = small_graph
-    kern = Kernel(epsilon=eps, dim=2)
-    base = EpsilonSweep(graph.cloud, [kern]).scaled_laplacian(kern)
+    base = EpsilonSweep(graph.points, [eps]).scaled_laplacian(eps)
     assert isinstance(base, np.ndarray) == dense
     swept = FractionalOperator(decompose(base), alpha=1.5, tau=1.0)
-    g = build_graph(graph.cloud, kern)
+    g = build_graph(graph.points, eps)
     prior = FractionalOperator(decompose_graph(g), alpha=1.5, tau=1.0)
     pot = ProbitPotential.for_graph(labels, 0.1)
     idx, y = labels.indices, labels.y
@@ -592,8 +590,7 @@ class TestLineSearch:
                                weights=np.ones(2))
         base = laplacian(graph) * graph.s_n
         solves = [lambda: probit_map(_prior(graph), pot),
-                  lambda: sparse_probit_map(PoweredFactor(base, 2, 1.0),
-                                            np.full(graph.n, 1.0 / graph.n), pot)]
+                  lambda: sparse_probit_map(PoweredFactor(base, 2, 1.0), pot)]
         op = discretize(Density("uniform"), 16)
         spec = Model2Spec(points=np.array([[0.25, 0.25], [0.75, 0.75]]),
                           signs=np.array([1.0, -1.0]))
@@ -659,7 +656,7 @@ def test_label_space_backends_agree_property(n, seed, eps, alpha, gamma):
     cloud, labels = assign_labels(sample_cloud(Density("uniform"), n, seed=seed), spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # disconnected graphs are fine
-        g = build_graph(cloud, Kernel(epsilon=eps, dim=2))
+        g = build_graph(cloud, eps)
     prior = _prior(g, alpha=float(alpha), tau=1.0)
     base = laplacian(g) * g.s_n
     w = np.full(g.n, 1.0 / g.n)
@@ -670,7 +667,7 @@ def test_label_space_backends_agree_property(n, seed, eps, alpha, gamma):
     ref = _reference_sparse_probit_map(base, w, alpha, 1.0, pot, tol=1e-12)
     assert _rel(probit_map(prior, pot), ref) <= 1e-9
     factor = PoweredFactor(base, alpha, 1.0)
-    assert _rel(sparse_probit_map(factor, w, pot), ref) <= 1e-9
+    assert _rel(sparse_probit_map(factor, pot), ref) <= 1e-9
     u_krige = krige(prior, labels.indices, labels.y)
     assert _rel(sparse_krige(factor, labels.indices, labels.y), u_krige) <= 1e-9
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphssl.density import Density, sample_cloud
-from graphssl.graph import Kernel, build_graph
+from graphssl.graph import build_graph
 from graphssl.models import (
     IndicatorPotential,
     LevelSetPotential,
@@ -33,7 +32,7 @@ from graphssl.spectral import FractionalOperator, decompose_graph, prior_std
 
 def _prior(n=60, seed=0, alpha=2.0, tau=1.0):
     cloud = sample_cloud(Density("uniform"), n, seed=seed)
-    g = build_graph(cloud, Kernel(epsilon=0.35, dim=2))
+    g = build_graph(cloud, 0.35)
     eig = decompose_graph(g)
     return g, FractionalOperator(eig, alpha=alpha, tau=tau)
 
@@ -68,9 +67,9 @@ class TestPcnMechanics:
         eig = decompose_graph(graph)
         prior = FractionalOperator(eig, alpha=2.0, tau=1.0)
         pot = ProbitPotential.for_graph(labels, 0.5)
-        cfg = PcnConfig(beta=0.3, iterations=2000, burn_in=200, thinning=5, seed=9)
-        c1 = run_pcn(prior, pot, cfg)
-        c2 = run_pcn(prior, pot, cfg)
+        cfg = PcnConfig(beta=0.3, iterations=2000, burn_in=200, thinning=5)
+        c1 = run_pcn(prior, pot, cfg, 9)
+        c2 = run_pcn(prior, pot, cfg, 9)
         assert np.array_equal(c1.sum_sign, c2.sum_sign)
         assert c1.accepted == c2.accepted
 
@@ -78,20 +77,20 @@ class TestPcnMechanics:
         labels, prior = _small_prior(small_graph)
         with pytest.raises(ValueError, match="infinite potential"):
             run_pcn(prior, _unsatisfiable_potential(labels),
-                    PcnConfig(beta=0.3, iterations=500, burn_in=0))
+                    PcnConfig(beta=0.3, iterations=500, burn_in=0), 0)
 
     def test_zero_potential_accepts_everything(self):
         _, prior = _prior()
         cfg = PcnConfig(beta=0.5, iterations=3000, burn_in=0, thinning=10)
-        chain = run_pcn(prior, _free_potential(), cfg)
+        chain = run_pcn(prior, _free_potential(), cfg, 0)
         assert chain.acceptance_rate == 1.0
 
 
-def _reference_pcn(prior, pot, cfg, init=None):
+def _reference_pcn(prior, pot, cfg, seed, init=None):
     """Plain full-state pCN: one `pcn_step` per step on the spectral
     coefficients, and one field rebuilt and recorded per kept state."""
     eig = prior.eig
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     std = prior_std(prior)
     Q_lab = eig.vectors[pot.indices, :]
     a = np.zeros(eig.m) if init is None else eig.coeffs(init)
@@ -174,14 +173,15 @@ class TestChainStart:
     would follow the indicator chain step for step under common random
     numbers, and the small-noise comparison would agree by construction."""
 
-    CFG = PcnConfig(beta=0.4, iterations=1200, burn_in=200, thinning=10, seed=2)
+    CFG = PcnConfig(beta=0.4, iterations=1200, burn_in=200, thinning=10)
+    SEED = 2
 
     @pytest.mark.parametrize("sampler", [run_pcn, run_label_pcn])
     @pytest.mark.parametrize("case", ["probit0.1", "levelset0.1", "indicator"])
     def test_sampler_starts_at_zero_or_at_the_labels(self, small_graph, sampler, case):
         labels, prior, pot, _ = _case(small_graph, case)
         spy = _FirstPoint(pot)
-        sampler(prior, [spy] if sampler is run_label_pcn else spy, self.CFG)
+        sampler(prior, [spy] if sampler is run_label_pcn else spy, self.CFG, self.SEED)
         start = labels.y if case == "indicator" else np.zeros(labels.size)
         assert np.array_equal(spy.first, start)
 
@@ -197,7 +197,7 @@ class TestChainStart:
             return v, phi
 
         monkeypatch.setattr(posterior, "_start", spying)
-        small_noise_agreement(prior, labels, [1e-3, 0.5], self.CFG)
+        small_noise_agreement(prior, labels, [1e-3, 0.5], self.CFG, self.SEED)
         assert set(starts) == {
             (IndicatorPotential, 0.0), (ProbitPotential, 0.5), (LevelSetPotential, 0.5),
             (ProbitPotential, 1e-3), (LevelSetPotential, 1e-3)}
@@ -211,13 +211,14 @@ class TestSharedLabelChain:
     same stream: for one seed both accept the same steps and visit the same
     labeled values, so the sign sums at the labeled nodes agree exactly."""
 
-    CFG = PcnConfig(beta=0.3, iterations=3000, burn_in=300, thinning=5, seed=4)
+    CFG = PcnConfig(beta=0.3, iterations=3000, burn_in=300, thinning=5)
+    SEED = 4
 
     @pytest.mark.parametrize("case", ["probit1", "probit1e-4", "levelset0.1", "indicator"])
     def test_run_pcn_follows_run_label_pcn(self, small_graph, case):
         labels, prior, pot, _ = _case(small_graph, case)
-        full = run_pcn(prior, pot, self.CFG)
-        label, = run_label_pcn(prior, [pot], self.CFG)
+        full = run_pcn(prior, pot, self.CFG, self.SEED)
+        label, = run_label_pcn(prior, [pot], self.CFG, self.SEED)
         assert 0 < full.accepted < full.steps
         assert (full.accepted, full.steps) == (label.accepted, label.steps)
         assert full.phi == label.phi
@@ -259,7 +260,7 @@ class TestRunPcnAgainstReference:
         cfg = PcnConfig(beta=0.4, iterations=40_000, burn_in=4000, thinning=10)
         pooled = []
         # run_pcn's three chains step together, bit for bit as each alone
-        for chains in ([_reference_pcn(prior, pot, replace(cfg, seed=s), init=init)
+        for chains in ([_reference_pcn(prior, pot, cfg, s, init=init)
                         for s, _ in self.SEEDS],
                        run_pcn_chains([prior] * 3, pot, cfg, [s for _, s in self.SEEDS])):
             means = [classification_stats(ch)[0] for ch in chains]
@@ -290,10 +291,10 @@ class TestBlockedRecords:
                                         burn_in, thinning, batches, batch_size):
         labels, prior, pot, _ = _case(small_graph, "indicator")
         cfg = PcnConfig(beta=0.3, iterations=iterations, burn_in=burn_in,
-                        thinning=thinning, seed=5, batches=batches, store_samples=True)
-        blocked = run_pcn(prior, pot, cfg)
+                        thinning=thinning, batches=batches, store_samples=True)
+        blocked = run_pcn(prior, pot, cfg, 5)
         monkeypatch.setattr(posterior, "RECORD_BLOCK", 1)
-        single = run_pcn(prior, pot, cfg)
+        single = run_pcn(prior, pot, cfg, 5)
         kept = (iterations - burn_in + thinning - 1) // thinning
         assert blocked.recorded == single.recorded == len(blocked.samples) == kept
         assert len(blocked.batch_sums) == len(single.batch_sums) == batches
@@ -410,7 +411,7 @@ class TestLabelConditional:
     def test_free_potential_gives_zero_mean(self):
         _, prior = _prior()
         cfg = PcnConfig(beta=0.5, iterations=3000, burn_in=0, thinning=10)
-        chain, = run_label_pcn(prior, [_free_potential()], cfg)
+        chain, = run_label_pcn(prior, [_free_potential()], cfg, 0)
         mean, _ = classification_stats(chain)
         assert np.all(mean == 0.0)
         assert chain.acceptance_rate == 1.0
@@ -419,28 +420,27 @@ class TestLabelConditional:
         labels, prior = _small_prior(small_graph)
         cfg = PcnConfig(iterations=500, burn_in=0, store_samples=True)
         with pytest.raises(ValueError, match="store_samples"):
-            run_label_pcn(prior, [ProbitPotential.for_graph(labels, 0.5)], cfg)
+            run_label_pcn(prior, [ProbitPotential.for_graph(labels, 0.5)], cfg, 0)
 
     def test_repeated_label_index_is_singular(self, small_graph):
         labels, prior = _small_prior(small_graph)
         idx = np.repeat(labels.indices[:1], 2)
         pot = ProbitPotential(gamma=0.5, indices=idx, y=np.ones(2), weights=np.ones(2))
         with pytest.raises(ValueError, match="singular"):
-            run_label_pcn(prior, [pot], PcnConfig(iterations=500, burn_in=0))
+            run_label_pcn(prior, [pot], PcnConfig(iterations=500, burn_in=0), 0)
 
     def test_infinite_initial_potential_rejected(self, small_graph):
         labels, prior = _small_prior(small_graph)
         with pytest.raises(ValueError, match="infinite potential"):
             run_label_pcn(prior, [_unsatisfiable_potential(labels)],
-                          PcnConfig(iterations=500, burn_in=0))
+                          PcnConfig(iterations=500, burn_in=0), 0)
 
     def test_deterministic_and_batched_like_run_pcn(self, small_graph):
         labels, prior = _small_prior(small_graph)
         pot = ProbitPotential.for_graph(labels, 0.5)
         # 3 draw chunks, the last one partial; 1450 kept in 7 batches of 207
-        cfg = PcnConfig(beta=0.3, iterations=9000, burn_in=300, thinning=6, seed=9,
-                        batches=7)
-        (c1,), (c2,) = run_label_pcn(prior, [pot], cfg), run_label_pcn(prior, [pot], cfg)
+        cfg = PcnConfig(beta=0.3, iterations=9000, burn_in=300, thinning=6, batches=7)
+        (c1,), (c2,) = run_label_pcn(prior, [pot], cfg, 9), run_label_pcn(prior, [pot], cfg, 9)
         assert np.array_equal(c1.sum_sign, c2.sum_sign)
         assert c1.accepted == c2.accepted and c1.steps == 9000
         assert c1.recorded == 1450 and len(c1.batch_sums) == 7
@@ -456,27 +456,28 @@ class TestLockstepChains:
     and seed, and record exactly what a run_label_pcn call for that potential alone
     records: the rows do not interact, whatever the order of the classes."""
 
-    CFG = PcnConfig(beta=0.4, iterations=3000, burn_in=300, thinning=5, seed=11, batches=6)
+    CFG = PcnConfig(beta=0.4, iterations=3000, burn_in=300, thinning=5, batches=6)
+    SEED = 11
 
     def test_each_chain_is_its_own_scalar_chain(self, small_graph):
         labels, prior = _small_prior(small_graph)
         pots = [ProbitPotential.for_graph(labels, 0.1), LevelSetPotential.for_graph(labels, 0.5),
                 IndicatorPotential.for_graph(labels), LevelSetPotential.for_graph(labels, 0.1),
                 ProbitPotential.for_graph(labels, 0.5)]
-        chains = run_label_pcn(prior, pots, self.CFG)
+        chains = run_label_pcn(prior, pots, self.CFG, self.SEED)
         cond = LabelConditional(prior, labels.indices)
         _, lock_states, lock_accepts = posterior._lockstep_chains(
-            pots, posterior._draws(self.CFG, cond.chol, np.random.default_rng(self.CFG.seed)),
+            pots, posterior._draws(self.CFG, cond.chol, np.random.default_rng(self.SEED)),
             self.CFG)
 
         for k, (pot, chain) in enumerate(zip(pots, chains)):
             scalar, states, accepts = _scalar_label_chain(
-                pot, cond.chol, self.CFG, np.random.default_rng(self.CFG.seed))
+                pot, cond.chol, self.CFG, np.random.default_rng(self.SEED))
             assert np.array_equal(states, lock_states[k])
             assert np.array_equal(accepts, lock_accepts[k])
             for block, batch in posterior._blocks(self.CFG):
                 scalar.record(cond.mean_sign(states[block]), batch)
-            alone, = run_label_pcn(prior, [pot], self.CFG)
+            alone, = run_label_pcn(prior, [pot], self.CFG, self.SEED)
             assert 0 < chain.accepted < chain.steps
             for other in (scalar, alone):
                 assert (chain.accepted, chain.steps) == (other.accepted, other.steps)
@@ -491,12 +492,13 @@ class TestLockstepChains:
         other = ProbitPotential(gamma=0.5, indices=labels.indices[::-1], y=labels.y,
                                 weights=np.ones(labels.size))
         with pytest.raises(ValueError, match="share their labeled indices"):
-            run_label_pcn(prior, [ProbitPotential.for_graph(labels, 0.5), other], self.CFG)
+            run_label_pcn(prior, [ProbitPotential.for_graph(labels, 0.5), other], self.CFG,
+                          self.SEED)
 
     def test_no_potentials_rejected(self, small_graph):
         _, prior = _small_prior(small_graph)
         with pytest.raises(ValueError, match="at least one potential"):
-            run_label_pcn(prior, [], self.CFG)
+            run_label_pcn(prior, [], self.CFG, self.SEED)
 
 
 class TestRunPcnChains:
@@ -528,12 +530,11 @@ class TestRunPcnChains:
             self.CFG)
 
         for k, (prior, seed, chain) in enumerate(zip(priors, self.SEEDS, chains)):
-            cfg = replace(self.CFG, seed=seed)
             _, states, accepts = _scalar_label_chain(
-                pot, chols[k], cfg, np.random.default_rng(seed))
+                pot, chols[k], self.CFG, np.random.default_rng(seed))
             assert np.array_equal(states, lock_states[k])
             assert np.array_equal(accepts, lock_accepts[k])
-            alone = run_pcn(prior, pot, cfg)
+            alone = run_pcn(prior, pot, self.CFG, seed)
             assert (chain.accepted, chain.steps, chain.recorded) == (
                 alone.accepted, alone.steps, alone.recorded)
             assert chain.acceptance_rate == alone.acceptance_rate
@@ -590,7 +591,7 @@ class TestLabelChainAgainstReference:
         pooled = []
         # run_pcn's three chains step together, bit for bit as each alone
         for chains in (run_pcn_chains([prior] * 3, pot, cfg, [s for s, _ in self.SEEDS]),
-                       [run_label_pcn(prior, [pot], replace(cfg, seed=s))[0]
+                       [run_label_pcn(prior, [pot], cfg, s)[0]
                         for _, s in self.SEEDS]):
             means = [classification_stats(ch)[0] for ch in chains]
             se = np.sqrt(sum(mean_sign_stderr(ch) ** 2 for ch in chains)) / len(chains)
@@ -624,8 +625,8 @@ class TestPriorPreservation:
         # Phi = 0: the chain must leave N(0, A^{-1}) invariant
         _, prior = _prior()
         cfg = PcnConfig(beta=0.7, iterations=60_000, burn_in=2000, thinning=1,
-                        seed=1, store_samples=True)
-        chain = run_pcn(prior, _free_potential(), cfg)
+                        store_samples=True)
+        chain = run_pcn(prior, _free_potential(), cfg, 1)
         coeffs = np.array([prior.eig.coeffs(u) for u in chain.samples])
         emp = coeffs.std(axis=0)
         ref = prior_std(prior)
@@ -634,8 +635,8 @@ class TestPriorPreservation:
     def test_beta_one_gives_independent_prior_draws(self):
         _, prior = _prior()
         cfg = PcnConfig(beta=1.0, iterations=4000, burn_in=0, thinning=1,
-                        seed=2, store_samples=True)
-        chain = run_pcn(prior, _free_potential(), cfg)
+                        store_samples=True)
+        chain = run_pcn(prior, _free_potential(), cfg, 2)
         coeffs = np.array([prior.eig.coeffs(u) for u in chain.samples])
         # lag-1 autocorrelation of each mode vanishes for independent draws
         a = coeffs[:-1] - coeffs[:-1].mean(axis=0)
@@ -652,8 +653,8 @@ class TestPriorPreservation:
         # of c^thinning in every mode
         _, prior = _prior()
         cfg = PcnConfig(beta=0.5, iterations=40_000, burn_in=0, thinning=4,
-                        seed=3, store_samples=True)
-        chain = run_pcn(prior, _free_potential(), cfg)
+                        store_samples=True)
+        chain = run_pcn(prior, _free_potential(), cfg, 3)
         coeffs = np.array([prior.eig.coeffs(u) for u in chain.samples])
         a = coeffs[:-1] - coeffs[:-1].mean(axis=0)
         b = coeffs[1:] - coeffs[1:].mean(axis=0)
@@ -672,7 +673,7 @@ class TestStatistics:
     def test_mean_sign_and_variance(self):
         _, prior = _prior()
         cfg = PcnConfig(beta=0.8, iterations=3000, burn_in=0, thinning=10)
-        chain = run_pcn(prior, _free_potential(), cfg)
+        chain = run_pcn(prior, _free_potential(), cfg, 0)
         mean, var = classification_stats(chain)
         assert np.all(np.abs(mean) <= 1.0)
         assert np.allclose(var, 1.0 - mean ** 2)
@@ -681,12 +682,12 @@ class TestStatistics:
         _, prior = _prior()
         long_cfg = PcnConfig(beta=0.8, iterations=5000, burn_in=0, thinning=10,
                              batches=10)
-        chain = run_pcn(prior, _free_potential(), long_cfg)
+        chain = run_pcn(prior, _free_potential(), long_cfg, 0)
         se = mean_sign_stderr(chain)
         assert np.all(se >= 0) and np.all(np.isfinite(se))
         short_cfg = PcnConfig(beta=0.8, iterations=1100, burn_in=0, thinning=10,
                               batches=2)  # fewer than 4 batches: iid fallback
-        chain2 = run_pcn(prior, _free_potential(), short_cfg)
+        chain2 = run_pcn(prior, _free_potential(), short_cfg, 0)
         assert len(chain2.batch_sums) < 4
         assert np.all(np.isfinite(mean_sign_stderr(chain2)))
 
@@ -735,9 +736,8 @@ class TestRaoBlackwellizedStatistics:
 class TestSmallNoiseAgreement:
     def test_report_structure_and_small_gamma_agreement(self, small_graph):
         labels, prior = _small_prior(small_graph)
-        cfg = PcnConfig(beta=0.4, iterations=20_000, burn_in=2000, thinning=10,
-                        seed=3, batches=8)
-        report = small_noise_agreement(prior, labels, [1e-3, 1.0], cfg)
+        cfg = PcnConfig(beta=0.4, iterations=20_000, burn_in=2000, thinning=10, batches=8)
+        report = small_noise_agreement(prior, labels, [1e-3, 1.0], cfg, 3)
         assert report["gammas"] == [1.0, 1e-3]
         for name in ("probit", "levelset"):
             assert [e["gamma"] for e in report[name]] == [1.0, 1e-3]

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from graphssl.density import Density, sample_cloud
-from graphssl.graph import Kernel, build_graph, laplacian
+from graphssl.graph import build_graph, laplacian
 from graphssl.spectral import (
     DENSE_CUTOFF,
     EigenDecomposition,
@@ -21,7 +21,7 @@ from graphssl.spectral import (
 
 def _random_graph_prior(n, seed, alpha=1.5, tau=0.7, eps=0.35):
     cloud = sample_cloud(Density("uniform"), n, seed=seed)
-    g = build_graph(cloud, Kernel(epsilon=eps, dim=2))
+    g = build_graph(cloud, eps)
     eig = decompose_graph(g)
     return g, FractionalOperator(eig, alpha=alpha, tau=tau)
 
@@ -43,7 +43,7 @@ class TestDecompose:
     def test_sparse_lanczos_matches_dense(self):
         # few modes of a sparse operator route through shift-inverted ARPACK
         cloud = sample_cloud(Density("uniform"), 300, seed=3)
-        g = build_graph(cloud, Kernel(epsilon=0.15, dim=2))
+        g = build_graph(cloud, 0.15)
         L = laplacian(g)
         few = decompose(L, m=10)  # sparse, m <= n//8: iterative path
         full = decompose(L.toarray(), m=300)  # dense path

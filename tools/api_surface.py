@@ -4,7 +4,8 @@ For each module of ``src/graphssl``: its line count, and its optional
 parameters, that is the parameters with a default value, counted by
 signature introspection over every function and class the module defines
 (a class counts its constructor and its own methods, private ones
-included).  A total line follows.
+included).  A total line follows, then the number of public names, those
+in ``graphssl.__all__``.
 
 Run from the repository root:
 
@@ -64,6 +65,7 @@ def main() -> int:
     for name, lines, optional in rows:
         print(f"{name:<24}{lines:>8}{optional:>10}")
     print(f"{'total':<24}{sum(r[1] for r in rows):>8}{sum(r[2] for r in rows):>10}")
+    print(f"{'public names':<24}{len(package.__all__):>8}")
     return 0
 
 
