@@ -6,7 +6,8 @@ Usage::
                           [--seed <int>] [--threads <int>]
 
 Exit codes: 0 on success, 2 on a configuration/validation error, 3 on a
-numerical failure.
+numerical failure.  On success each warning the run raised is printed to
+stderr once, with its count.
 """
 
 from __future__ import annotations
@@ -55,11 +56,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, experiment=args.experiment,
                           out_dir=args.out, seed=args.seed,
                           threads=args.threads, paper_scale=args.paper_scale)
-    except (ConfigError, LabelValidationError, DomainError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        run(cfg)
+        result = run(cfg)
     except (ConfigError, LabelValidationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -69,6 +66,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"wrote results to {cfg.out_dir}")
+    for warning, count in result["warnings"].items():
+        print(f"warning ({count}x): {warning}", file=sys.stderr)
     return 0
 
 

@@ -19,7 +19,6 @@ runtimes CI-friendly; ``paper_scale`` restores the larger study sizes.
 from __future__ import annotations
 
 import configparser
-import contextlib
 import csv
 import warnings
 from collections import Counter
@@ -240,12 +239,17 @@ class ExperimentConfig:
             raise ConfigError(f"the run takes the full spectrum of an operator on "
                               f"{max(full)} nodes; the dense eigensolver takes at most "
                               f"{DENSE_CUTOFF}")
-        models = [m.strip() for m in str(p.get("models", "krige")).split(",")]
-        for m in models:
-            if m not in ("krige", "probit"):
-                raise ConfigError(f"unknown rates model {m!r}")
-        if len(set(models)) < len(models):
-            raise ConfigError(f"a rates model is repeated in models = {p['models']}")
+        # a repeated sweep value would run again and write its rows or files twice
+        sweeps = {k: p[k] for k in ("h_values", "alpha_values", "tau_values", "n_values",
+                                    "gammas") if k in p}
+        if "models" in p:
+            sweeps["models"] = [m.strip() for m in str(p["models"]).split(",")]
+            for m in sweeps["models"]:
+                if m not in ("krige", "probit"):
+                    raise ConfigError(f"unknown rates model {m!r}")
+        for key, values in sweeps.items():
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} repeats a value: {' '.join(map(_fmt, values))}")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
 
@@ -354,16 +358,6 @@ def _point_seed(base: int, *indices: int) -> int:
     """Deterministic per-sweep-point seed from the base seed and indices."""
     s = np.random.SeedSequence([base, *indices])
     return int(s.generate_state(1)[0])
-
-
-@contextlib.contextmanager
-def _counted_warnings(counts: Counter):
-    """Catch every warning raised in the block and count it in ``counts``
-    under "Category: message", instead of printing it."""
-    with warnings.catch_warnings(record=True) as records:
-        warnings.simplefilter("always")
-        yield
-    counts.update(f"{w.category.__name__}: {w.message}" for w in records)
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +470,7 @@ def run_rates(cfg: ExperimentConfig) -> dict:
     sweet-spot bounds per n, and log-log fits of the bounds against n.  A sweep point
     whose eigensolve or model solve fails is left out of the averages and
     listed in ``result["dropped"]`` as {n, seed (of its cloud), epsilon,
-    model, exception}.  Warnings raised by the sweep (disconnected graphs,
-    all-NaN averages) are counted in ``result["warnings"]`` under
-    "Category: message".
+    model, exception}.
     """
     p = cfg.params
     models = [m.strip() for m in str(p["models"]).split(",")]
@@ -486,7 +478,6 @@ def run_rates(cfg: ExperimentConfig) -> dict:
     grid, refs = _continuum_references(models, p)
     spec = _two_labels(p)
     dropped = []
-    caught = Counter()
 
     def drop(n, seed, eps, ms, exc):
         for m in ms:
@@ -498,42 +489,41 @@ def run_rates(cfg: ExperimentConfig) -> dict:
     def sweep_seed(n, seed_idx):
         seed = _point_seed(cfg.seed, n, seed_idx)
         points = sample_cloud(Density("uniform"), n - 2, seed=seed)
-        with _counted_warnings(caught):
-            points, labels = assign_labels(points, spec)
-            # the empirical L^2 error of discrete_vs_continuum_error, with each
-            # reference interpolated at the points once
-            at_points = {m: interpolate_to_points(grid, refs[m], points) for m in models}
-            errs = {m: np.full(len(eps_grid), np.nan) for m in models}
-            sweep = EpsilonSweep(points, eps_grid)
-            for k, eps in enumerate(eps_grid):
-                base = sweep.scaled_laplacian(eps)
-                if by_factor:
-                    # takes base over; factored on first use, it serves both models
-                    factor = PoweredFactor(base, int(p["alpha"]), p["tau"])
-                else:
-                    try:
-                        eig = decompose(base)
-                    except (EigensolverError, np.linalg.LinAlgError) as exc:
-                        drop(n, seed, eps, models, exc)
-                        continue
-                    prior = FractionalOperator(eig, alpha=p["alpha"], tau=p["tau"])
-                for m in models:
-                    try:
-                        if m == "krige":
-                            if by_factor:
-                                u = sparse_krige(factor, labels.indices, labels.y)
-                            else:
-                                u = krige(prior, labels.indices, labels.y)
+        points, labels = assign_labels(points, spec)
+        # the empirical L^2 error of discrete_vs_continuum_error, with each
+        # reference interpolated at the points once
+        at_points = {m: interpolate_to_points(grid, refs[m], points) for m in models}
+        errs = {m: np.full(len(eps_grid), np.nan) for m in models}
+        sweep = EpsilonSweep(points, eps_grid)
+        for k, eps in enumerate(eps_grid):
+            base = sweep.scaled_laplacian(eps)
+            if by_factor:
+                # takes base over; factored on first use, it serves both models
+                factor = PoweredFactor(base, int(p["alpha"]), p["tau"])
+            else:
+                try:
+                    eig = decompose(base)
+                except (EigensolverError, np.linalg.LinAlgError) as exc:
+                    drop(n, seed, eps, models, exc)
+                    continue
+                prior = FractionalOperator(eig, alpha=p["alpha"], tau=p["tau"])
+            for m in models:
+                try:
+                    if m == "krige":
+                        if by_factor:
+                            u = sparse_krige(factor, labels.indices, labels.y)
                         else:
-                            pot = ProbitPotential.for_graph(labels, p["gamma"])
-                            if by_factor:
-                                u = sparse_probit_map(factor, pot)
-                            else:
-                                u = probit_map(prior, pot)
-                        errs[m][k] = float(np.sqrt(np.mean((u - at_points[m]) ** 2)))
-                    except (ValueError, RuntimeError) as exc:
-                        drop(n, seed, eps, [m], exc)
-                        continue
+                            u = krige(prior, labels.indices, labels.y)
+                    else:
+                        pot = ProbitPotential.for_graph(labels, p["gamma"])
+                        if by_factor:
+                            u = sparse_probit_map(factor, pot)
+                        else:
+                            u = probit_map(prior, pot)
+                    errs[m][k] = float(np.sqrt(np.mean((u - at_points[m]) ** 2)))
+                except (ValueError, RuntimeError) as exc:
+                    drop(n, seed, eps, [m], exc)
+                    continue
         return errs
 
     err_rows, bound_rows = [], []
@@ -542,9 +532,8 @@ def run_rates(cfg: ExperimentConfig) -> dict:
         results = [sweep_seed(n, s) for s in range(p["n_seeds"])]
         for m in models:
             stack = np.vstack([r[m] for r in results])
-            with _counted_warnings(caught):
-                mean = np.nanmean(stack, axis=0)
-                sd = np.nanstd(stack, axis=0)
+            mean = np.nanmean(stack, axis=0)
+            sd = np.nanstd(stack, axis=0)
             for k, eps in enumerate(eps_grid):
                 err_rows.append([m, n, eps, mean[k], sd[k]])
             lo, hi = _detect_bounds(eps_grid, mean, SMOOTHING_WINDOW)
@@ -568,7 +557,7 @@ def run_rates(cfg: ExperimentConfig) -> dict:
     _write_csv(cfg.out_dir / "fits.csv",
                ["model", "bound", "slope", "intercept"], fit_rows)
     return {"eps": eps_grid, "errors": err_rows, "bounds": bounds, "fits": fit_rows,
-            "dropped": dropped, "warnings": dict(caught)}
+            "dropped": dropped}
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +569,7 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
 
     For orders at or below d/2 the interpolant degenerates to spikes at the
     labeled points; the spike score is the fraction of unlabeled nodes with
-    |u| below SPIKE_THRESHOLD.  Graph-build warnings are counted in
-    ``result["warnings"]``.
+    |u| below SPIKE_THRESHOLD.
     """
     p = cfg.params
     points = sample_cloud(Density("uniform"), p["n"] - 2, seed=_point_seed(cfg.seed, 0))
@@ -592,13 +580,10 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
     eigs = {}
     rows = []
     scores = {}
-    caught = Counter()
     for alpha in p["alpha_values"]:
         eps = EPS_LOW_ALPHA if alpha <= d / 2 else EPS_HIGH_ALPHA
         if eps not in eigs:
-            with _counted_warnings(caught):
-                g = build_graph(points, eps)
-            eigs[eps] = decompose_graph(g)
+            eigs[eps] = decompose_graph(build_graph(points, eps))
         prior = FractionalOperator(eigs[eps], alpha=alpha, tau=p["tau"])
         u = krige(prior, labels.indices, labels.y)
         score = float(np.mean(np.abs(u[unlabeled]) < SPIKE_THRESHOLD))
@@ -608,7 +593,7 @@ def run_extrapolation(cfg: ExperimentConfig) -> dict:
                    [*(f"x{i+1}" for i in range(d)), "u"],
                    np.column_stack([points, u]))
     _write_csv(cfg.out_dir / "spikes.csv", ["alpha", "epsilon", "spike_score"], rows)
-    return {"scores": scores, "warnings": dict(caught)}
+    return {"scores": scores}
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +615,8 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
         raise ConfigError(f"no node is off-curve: offcurve_density = {p['offcurve_density']:g} "
                           f"is at most the smallest node density, "
                           f"{op.rho_at_nodes.min():.6g}")
+    idx, y, _ = continuum_labeled_nodes(op, _two_labels(p))
+    pot = IndicatorPotential(indices=idx, y=y)
     coords = op.grid.coordinates()
     eig = op.eigendecomposition(m=p["modes"])
 
@@ -637,9 +624,6 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
     fied, degenerate = fiedler_vector(op, m=p["modes"], positive_at=tuple(p["label_plus"]))
     _write_csv(cfg.out_dir / "fiedler.csv", ["x1", "x2", "fiedler"],
                np.column_stack([coords, fied]))
-
-    idx, y, _ = continuum_labeled_nodes(op, _two_labels(p))
-    pot = IndicatorPotential(indices=idx, y=y)
 
     # one chain per (alpha, tau), all stepping together
     points = [(alpha, tau) for alpha in p["alpha_values"] for tau in p["tau_values"]]
@@ -672,8 +656,7 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
 
     Graph eigenvalues use the degree-normalized Laplacian scaled by
     s_n * (mean degree), which cancels the boundary-degree bias of the
-    unnormalized variant for a uniform density.  Graph-build warnings are
-    counted in ``result["warnings"]``.
+    unnormalized variant for a uniform density.
     """
     p = cfg.params
     k_max = SPECTRA_K_MAX
@@ -686,7 +669,6 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
     mean_errors = {}
     max_errors = {}
     graph_lams = {}
-    caught = Counter()
     m_graph = max(GRAPH_WEYL_K_MAX + 5, k_max + 1)
     m_cont = p["cont_weyl_k_max"] + 5
 
@@ -694,8 +676,7 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
         lams = []
         for s in range(p["n_seeds"]):
             points = sample_cloud(Density("uniform"), n, seed=_point_seed(cfg.seed, n, s))
-            with _counted_warnings(caught):
-                g = build_graph(points, p["eps"])
+            g = build_graph(points, p["eps"])
             eig = decompose(laplacian(g, normalized=True), m=min(m_graph, n))
             scale = g.s_n * float(np.mean(g.degrees))
             lams.append(scale * np.clip(eig.eigenvalues, 0.0, None))
@@ -729,8 +710,7 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
     _write_csv(cfg.out_dir / "errors.csv", ["n", "k", "rel_error"], err_rows)
     _write_csv(cfg.out_dir / "weyl.csv", ["setting", "slope"], weyl_rows)
     return {"analytic": analytic, "graph": graph_lams, "mean_errors": mean_errors,
-            "max_errors": max_errors, "weyl": {r[0]: r[1] for r in weyl_rows},
-            "warnings": dict(caught)}
+            "max_errors": max_errors, "weyl": {r[0]: r[1] for r in weyl_rows}}
 
 
 # ---------------------------------------------------------------------------
@@ -738,23 +718,16 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
 
 
 def run_smallnoise(cfg: ExperimentConfig) -> dict:
-    """Probit/level-set chains against the indicator chain as gamma -> 0.
-
-    Warnings from the graph build are counted in ``report["warnings"]``.
-    """
+    """Probit/level-set chains against the indicator chain as gamma -> 0."""
     p = cfg.params
     points = sample_cloud(Density("uniform"), p["n"] - 2, seed=_point_seed(cfg.seed, 0))
     points, labels = assign_labels(points, _two_labels(p))
-    caught = Counter()
-    with _counted_warnings(caught):
-        g = build_graph(points, p["eps"])
-    eig = decompose_graph(g)
+    eig = decompose_graph(build_graph(points, p["eps"]))
     prior = FractionalOperator(eig, alpha=p["alpha"], tau=p["tau"])
 
     pcn = PcnConfig(beta=p["beta"], iterations=p["iterations"],
                     burn_in=p["burn_in"], thinning=p["thinning"], batches=p["batches"])
     report = small_noise_agreement(prior, labels, p["gammas"], pcn, _point_seed(cfg.seed, 1))
-    report["warnings"] = dict(caught)
 
     rows = [["indicator", "", "", "", "", report["indicator_acceptance"]]]
     for name in ("probit", "levelset"):
@@ -785,7 +758,16 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> dict:
     """Run an experiment; returns its summary dict and writes its CSVs and the
-    resolved configuration into ``cfg.out_dir``."""
+    resolved configuration into ``cfg.out_dir``.
+
+    Every warning the run raises (for example "graph is disconnected") is
+    caught, not printed, and counted in ``result["warnings"]``, a map from
+    "Category: message" to its count.
+    """
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg)
-    return _RUNNERS[cfg.experiment](cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = _RUNNERS[cfg.experiment](cfg)
+    result["warnings"] = dict(Counter(f"{w.category.__name__}: {w.message}" for w in caught))
+    return result

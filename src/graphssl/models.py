@@ -190,7 +190,8 @@ def continuum_labeled_nodes(op: ContinuumOperator, spec) -> tuple[np.ndarray, np
     Model 1 labels every node in the regions with its mu-weight (the discrete
     analogue of integrating the misfit over the region); model 2 snaps each
     fixed point to its nearest grid node with unit multiplier.  Raises
-    LabelValidationError when a model-1 ball holds no grid node.
+    LabelValidationError when a model-1 ball holds no grid node, or when two
+    model-2 points snap to one node.
     """
     coords = op.grid.coordinates()
     if isinstance(spec, Model1Spec):
@@ -203,6 +204,12 @@ def continuum_labeled_nodes(op: ContinuumOperator, spec) -> tuple[np.ndarray, np
     if isinstance(spec, Model2Spec):
         pts = np.atleast_2d(np.asarray(spec.points, dtype=float))
         idx = np.array([int(np.argmin(np.sum((coords - p) ** 2, axis=1))) for p in pts])
+        for j, node in enumerate(idx):
+            first = int(np.flatnonzero(idx == node)[0])
+            if first < j:
+                raise LabelValidationError(
+                    f"label points {tuple(pts[first].tolist())} and {tuple(pts[j].tolist())} "
+                    f"snap to the same grid node {tuple(coords[node].tolist())}")
         return idx, np.asarray(spec.signs, dtype=float), np.ones(len(idx))
     raise TypeError(f"unknown labelling spec {type(spec)!r}")
 
@@ -422,8 +429,7 @@ def sparse_krige(factor: PoweredFactor, indices: np.ndarray, y: np.ndarray) -> n
     return _krige(_LabelSpace(K=K, gram=K[indices, :]), np.asarray(y, dtype=float))
 
 
-def sparse_probit_map(factor: PoweredFactor, pot: ProbitPotential,
-                      init: np.ndarray | None = None) -> np.ndarray:
+def sparse_probit_map(factor: PoweredFactor, pot: ProbitPotential) -> np.ndarray:
     """Probit MAP in label space with the factored precision operator s_n L
     + tau^2 I of an n-node graph.
 
@@ -433,7 +439,7 @@ def sparse_probit_map(factor: PoweredFactor, pot: ProbitPotential,
     """
     # divided by 1/n, not multiplied by n, which rounds differently
     K = factor.unit_solves(pot.indices) / (1.0 / factor.A1.shape[0])
-    return _label_space_map(_LabelSpace(K=K, gram=K[pot.indices, :]), pot, init)
+    return _label_space_map(_LabelSpace(K=K, gram=K[pot.indices, :]), pot, None)
 
 
 def _splu_solve(H: sp.csc_matrix, b: np.ndarray,

@@ -48,9 +48,6 @@ class EigenDecomposition:
         """Spectral coefficients <u, q_k>_w."""
         return self.vectors.T @ (u * self.weights)
 
-    def reconstruct(self, a: np.ndarray) -> np.ndarray:
-        return self.vectors @ a
-
 
 def decompose(op, weights=None, m: int | None = None) -> EigenDecomposition:
     """m smallest eigenpairs of an operator symmetric w.r.t. diag(weights).
@@ -136,7 +133,7 @@ class FractionalOperator:
 
 def apply_power(A: FractionalOperator, u: np.ndarray, p: float = 1.0) -> np.ndarray:
     """Spectral action of A^p on u."""
-    return A.eig.reconstruct(A.powered(p) * A.eig.coeffs(u))
+    return A.eig.vectors @ (A.powered(p) * A.eig.coeffs(u))
 
 
 def quadratic_form(A: FractionalOperator, u: np.ndarray) -> float:

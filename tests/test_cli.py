@@ -22,6 +22,16 @@ class TestExitCodes:
         assert (out / "spikes.csv").exists()
         assert "wrote results to" in capsys.readouterr().out
 
+    def test_counted_warnings_are_printed(self, tmp_path, capsys):
+        # the graphs of both seeds are disconnected at epsilon 0.05 and 0.2
+        cfg = _write_cfg(tmp_path, "[rates-krige]\nn_values = 40\nn_seeds = 2\n"
+                                   "eps_min = 0.05\neps_max = 0.5\neps_count = 4\n"
+                                   "continuum_grid_n = 16\n")
+        assert cli.main(["rates-krige", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning (4x): UserWarning: graph is disconnected; tau=0 models are ill-posed"]
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "[extrapolation]\nn = -5\n")
         code = cli.main(["extrapolation", "--config", str(cfg),
@@ -119,6 +129,25 @@ class TestExitCodes:
         assert cli.main(["rates-krige", "--config", str(cfg), "--out", str(out)]) == 2
         assert "label_plus must have 2 coordinates" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, body", [
+        ("mcmc-moons", "grid_n = 24\nmodes = 30\nalpha_values = 2\ntau_values = 1\n"
+                       "iterations = 1500\nburn_in = 150\n"
+                       "label_plus = 0.35 0.70\nlabel_minus = 0.36 0.70\n"),
+        ("rates-krige", "n_values = 20\nn_seeds = 1\neps_count = 3\ncontinuum_grid_n = 8\n"
+                        "label_plus = 0.45 0.45\nlabel_minus = 0.44 0.44\n"),
+        ("rates-probit", "n_values = 20\nn_seeds = 1\neps_count = 3\ncontinuum_grid_n = 8\n"
+                         "label_plus = 0.45 0.45\nlabel_minus = 0.44 0.44\n"),
+    ], ids=["mcmc-moons", "rates-krige", "rates-probit"])
+    def test_label_points_on_one_grid_node_exit_2(self, tmp_path, capsys, experiment, body):
+        # not a singular Gram matrix (exit 3), nor a continuum reference with
+        # both labels on one node (exit 0)
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, f"[{experiment}]\n{body}")
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "label points (" in err and "snap to the same grid node (" in err
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("experiment, body, message", [
         ("smallnoise", "eps = 0\n", "eps must be positive"),

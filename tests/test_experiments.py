@@ -20,7 +20,6 @@ from graphssl.experiments import (
     _write_csv,
     load_config,
     run,
-    run_rates,
 )
 from graphssl.models import (
     ProbitPotential,
@@ -85,6 +84,13 @@ class TestConfig:
         # range(100, 1090, 10) keeps 99 states
         ("smallnoise", {"iterations": 1090, "burn_in": 100, "thinning": 10}),
         ("mcmc-moons", {"iterations": 1090, "burn_in": 100, "thinning": 10}),
+        # a sweep value given twice
+        ("channel", {"h_values": [1.0, 1.0]}),
+        ("channel", {"alpha_values": [1.0, 1.0, 2.0]}),
+        ("mcmc-moons", {"tau_values": [1.0, 0.2, 1.0]}),
+        ("rates-krige", {"n_values": [100, 200, 100]}),
+        ("smallnoise", {"gammas": [0.1, 0.1]}),
+        ("spectra", {"n_values": [400, 400]}),
     ])
     def test_invalid_parameters(self, exp, params):
         with pytest.raises(ConfigError):
@@ -216,7 +222,7 @@ class TestRatesDroppedPoints:
         cfg = ExperimentConfig(experiment="rates-krige", out_dir=tmp_path,
                                params={**self.PARAMS, "models": "krige,probit",
                                        "alpha": 1.5})
-        result = run_rates(cfg)
+        result = run(cfg)
         assert len(result["dropped"]) == 2 * 4 * 2  # seeds x epsilons x models
         first = result["dropped"][0]
         assert first == {"n": 40, "seed": _point_seed(0, 40, 0), "epsilon": 0.2,
@@ -237,7 +243,7 @@ class TestRatesDroppedPoints:
         monkeypatch.setattr(experiments, "sparse_probit_map", failing_once)
         cfg = ExperimentConfig(experiment="rates-krige", out_dir=tmp_path,
                                params={**self.PARAMS, "models": "krige,probit"})
-        result = run_rates(cfg)
+        result = run(cfg)
         eps = float(np.linspace(0.2, 0.5, 4)[1])
         assert result["dropped"] == [{
             "n": 40, "seed": _point_seed(0, 40, 0), "epsilon": eps, "model": "probit",
@@ -250,7 +256,7 @@ class TestRatesDroppedPoints:
                                params={**self.PARAMS, "eps_min": 0.05})
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning that escapes fails the test
-            result = run_rates(cfg)
+            result = run(cfg)
         key = "UserWarning: graph is disconnected; tau=0 models are ill-posed"
         assert result["warnings"][key] > 0
 
@@ -261,7 +267,7 @@ class TestRatesDroppedPoints:
         cfg = ExperimentConfig(experiment="rates-krige", out_dir=tmp_path,
                                params={**self.PARAMS, "alpha": 1.5})
         with pytest.raises(TypeError):
-            run_rates(cfg)
+            run(cfg)
 
 
 class TestRatesReferences:
@@ -354,6 +360,18 @@ class TestRunners:
         assert calls == [20]
         assert not result["degenerate"]
         assert (tmp_path / "fiedler.csv").exists()
+
+    def test_channel_warnings_are_counted(self, tmp_path, monkeypatch):
+        def warning_discretize(*args):
+            warnings.warn("a channel warning")
+            return discretize(*args)
+        monkeypatch.setattr(experiments, "discretize", warning_discretize)
+        cfg = ExperimentConfig(experiment="channel", out_dir=tmp_path, params={
+            "grid_n": 16, "h_values": [1.0, 0.5], "alpha_values": [1.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning that escapes fails the test
+            result = run(cfg)
+        assert result["warnings"] == {"UserWarning: a channel warning": 2}
 
     def test_dispatch_covers_all_ids(self):
         from graphssl.experiments import _RUNNERS

@@ -5,7 +5,8 @@ parameters, that is the parameters with a default value, counted by
 signature introspection over every function and class the module defines
 (a class counts its constructor and its own methods, private ones
 included).  A total line follows, then the number of public names, those
-in ``graphssl.__all__``.
+in ``graphssl.__all__``, and the number of experiment config keys, summed
+over the seven experiments' resolved defaults.
 
 Run from the repository root:
 
@@ -66,6 +67,10 @@ def main() -> int:
         print(f"{name:<24}{lines:>8}{optional:>10}")
     print(f"{'total':<24}{sum(r[1] for r in rows):>8}{sum(r[2] for r in rows):>10}")
     print(f"{'public names':<24}{len(package.__all__):>8}")
+    experiments = importlib.import_module("graphssl.experiments")
+    keys = sum(len(experiments.ExperimentConfig(experiment=e, out_dir=".").params)
+               for e in experiments.EXPERIMENT_IDS)
+    print(f"{'config keys':<24}{keys:>8}")
     return 0
 
 
