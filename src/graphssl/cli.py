@@ -18,14 +18,7 @@ import sys
 import numpy as np
 import scipy.linalg
 
-from graphssl.density import DomainError
-from graphssl.experiments import (
-    EXPERIMENT_IDS,
-    ConfigError,
-    load_config,
-    run,
-)
-from graphssl.labels import LabelValidationError
+from graphssl.experiments import EXPERIMENT_IDS, REFUSALS, load_config, run
 from graphssl.models import MapSolverError
 from graphssl.spectral import EigensolverError
 
@@ -57,7 +50,7 @@ def main(argv=None) -> int:
                           out_dir=args.out, seed=args.seed,
                           threads=args.threads, paper_scale=args.paper_scale)
         result = run(cfg)
-    except (ConfigError, LabelValidationError, DomainError) as exc:
+    except REFUSALS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (MapSolverError, EigensolverError,

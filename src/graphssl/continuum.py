@@ -63,13 +63,30 @@ class ContinuumOperator:
         return self._eig_cache[key]
 
     def factor(self, alpha: int, tau: float):
-        """The `PoweredFactor` of (matrix, alpha, tau).  Only the last one built
-        is kept: a loop over alpha holds one factorization at a time."""
-        from graphssl.models import PoweredFactor
+        """The `PoweredFactor` of (matrix, alpha, tau).  On the uniform density
+        it is a `CosineFactor`, which solves by the cosine transform; every
+        other density keeps sparse LU, whose roundoff sets the signs of the
+        channel's near-zero nodes.  Only the last one built is kept: a loop
+        over alpha holds one factorization at a time."""
+        from graphssl.models import CosineFactor, PoweredFactor
 
         if self._factor is None or self._factor[0] != (alpha, tau):
-            self._factor = ((alpha, tau), PoweredFactor(self.matrix, alpha, tau))
+            factor = (CosineFactor(self.grid, self.matrix, alpha, tau)
+                      if self.rho.kind == "uniform" else PoweredFactor(self.matrix, alpha, tau))
+            self._factor = ((alpha, tau), factor)
         return self._factor[1]
+
+
+def uniform_spectrum(grid: Grid) -> np.ndarray:
+    """Eigenvalues of the uniform-density operator, shape (N,) * d.
+
+    On the uniform density the flux form is the Neumann 5-point (in 3-D
+    7-point) Laplacian, which the orthonormal DCT-II diagonalizes: the mode
+    with index k has eigenvalue sum over axes of (4/h^2) sin^2(pi k_axis / 2N).
+    Entry k is that eigenvalue, unsorted; entry 0 is exactly 0.
+    """
+    axis = (4.0 / grid.h ** 2) * np.sin(np.pi * np.arange(grid.N) / (2 * grid.N)) ** 2
+    return sum(np.meshgrid(*([axis] * grid.dim), indexing="ij"))
 
 
 def discretize(rho: Density, N: int) -> ContinuumOperator:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import shutil
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -27,10 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from graphssl.continuum import discretize, fiedler_vector, interpolate_to_points
-from graphssl.density import Density, sample_cloud
+from graphssl.continuum import (Grid, discretize, fiedler_vector, interpolate_to_points,
+                                uniform_spectrum)
+from graphssl.density import Density, DomainError, sample_cloud
 from graphssl.graph import EpsilonSweep, build_graph, laplacian
-from graphssl.labels import Ball, Model1Spec, Model2Spec, assign_labels, sign
+from graphssl.labels import Ball, LabelValidationError, Model1Spec, Model2Spec, assign_labels, sign
 from graphssl.models import (
     IndicatorPotential,
     PoweredFactor,
@@ -75,6 +77,10 @@ GRAPH_WEYL_K_MIN, GRAPH_WEYL_K_MAX = 5, 40  # spectra: graph Weyl fit range (1-b
 
 class ConfigError(ValueError):
     """Invalid experiment id, unknown key, or out-of-range parameter."""
+
+
+# what refuses a config or its labels: the CLI's exit code 2
+REFUSALS = (ConfigError, LabelValidationError, DomainError)
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +232,11 @@ class ExperimentConfig:
         elif e == "spectra":
             k_min, k_max = p["cont_weyl_k_min"], p["cont_weyl_k_max"]
             nodes = [p["continuum_grid_n"] ** 2, p["weyl_grid_n_3d"] ** 3]
-            # the continuum Weyl fits take cont_weyl_k_max + 5 eigenpairs
+            # the continuum Weyl fits take cont_weyl_k_max + 5 eigenvalues
             if k_min < 2 or k_max - k_min < 4 or k_max + 5 > min(nodes):
                 raise ConfigError(f"the continuum Weyl fit needs 2 <= cont_weyl_k_min <= "
                                   f"cont_weyl_k_max - 4 and cont_weyl_k_max + 5 <= "
                                   f"{min(nodes)}, the nodes of the smaller grid")
-            full = [c for c in nodes if c == k_max + 5]
         if e == "mcmc-moons" and p["modes"] > p["grid_n"] ** 2:
             raise ConfigError(f"modes = {p['modes']} exceeds the {p['grid_n'] ** 2} "
                               f"nodes of the grid")
@@ -447,7 +452,8 @@ def _two_labels(p: dict) -> Model2Spec:
 
 def _continuum_references(models: list, p: dict) -> tuple:
     """The continuum kriging and probit fields of each model on one grid; at
-    integer alpha the operator's one factorization serves both."""
+    integer alpha the operator's one factor serves both, a `CosineFactor`
+    (the grid's density is uniform), so no reference factors a matrix."""
     op = discretize(Density("uniform"), p["continuum_grid_n"])
     idx, y, w = continuum_labeled_nodes(op, _two_labels(p))
     refs = {}
@@ -656,7 +662,9 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
 
     Graph eigenvalues use the degree-normalized Laplacian scaled by
     s_n * (mean degree), which cancels the boundary-degree bias of the
-    unnormalized variant for a uniform density.
+    unnormalized variant for a uniform density.  The continuum eigenvalues
+    of the 2-D and 3-D uniform grids are the closed form `uniform_spectrum`,
+    sorted: no eigensolve.
     """
     p = cfg.params
     k_max = SPECTRA_K_MAX
@@ -694,17 +702,13 @@ def run_spectra(cfg: ExperimentConfig) -> dict:
                           weyl_exponent(lam, GRAPH_WEYL_K_MIN,
                                         min(GRAPH_WEYL_K_MAX, len(lam)))])
 
-    op2 = discretize(Density("uniform"), p["continuum_grid_n"])
-    eig2 = op2.eigendecomposition(m=m_cont)
-    for k in range(k_max):
-        eig_rows.append(["continuum_d2", 0, k + 1, float(eig2.eigenvalues[k])])
-    weyl_rows.append(["continuum_d2",
-                      weyl_exponent(eig2.eigenvalues, p["cont_weyl_k_min"], p["cont_weyl_k_max"])])
-
-    op3 = discretize(Density("uniform", dim=3), p["weyl_grid_n_3d"])
-    eig3 = op3.eigendecomposition(m=m_cont)
-    weyl_rows.append(["continuum_d3",
-                      weyl_exponent(eig3.eigenvalues, p["cont_weyl_k_min"], p["cont_weyl_k_max"])])
+    for dim, key in ((2, "continuum_grid_n"), (3, "weyl_grid_n_3d")):
+        lam = np.sort(uniform_spectrum(Grid(dim=dim, N=p[key])), axis=None)[:m_cont]
+        if dim == 2:
+            for k in range(k_max):
+                eig_rows.append(["continuum_d2", 0, k + 1, float(lam[k])])
+        weyl_rows.append([f"continuum_d{dim}",
+                          weyl_exponent(lam, p["cont_weyl_k_min"], p["cont_weyl_k_max"])])
 
     _write_csv(cfg.out_dir / "eigenvalues.csv", ["source", "n", "k", "lambda"], eig_rows)
     _write_csv(cfg.out_dir / "errors.csv", ["n", "k", "rel_error"], err_rows)
@@ -762,12 +766,25 @@ def run(cfg: ExperimentConfig) -> dict:
 
     Every warning the run raises (for example "graph is disconnected") is
     caught, not printed, and counted in ``result["warnings"]``, a map from
-    "Category: message" to its count.
+    "Category: message" to its count.  A refusal that only the runner can
+    make (one of REFUSALS, such as a label ball with no grid node) removes
+    the directories this call made and writes nothing into one that existed.
     """
+    made = [d for d in (cfg.out_dir, *cfg.out_dir.parents) if not d.exists()]
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = _RUNNERS[cfg.experiment](cfg)
+    except REFUSALS:
+        # each runner refuses before its first CSV, and the config is echoed
+        # after the run: the directories made here hold nothing else
+        if made:
+            shutil.rmtree(made[-1])
+        raise
+    except BaseException:
+        _echo_config(cfg)  # the CSVs of a failed run keep their config
+        raise
     _echo_config(cfg)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = _RUNNERS[cfg.experiment](cfg)
     result["warnings"] = dict(Counter(f"{w.category.__name__}: {w.message}" for w in caught))
     return result

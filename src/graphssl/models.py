@@ -18,7 +18,8 @@ which the caller builds and may share between them).  A
 sweep's `EpsilonSweep` returns one for dense enough graphs) is taken over,
 Cholesky-factored in place and solved for all label columns at once; a
 sparse matrix goes to sparse LU, one column at a time.  On continuum grids
-`ContinuumOperator.factor` builds it and keeps the last one.
+`ContinuumOperator.factor` builds it and keeps the last one; on the uniform
+density that is a `CosineFactor`, which solves by the cosine transform.
 
 The continuum solvers route on alpha alone: a `factored` alpha (an integer
 >= 1) takes that factor, any other every eigenpair of the grid operator.
@@ -40,7 +41,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import erfc, log_ndtr
 
-from graphssl.continuum import ContinuumOperator
+from graphssl.continuum import ContinuumOperator, Grid, uniform_spectrum
 from graphssl.labels import (LabelSet, LabelValidationError, Model1Spec, Model2Spec,
                              region_labels)
 from graphssl.spectral import FractionalOperator, label_covariance, quadratic_form
@@ -416,6 +417,28 @@ class PoweredFactor:
         return self._units[key]
 
 
+class CosineFactor(PoweredFactor):
+    """The `PoweredFactor` of a uniform-density grid operator, whose A1^-1 is
+    the orthonormal DCT-II, a division by the closed-form eigenvalues plus
+    tau^2 (`uniform_spectrum`), and the inverse transform: no factorization.
+    ``A1`` stays the assembled sparse matrix, which the node-space MAP
+    applies."""
+
+    def __init__(self, grid: Grid, matrix, alpha: int, tau: float):
+        super().__init__(matrix, alpha, tau)
+        self._shifted = uniform_spectrum(grid) + tau ** 2
+
+    def _factor(self):
+        from scipy.fft import dctn, idctn
+
+        shifted = self._shifted
+
+        def solve1(v):
+            x = dctn(np.reshape(v, shifted.shape), norm="ortho") / shifted
+            return idctn(x, norm="ortho").ravel()
+        return solve1
+
+
 def sparse_krige(factor: PoweredFactor, indices: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Minimum-energy interpolation via factored solves (integer alpha).
 
@@ -543,8 +566,8 @@ def continuum_krige(op: ContinuumOperator, alpha: float, tau: float,
                     indices: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Minimum-energy interpolation on a continuum grid operator.
 
-    A `factored` alpha evaluates the closed form with sparse solves of the
-    powered operator (no spectral truncation), through ``op.factor``; any
+    A `factored` alpha evaluates the closed form with solves of the powered
+    operator (no spectral truncation), through ``op.factor``; any
     other alpha uses every eigenpair of the grid operator.  The interpolant
     is invariant to the inner-product convention of the evaluation adjoint,
     so unit node vectors are used as right-hand sides.
@@ -560,7 +583,7 @@ def continuum_probit_map(op: ContinuumOperator, alpha: float, tau: float,
                          init: np.ndarray | None = None) -> np.ndarray:
     """Probit MAP for a continuum grid operator.
 
-    A `factored` alpha uses the sparse precision operator, factored by
+    A `factored` alpha uses the sparse precision operator, solved through
     ``op.factor``, directly (no truncation), which is required when the
     density has near-degenerate regions that carry many low-eigenvalue
     localized modes.  Any other alpha minimizes over every eigenpair of the

@@ -4,6 +4,7 @@ import pytest
 import graphssl.cli as cli
 import graphssl.experiments as experiments
 from graphssl.models import MapSolverError
+from graphssl.spectral import DENSE_CUTOFF
 
 
 def _write_cfg(tmp_path, body):
@@ -102,12 +103,14 @@ class TestExitCodes:
         assert "separation" in capsys.readouterr().err
 
     def test_empty_label_ball_exits_2(self, tmp_path, capsys):
-        # no node of a 16^2 grid lies within 0.02 of a label center
+        # no node of a 16^2 grid lies within 0.02 of a label center; only the
+        # runner sees that, and its refusal leaves no output directory
+        out = tmp_path / "out"
         cfg = _write_cfg(tmp_path, "[channel]\ngrid_n = 16\nlabel_radius = 0.02\n"
                                    "h_values = 1.0\nalpha_values = 1\n")
-        assert cli.main(["channel", "--config", str(cfg),
-                         "--out", str(tmp_path / "out")]) == 2
+        assert cli.main(["channel", "--config", str(cfg), "--out", str(out)]) == 2
         assert "label ball omega_plus" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_label_point_outside_unit_box_exits_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "[rates-krige]\nlabel_plus = 1.5 0.5\nn_values = 20\n"
@@ -147,7 +150,21 @@ class TestExitCodes:
         assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "label points (" in err and "snap to the same grid node (" in err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
+
+    def test_refusal_leaves_an_existing_directory_as_it_was(self, tmp_path):
+        # the directories a refused call made go; one that existed stays,
+        # with nothing written into it
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "config_resolved.ini").write_text("an earlier run's echo\n")
+        cfg = _write_cfg(tmp_path, "[rates-krige]\nn_values = 20\nn_seeds = 1\n"
+                                   "eps_count = 3\ncontinuum_grid_n = 8\n"
+                                   "label_plus = 0.45 0.45\nlabel_minus = 0.44 0.44\n")
+        assert cli.main(["rates-krige", "--config", str(cfg), "--out", str(out / "a" / "b")]) == 2
+        assert cli.main(["rates-krige", "--config", str(cfg), "--out", str(out)]) == 2
+        assert [f.name for f in out.iterdir()] == ["config_resolved.ini"]
+        assert (out / "config_resolved.ini").read_text() == "an earlier run's echo\n"
 
     @pytest.mark.parametrize("experiment, body, message", [
         ("smallnoise", "eps = 0\n", "eps must be positive"),
@@ -157,10 +174,8 @@ class TestExitCodes:
         ("spectra", "cont_weyl_k_min = 50\ncont_weyl_k_max = 53\n", "<= cont_weyl_k_max - 4"),
         ("spectra", "continuum_grid_n = 16\ncont_weyl_k_max = 600\n", "+ 5 <= 256,"),
         ("spectra", "weyl_grid_n_3d = 8\ncont_weyl_k_max = 600\n", "+ 5 <= 512,"),
-        ("spectra", "continuum_grid_n = 65\ncont_weyl_k_max = 4220\n"
-                    "weyl_grid_n_3d = 20\n", "4096"),
     ], ids=["smallnoise-eps", "spectra-eps", "spectra-n", "weyl-k-min", "weyl-range",
-            "weyl-2d-grid", "weyl-3d-grid", "weyl-full-spectrum"])
+            "weyl-2d-grid", "weyl-3d-grid"])
     def test_bad_spectra_and_eps_exit_2(self, tmp_path, capsys, experiment, body, message):
         # refused with the config, before the output directory exists
         out = tmp_path / "out"
@@ -168,6 +183,14 @@ class TestExitCodes:
         assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_continuum_weyl_fit_may_take_every_grid_eigenvalue(self, tmp_path):
+        # the continuum eigenvalues are a closed form, so a fit that reads all
+        # 4225 of a 65^2 grid needs no eigensolve, dense or sparse
+        cfg = experiments.load_config(
+            _write_cfg(tmp_path, "[spectra]\ncontinuum_grid_n = 65\ncont_weyl_k_max = 4220\n"
+                                 "weyl_grid_n_3d = 20\n"), experiment="spectra")
+        assert cfg.params["cont_weyl_k_max"] + 5 == 65 ** 2 > DENSE_CUTOFF
 
     @pytest.mark.parametrize("experiment, body, message", [
         # refused with the config, not by the chain start, the factor, the
@@ -227,7 +250,7 @@ class TestExitCodes:
                                    "tau_values = 1\niterations = 1500\nburn_in = 150\n")
         assert cli.main(["mcmc-moons", "--config", str(cfg), "--out", str(out)]) == 2
         assert "smallest node density" in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = _write_cfg(tmp_path, "[extrapolation]\nbogus = 1\n")

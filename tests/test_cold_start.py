@@ -1,8 +1,9 @@
 """`import graphssl` loads only the scipy that every run uses.
 
 `scipy.optimize` (for `tlp_exact`), `scipy.spatial` (for the range search
-and `tlp_map_bound`) and `scipy.sparse.csgraph` (for the connectivity
-checks) are imported on first call, inside the functions that use them.
+and `tlp_map_bound`), `scipy.sparse.csgraph` (for the connectivity checks)
+and `scipy.fft` (for the uniform grid's cosine-transform solves) are
+imported on first call, inside the functions that use them.
 Each check runs in a fresh interpreter: this test session has imported
 them already (tests/test_models.py imports `scipy.optimize`).
 """
@@ -20,7 +21,7 @@ import graphssl
 from graphssl.experiments import EXPERIMENT_IDS
 
 SRC = str(Path(graphssl.__file__).resolve().parents[1])
-LAZY = ("scipy.optimize", "scipy.spatial", "scipy.sparse.csgraph")
+LAZY = ("scipy.optimize", "scipy.spatial", "scipy.sparse.csgraph", "scipy.fft")
 
 
 def _python(code: str, cwd) -> object:
@@ -54,8 +55,8 @@ def test_import_and_config_leave_lazy_modules_unloaded(tmp_path):
                    "iterations = 1100\nburn_in = 100\n"),
 ], ids=["channel", "mcmc-moons"])
 def test_runs_without_a_graph_leave_lazy_modules_unloaded(tmp_path, experiment, params):
-    # neither experiment builds a point-cloud graph or measures a transport
-    # distance
+    # neither experiment builds a point-cloud graph, measures a transport
+    # distance or solves on a uniform grid
     config = tmp_path / "config.ini"
     config.write_text(f"[{experiment}]\n{params}")
     body = (f"assert graphssl.cli.main([{experiment!r}, '--config', {str(config)!r}, "
@@ -80,18 +81,19 @@ def test_first_call_imports_give_the_same_values(tmp_path):
         cloud = gs.sample_cloud(gs.Density("uniform"), 300, seed=5)
         g = gs.build_graph(cloud, 0.1)
         L = gs.EpsilonSweep(cloud, [0.05, 0.1]).scaled_laplacian(0.05)
+        cosine = gs.discretize(gs.Density("uniform"), 8).factor(2, 1.0).solve(np.arange(64.0))
         print(json.dumps({{
             "exact": gs.tlp_exact(a, b).hex(),
             "bound": [x.hex() for x in bound],
             "graph": [g.weights.data.tobytes().hex(), g.weights.indices.tobytes().hex(),
                       g.s_n.hex(), g.disconnected],
             "sweep": [L.data.tobytes().hex(), L.indices.tobytes().hex()],
+            "cosine": cosine.tobytes().hex(),
             "lazy": [m for m in {lazy!r} if m in sys.modules],
         }}))
         """
     lazy = _python(code.format(preload="", lazy=LAZY), tmp_path)
-    eager = _python(code.format(preload="import scipy.optimize, scipy.spatial, "
-                                        "scipy.sparse.csgraph", lazy=LAZY), tmp_path)
+    eager = _python(code.format(preload="import " + ", ".join(LAZY), lazy=LAZY), tmp_path)
     assert lazy.pop("lazy") == list(LAZY)
     eager.pop("lazy")
     assert lazy == eager

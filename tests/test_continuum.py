@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from graphssl.continuum import Grid, discretize, fiedler_vector, interpolate_to_points
+from graphssl.continuum import (Grid, discretize, fiedler_vector, interpolate_to_points,
+                                uniform_spectrum)
 from graphssl.density import Density
+from graphssl.spectral import decompose
 
 
 def _inner(op, a, b):
@@ -26,6 +28,14 @@ class TestUniformSpectrum:
         ref = np.sort((lam1[:, None] + lam1[None, :]).ravel())
         eig = op.eigendecomposition()
         assert np.allclose(eig.eigenvalues, ref, rtol=1e-8, atol=1e-6)
+
+    @pytest.mark.parametrize("dim, N", [(2, 16), (3, 8)])
+    def test_closed_form_matches_dense_eigensolve(self, dim, N):
+        op = discretize(Density("uniform", dim=dim), N)
+        lam = np.sort(uniform_spectrum(op.grid), axis=None)
+        dense = decompose(op.matrix, weights=op.weights).eigenvalues
+        assert lam[0] == 0.0
+        assert np.max(np.abs(lam[1:] - dense[1:]) / lam[1:]) <= 1e-12
 
     def test_low_modes_near_analytic(self):
         # first nonzero eigenvalues approximate pi^2 (i^2 + j^2)

@@ -291,13 +291,22 @@ class TestRatesReferences:
                               continuum_probit_map(fresh, p["alpha"], p["tau"], pot))
 
     def test_one_factorization_serves_both_models(self, monkeypatch):
-        calls = []
+        # the uniform grid's factor is the cosine transform: one factor
+        # object serves both models, and nothing is LU-factored
+        calls, factors = [], []
         splu = spla.splu
         monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+
+        class Recorded(models.CosineFactor):
+            def __init__(self, *args):
+                super().__init__(*args)
+                factors.append(self)
+        monkeypatch.setattr(models, "CosineFactor", Recorded)
         p = ExperimentConfig(experiment="rates-krige", out_dir="/tmp/x",
                              params=self.PARAMS).params
         _continuum_references(["krige", "probit"], p)
-        assert len(calls) == 1
+        assert calls == []
+        assert len(factors) == 1
 
 
 class TestContinuumFactor:

@@ -19,6 +19,7 @@ from graphssl.labels import Ball, LabelValidationError, Model1Spec, Model2Spec, 
 from graphssl.models import (
     IndicatorPotential,
     LevelSetPotential,
+    CosineFactor,
     MapSolverError,
     PoweredFactor,
     ProbitPotential,
@@ -365,8 +366,10 @@ class TestPoweredFactor:
     @pytest.mark.parametrize("labelling", ["model1", "model2"])
     @pytest.mark.parametrize("h", [None, 0.0])
     def test_continuum_map_matches_reference_loop(self, h, labelling, alpha):
-        # bit for bit: channel fields carry nodes whose sign is set by
-        # roundoff, so the continuum node-space loop must keep its arithmetic
+        # bit for bit on the channel: its fields carry nodes whose sign is set
+        # by roundoff, so the continuum node-space loop must keep its
+        # arithmetic.  The uniform grid solves by the cosine transform, not
+        # the reference's LU, and agrees to rounding
         rho = Density("uniform") if h is None else Density("channel", h=h, width=0.1)
         op = discretize(rho, 32)
         if labelling == "model1":
@@ -379,7 +382,31 @@ class TestPoweredFactor:
         assert len(idx) == (24 if labelling == "model1" else 2)
         pot = ProbitPotential(gamma=0.01, indices=idx, y=y, weights=w)
         ref = _reference_sparse_probit_map(op.matrix, op.weights, alpha, 10.0, pot)
-        assert np.array_equal(continuum_probit_map(op, alpha, 10.0, pot), ref)
+        u = continuum_probit_map(op, alpha, 10.0, pot)
+        if h is None:
+            assert _rel(u, ref) <= 1e-12
+        else:
+            assert np.array_equal(u, ref)
+
+    @pytest.mark.parametrize("tau", [0.5, 10.0])
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("dim, N", [(2, 8), (2, 15), (2, 32), (3, 8)])
+    def test_cosine_factor_matches_lu(self, dim, N, alpha, tau):
+        # the uniform grid's factor against sparse LU of the same operator
+        op = discretize(Density("uniform", dim=dim), N)
+        factor = op.factor(alpha, tau)
+        assert type(factor) is CosineFactor
+        lu = PoweredFactor(op.matrix, alpha, tau)
+        v = np.random.default_rng(N).standard_normal(op.grid.size)
+        assert _rel(factor.solve(v), lu.solve(v)) <= 1e-12
+        idx = np.array([0, N + 3, op.grid.size - 1])
+        assert _rel(factor.unit_solves(idx), lu.unit_solves(idx)) <= 1e-12
+
+    def test_non_uniform_grids_keep_sparse_lu(self):
+        # the channel at h = 1 is constant too, but its operator keeps LU:
+        # the route follows the density's kind, not the coefficients
+        assert type(discretize(Density("channel", h=1.0), 16).factor(2, 1.0)) is PoweredFactor
+        assert type(discretize(Density("two_moons"), 16).factor(2, 1.0)) is PoweredFactor
 
     @pytest.mark.filterwarnings("ignore:graph is disconnected")
     def test_factors_on_first_solve(self, small_graph, monkeypatch):
