@@ -155,21 +155,19 @@ def interpolate_to_points(grid: Grid, values: np.ndarray, points: np.ndarray) ->
     return out
 
 
-def fiedler_vector(op: ContinuumOperator, m: int = 8,
-                   positive_at: np.ndarray | None = None):
-    """Eigenfunction of the second-smallest eigenvalue.
+def fiedler_vector(op: ContinuumOperator, m: int, positive_at: tuple):
+    """Eigenfunction of the second-smallest eigenvalue, from the ``m``
+    smallest eigenpairs (at least 3).
 
     Returns (vector, degenerate_flag).  When lambda_2 and lambda_3 coincide
     to a relative 1e-8 the flag is set and the returned vector is one member of
-    the eigenspace.  If ``positive_at`` is given (a point in the box) the sign
-    is normalized so the interpolated value there is positive.
+    the eigenspace.  The sign is normalized so that the interpolated value at
+    ``positive_at``, a point in the box, is not negative.
     """
     eig = op.eigendecomposition(m=max(m, 3))
     lam = eig.eigenvalues
     q2 = eig.vectors[:, 1].copy()
     degenerate = abs(lam[2] - lam[1]) <= 1e-8 * max(1.0, abs(lam[1]))
-    if positive_at is not None:
-        val = interpolate_to_points(op.grid, q2, np.atleast_2d(positive_at))[0]
-        if val < 0:
-            q2 = -q2
+    if interpolate_to_points(op.grid, q2, np.atleast_2d(positive_at))[0] < 0:
+        q2 = -q2
     return q2, degenerate

@@ -82,6 +82,10 @@ class ConfigError(ValueError):
 # what refuses a config or its labels: the CLI's exit code 2
 REFUSALS = (ConfigError, LabelValidationError, DomainError)
 
+# a config file's [run] keys, in the order the echo writes them; seed,
+# threads and paper_scale take ExperimentConfig's defaults
+RUN_KEYS = ("experiment", "seed", "threads", "paper_scale", "out")
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -163,6 +167,17 @@ def _defaults(experiment: str, paper_scale: bool) -> dict:
     raise ConfigError(f"unknown experiment {experiment!r}; choose from {EXPERIMENT_IDS}")
 
 
+def _models(p: dict) -> list[str]:
+    """The rates models that ``p["models"]`` names, in order."""
+    return [m.strip() for m in str(p["models"]).split(",")]
+
+
+def _pcn_config(p: dict) -> PcnConfig:
+    """The chains' PcnConfig (mcmc-moons keeps its default ``batches``)."""
+    keys = ("beta", "iterations", "burn_in", "thinning", "batches")
+    return PcnConfig(**{k: p[k] for k in keys if k in p})
+
+
 @dataclass
 class ExperimentConfig:
     """A fully-resolved experiment configuration."""
@@ -210,10 +225,9 @@ class ExperimentConfig:
             raise ConfigError("need 0 < eps_min < eps_max")
         if "channel_width" in p and not 0 < p["channel_width"] < 1:
             raise ConfigError("channel_width must lie in (0, 1)")
-        if "iterations" in p:  # the chains' PcnConfig, as the run builds it
-            keys = ("beta", "iterations", "burn_in", "thinning", "batches")
+        if "iterations" in p:
             try:
-                kept = PcnConfig(**{k: p[k] for k in keys if k in p}).kept
+                kept = _pcn_config(p).kept
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
             if kept < 100:  # the states classification_stats needs
@@ -248,7 +262,7 @@ class ExperimentConfig:
         sweeps = {k: p[k] for k in ("h_values", "alpha_values", "tau_values", "n_values",
                                     "gammas") if k in p}
         if "models" in p:
-            sweeps["models"] = [m.strip() for m in str(p["models"]).split(",")]
+            sweeps["models"] = _models(p)
             for m in sweeps["models"]:
                 if m not in ("krige", "probit"):
                     raise ConfigError(f"unknown rates model {m!r}")
@@ -283,39 +297,45 @@ def load_config(path, experiment: str | None = None, out_dir=None,
                 paper_scale: bool | None = None) -> ExperimentConfig:
     """Load an INI-style config file and resolve it against the defaults.
 
-    The file holds one section named after the experiment (a leading
-    ``[run]`` section may set experiment/seed/threads/paper_scale/out).
-    Keyword arguments override file values.
+    The file holds sections named after experiments and an optional
+    ``[run]`` section with the keys RUN_KEYS; any other section or ``[run]``
+    key is refused.  Keyword arguments override file values, and what
+    neither sets takes ExperimentConfig's default.
     """
     parser = configparser.ConfigParser()
     if path is not None:
         read = parser.read(str(path))
         if not read:
             raise ConfigError(f"config file not found: {path}")
+    unknown = [s for s in parser.sections() if s != "run" and s not in EXPERIMENT_IDS]
+    if unknown:
+        raise ConfigError(f"unknown config sections {unknown}; "
+                          f"choose from {('run', *EXPERIMENT_IDS)}")
     run = dict(parser["run"]) if parser.has_section("run") else {}
+    unknown = sorted(set(run) - set(RUN_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown [run] keys {unknown}; choose from {RUN_KEYS}")
     experiment = experiment or run.get("experiment")
     if experiment is None:
         sections = [s for s in parser.sections() if s in EXPERIMENT_IDS]
         if len(sections) != 1:
             raise ConfigError("experiment not specified and not inferable from config")
         experiment = sections[0]
-    if paper_scale is None:
-        paper_scale = _parse_value(run.get("paper_scale", "false"), False)
-    if seed is None:
-        seed = _parse_value(run.get("seed", "0"), 0)
-    if threads is None:
-        threads = _parse_value(run.get("threads", "1"), 1)
+    # each field's default gives the type to parse; keyword arguments beat the file
+    settings = {k: _parse_value(run[k], getattr(ExperimentConfig, k))
+                for k in ("seed", "threads", "paper_scale") if k in run}
+    given = {"seed": seed, "threads": threads, "paper_scale": paper_scale}
+    settings.update((k, v) for k, v in given.items() if v is not None)
     if out_dir is None:
         out_dir = run.get("out", f"results/{experiment}")
 
-    defaults = _defaults(experiment, paper_scale)
+    defaults = _defaults(experiment, settings.get("paper_scale", ExperimentConfig.paper_scale))
     params = {}
     if parser.has_section(experiment):
         # ExperimentConfig rejects unknown keys; they stay strings here
         for key, raw in parser[experiment].items():
             params[key] = _parse_value(raw, defaults.get(key))
-    return ExperimentConfig(experiment=experiment, out_dir=out_dir, seed=seed,
-                            threads=threads, paper_scale=paper_scale, params=params)
+    return ExperimentConfig(experiment=experiment, out_dir=out_dir, params=params, **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +364,8 @@ def _write_csv(path, header, rows) -> None:
 
 def _echo_config(cfg: ExperimentConfig) -> None:
     parser = configparser.ConfigParser()
-    parser["run"] = {
-        "experiment": cfg.experiment,
-        "seed": str(cfg.seed),
-        "threads": str(cfg.threads),
-        "paper_scale": str(cfg.paper_scale).lower(),
-        "out": str(cfg.out_dir),
-    }
+    run = (cfg.experiment, cfg.seed, cfg.threads, str(cfg.paper_scale).lower(), cfg.out_dir)
+    parser["run"] = dict(zip(RUN_KEYS, map(str, run)))
     parser[cfg.experiment] = {
         k: " ".join(_fmt(x) for x in v) if isinstance(v, list) else _fmt(v)
         for k, v in sorted(cfg.params.items())
@@ -479,7 +494,7 @@ def run_rates(cfg: ExperimentConfig) -> dict:
     model, exception}.
     """
     p = cfg.params
-    models = [m.strip() for m in str(p["models"]).split(",")]
+    models = _models(p)
     eps_grid = np.linspace(p["eps_min"], p["eps_max"], p["eps_count"])
     grid, refs = _continuum_references(models, p)
     spec = _two_labels(p)
@@ -490,12 +505,23 @@ def run_rates(cfg: ExperimentConfig) -> dict:
             dropped.append({"n": n, "seed": seed, "epsilon": float(eps), "model": m,
                             "exception": f"{type(exc).__name__}: {exc}"})
 
-    by_factor = factored(p["alpha"])
+    if factored(p["alpha"]):
+        def prior_of(base):
+            # takes base over; factored on first use, it serves every model
+            return PoweredFactor(base, int(p["alpha"]), p["tau"])
+        solve_krige, solve_probit = sparse_krige, sparse_probit_map
+    else:
+        def prior_of(base):
+            return FractionalOperator(decompose(base), alpha=p["alpha"], tau=p["tau"])
+        solve_krige, solve_probit = krige, probit_map
 
     def sweep_seed(n, seed_idx):
         seed = _point_seed(cfg.seed, n, seed_idx)
         points = sample_cloud(Density("uniform"), n - 2, seed=seed)
         points, labels = assign_labels(points, spec)
+        pot = ProbitPotential.for_graph(labels, p["gamma"])
+        solvers = {"krige": lambda prior: solve_krige(prior, labels.indices, labels.y),
+                   "probit": lambda prior: solve_probit(prior, pot)}
         # the empirical L^2 error of discrete_vs_continuum_error, with each
         # reference interpolated at the points once
         at_points = {m: interpolate_to_points(grid, refs[m], points) for m in models}
@@ -503,33 +529,17 @@ def run_rates(cfg: ExperimentConfig) -> dict:
         sweep = EpsilonSweep(points, eps_grid)
         for k, eps in enumerate(eps_grid):
             base = sweep.scaled_laplacian(eps)
-            if by_factor:
-                # takes base over; factored on first use, it serves both models
-                factor = PoweredFactor(base, int(p["alpha"]), p["tau"])
-            else:
-                try:
-                    eig = decompose(base)
-                except (EigensolverError, np.linalg.LinAlgError) as exc:
-                    drop(n, seed, eps, models, exc)
-                    continue
-                prior = FractionalOperator(eig, alpha=p["alpha"], tau=p["tau"])
+            try:
+                prior = prior_of(base)
+            except (EigensolverError, np.linalg.LinAlgError) as exc:
+                drop(n, seed, eps, models, exc)
+                continue
             for m in models:
                 try:
-                    if m == "krige":
-                        if by_factor:
-                            u = sparse_krige(factor, labels.indices, labels.y)
-                        else:
-                            u = krige(prior, labels.indices, labels.y)
-                    else:
-                        pot = ProbitPotential.for_graph(labels, p["gamma"])
-                        if by_factor:
-                            u = sparse_probit_map(factor, pot)
-                        else:
-                            u = probit_map(prior, pot)
+                    u = solvers[m](prior)
                     errs[m][k] = float(np.sqrt(np.mean((u - at_points[m]) ** 2)))
                 except (ValueError, RuntimeError) as exc:
                     drop(n, seed, eps, [m], exc)
-                    continue
         return errs
 
     err_rows, bound_rows = [], []
@@ -635,8 +645,7 @@ def run_mcmc_moons(cfg: ExperimentConfig) -> dict:
     points = [(alpha, tau) for alpha in p["alpha_values"] for tau in p["tau_values"]]
     chains = run_pcn_chains(
         [FractionalOperator(eig, alpha=alpha, tau=tau) for alpha, tau in points], pot,
-        PcnConfig(beta=p["beta"], iterations=p["iterations"], burn_in=p["burn_in"],
-                  thinning=p["thinning"]),
+        _pcn_config(p),
         [_point_seed(cfg.seed, int(alpha * 10), int(tau * 10)) for alpha, tau in points])
     summary = []
     for (alpha, tau), chain in zip(points, chains):
@@ -729,9 +738,8 @@ def run_smallnoise(cfg: ExperimentConfig) -> dict:
     eig = decompose_graph(build_graph(points, p["eps"]))
     prior = FractionalOperator(eig, alpha=p["alpha"], tau=p["tau"])
 
-    pcn = PcnConfig(beta=p["beta"], iterations=p["iterations"],
-                    burn_in=p["burn_in"], thinning=p["thinning"], batches=p["batches"])
-    report = small_noise_agreement(prior, labels, p["gammas"], pcn, _point_seed(cfg.seed, 1))
+    report = small_noise_agreement(prior, labels, p["gammas"], _pcn_config(p),
+                                   _point_seed(cfg.seed, 1))
 
     rows = [["indicator", "", "", "", "", report["indicator_acceptance"]]]
     for name in ("probit", "levelset"):

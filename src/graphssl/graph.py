@@ -44,15 +44,14 @@ class WeightedGraph:
     """The n x d points plus sparse symmetric edge weights and degrees.
 
     Self-loops are included (they cancel identically in L = D - W).  A
-    ``disconnected`` flag is set instead of failing: models with tau > 0
-    remain solvable on disconnected graphs.
+    disconnected graph warns instead of failing: models with tau > 0 remain
+    solvable on disconnected graphs.
     """
 
     points: np.ndarray
     weights: sp.csr_matrix
     degrees: np.ndarray
     s_n: float
-    disconnected: bool = False
 
     @property
     def n(self) -> int:
@@ -131,12 +130,9 @@ def build_graph(points: np.ndarray, epsilon: float) -> WeightedGraph:
     s_n = 2.0 / (sigma_eta * n * epsilon ** 2)
 
     ncomp, _ = connected_components(W, directed=False)
-    disconnected = ncomp > 1
-    if disconnected:
+    if ncomp > 1:
         _warn_disconnected()
-    return WeightedGraph(
-        points=points, weights=W, degrees=degrees, s_n=s_n, disconnected=disconnected,
-    )
+    return WeightedGraph(points=points, weights=W, degrees=degrees, s_n=s_n)
 
 
 def laplacian(g: WeightedGraph, normalized: bool = False) -> sp.csr_matrix:
@@ -199,15 +195,13 @@ class EpsilonSweep:
             return _weight(np.array([dist]), epsilon, self.dim)[0] > 0
 
         n = len(self.points)
-        disconnected = not has_edge(self._bottleneck)
-        if disconnected:
+        if not has_edge(self._bottleneck):
             _warn_disconnected()
         s_n = 2.0 / (self.sigma_eta * n * epsilon ** 2)
         edges = bisect.bisect_left(self._sorted, True, key=lambda d: not has_edge(d))
         if n + 2 * edges <= _DENSE_FILL * n * n:
             W, degrees = _weights(n, self.dim, epsilon, self.neighbors)
-            g = WeightedGraph(points=self.points, weights=W, degrees=degrees,
-                              s_n=s_n, disconnected=disconnected)
+            g = WeightedGraph(points=self.points, weights=W, degrees=degrees, s_n=s_n)
             return laplacian(g) * s_n
         W = _weight(self.dists, epsilon, self.dim)
         # L = D - W: the off-diagonal weights keep their bits; the degrees are

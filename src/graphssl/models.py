@@ -49,7 +49,7 @@ from graphssl.spectral import FractionalOperator, label_covariance, quadratic_fo
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def log_psi(v, gamma: float = 1.0):
+def log_psi(v, gamma: float):
     """Numerically stable log Psi(v; gamma) = log Phi(v / gamma).
 
     scipy's log_ndtr below zero, and log1p of the upper tail mass for z >= 0
@@ -69,7 +69,7 @@ def log_psi(v, gamma: float = 1.0):
     return float(out[0]) if scalar else out
 
 
-def psi_ratio(v, gamma: float = 1.0):
+def psi_ratio(v, gamma: float):
     """psi(v;gamma) / Psi(v;gamma), the derivative of log Psi w.r.t. v.
 
     Computed as exp(log pdf - log cdf); stays finite far into the left tail

@@ -46,10 +46,10 @@ DRAW_CHUNK = 4096  # label-space steps whose normals and uniforms are drawn at o
 
 @dataclass(frozen=True)
 class PcnConfig:
-    beta: float = 0.1
-    iterations: int = 20_000
-    burn_in: int = 2_000
-    thinning: int = 10
+    beta: float
+    iterations: int
+    burn_in: int
+    thinning: int
     store_samples: bool = False
     batches: int = 20  # batch-means batches for MC standard errors
 

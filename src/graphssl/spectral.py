@@ -125,13 +125,13 @@ class FractionalOperator:
         if self.tau <= 0:
             raise ValueError("tau must be positive")
 
-    def powered(self, p: float = 1.0) -> np.ndarray:
+    def powered(self, p: float) -> np.ndarray:
         """Eigenvalues of A^p, (lambda + tau^2)^{alpha*p}, with tiny negative
         lambda clipped to zero."""
         return (np.clip(self.eig.eigenvalues, 0.0, None) + self.tau ** 2) ** (self.alpha * p)
 
 
-def apply_power(A: FractionalOperator, u: np.ndarray, p: float = 1.0) -> np.ndarray:
+def apply_power(A: FractionalOperator, u: np.ndarray, p: float) -> np.ndarray:
     """Spectral action of A^p on u."""
     return A.eig.vectors @ (A.powered(p) * A.eig.coeffs(u))
 

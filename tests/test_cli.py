@@ -257,6 +257,20 @@ class TestExitCodes:
         assert cli.main(["extrapolation", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("experiment, body, message", [
+        ("extrapolation", "[run]\nsed = 3\nthreds = 2\n[extrapolation]\nn = 150\n",
+         "unknown [run] keys ['sed', 'threds']"),
+        ("smallnoise", "[smalnoise]\nn = 100\n", "unknown config sections ['smalnoise']"),
+    ], ids=["run-keys", "section"])
+    def test_misspelt_run_key_or_section_exits_2(self, tmp_path, capsys, experiment, body,
+                                                 message):
+        # refused before any run: not a run with the defaults
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, body)
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
             raise MapSolverError(np.zeros(1), 123.0)  # a synthetic solver breakdown

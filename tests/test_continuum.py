@@ -94,13 +94,13 @@ class TestInterpolation:
 class TestFiedler:
     def test_uniform_box_is_degenerate(self):
         op = discretize(Density("uniform"), 24)
-        _, degenerate = fiedler_vector(op)
+        _, degenerate = fiedler_vector(op, 8, (0.25, 0.5))
         assert degenerate  # lambda_2 = lambda_3 by symmetry
 
     def test_channel_sign_split_at_half(self):
         # deep channel: the second eigenfunction separates left from right
         op = discretize(Density("channel", h=0.0), 32)
-        vec, degenerate = fiedler_vector(op, positive_at=(0.25, 0.5))
+        vec, degenerate = fiedler_vector(op, 8, (0.25, 0.5))
         assert not degenerate
         coords = op.grid.coordinates()
         left = coords[:, 0] < 0.5 - op.rho.width
@@ -109,8 +109,8 @@ class TestFiedler:
 
     def test_sign_normalization(self):
         op = discretize(Density("channel", h=0.0), 32)
-        v1, _ = fiedler_vector(op, positive_at=(0.25, 0.5))
-        v2, _ = fiedler_vector(op, positive_at=(0.75, 0.5))
+        v1, _ = fiedler_vector(op, 8, (0.25, 0.5))
+        v2, _ = fiedler_vector(op, 8, (0.75, 0.5))
         assert np.allclose(v1, -v2)
 
     @pytest.mark.parametrize("modes", [20, 150])  # ARPACK and dense eigh

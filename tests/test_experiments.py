@@ -172,6 +172,37 @@ class TestLoadConfig:
         cfg = load_config(None, experiment="channel")
         assert cfg.params["grid_n"] == 128
 
+    @pytest.mark.parametrize("run", ["sed = 3\n", "threds = 2\n", "seed = 3\nthreds = 2\n"],
+                             ids=["seed", "threads", "one-of-two"])
+    def test_unknown_run_key_refused(self, tmp_path, run):
+        # not a run at seed 0 and one thread, even where the keyword
+        # arguments set both
+        p = tmp_path / "c.ini"
+        p.write_text(f"[run]\n{run}\n[extrapolation]\nn = 150\n")
+        with pytest.raises(ConfigError, match=r"unknown \[run\] keys"):
+            load_config(p)
+        with pytest.raises(ConfigError, match=r"unknown \[run\] keys"):
+            load_config(p, experiment="extrapolation", seed=1, threads=1)
+
+    def test_several_experiment_sections_allowed(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text("[run]\nseed = 2\n\n[smallnoise]\nn = 100\n\n[channel]\ngrid_n = 16\n")
+        cfg = load_config(p, experiment="smallnoise")
+        assert (cfg.seed, cfg.params["n"]) == (2, 100)
+        assert load_config(p, experiment="channel").params["grid_n"] == 16
+        with pytest.raises(ConfigError, match="not inferable"):
+            load_config(p)
+
+    def test_echoed_config_loads_back(self, tmp_path):
+        cfg = ExperimentConfig(experiment="smallnoise", out_dir=tmp_path, seed=4, threads=2,
+                               params={"n": 100})
+        cfg.out_dir.mkdir(exist_ok=True)
+        experiments._echo_config(cfg)
+        again = load_config(tmp_path / "config_resolved.ini")
+        assert (again.experiment, again.seed, again.threads, again.paper_scale,
+                again.out_dir, again.params) == (cfg.experiment, 4, 2, False,
+                                                 tmp_path, cfg.params)
+
 
 class TestBoundDetection:
     def test_u_curve_inflections(self):

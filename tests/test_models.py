@@ -730,6 +730,26 @@ class TestContinuumSolvers:
         spectral = probit_map(FractionalOperator(op.eigendecomposition(), 2.0, 1.0), pot)
         assert np.allclose(direct, spectral, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("spec", [
+        Model2Spec(points=np.array([[0.25, 0.25], [0.75, 0.75]]), signs=np.array([1.0, -1.0])),
+        Model1Spec(omega_plus=Ball((0.25, 0.25), 0.15), omega_minus=Ball((0.75, 0.75), 0.15)),
+    ], ids=["woodbury", "full-hessian"])
+    def test_node_space_budget_exhaustion_raises(self, spec, monkeypatch):
+        # one Newton step that converges nowhere near NEWTON_TOL: the loop
+        # ends on its budget, not on an ascent direction or a failed line
+        # search, which both raise at the start, u = 0
+        op = discretize(Density("channel"), 16)
+        idx, y, w = continuum_labeled_nodes(op, spec)
+        woodbury = isinstance(spec, Model2Spec)
+        assert (idx.size ** 2 <= op.grid.size) == woodbury
+        pot = ProbitPotential(gamma=0.1, indices=idx, y=y, weights=w)
+        monkeypatch.setattr(models, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(MapSolverError) as err:
+            continuum_probit_map(op, 2, tau=1.0, pot=pot)
+        assert err.value.iterate.shape == (op.grid.size,)
+        assert np.any(err.value.iterate != 0.0)
+        assert np.isfinite(err.value.residual) and err.value.residual > models.NEWTON_TOL
+
     def test_hessian_solves_reuse_the_first_column_order(self):
         # the node-space Newton loop's full-Hessian route: every Hessian of
         # one MAP has the sparsity of A = A1^2, so a later factorization in

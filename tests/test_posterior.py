@@ -56,11 +56,12 @@ def _unsatisfiable_potential(labels):
 
 class TestPcnMechanics:
     def test_beta_validation(self):
+        base = {"beta": 0.1, "iterations": 20_000, "burn_in": 2_000, "thinning": 10}
         for bad in ({"beta": 0.0}, {"beta": 1.5}, {"thinning": 0}, {"batches": 0},
                     {"burn_in": -1},
                     {"iterations": 2000, "burn_in": 200, "batches": 181}):  # 180 kept
             with pytest.raises(ValueError):
-                PcnConfig(**bad)
+                PcnConfig(**{**base, **bad})
 
     def test_deterministic_given_seed(self, small_graph):
         graph, labels = small_graph
@@ -77,7 +78,7 @@ class TestPcnMechanics:
         labels, prior = _small_prior(small_graph)
         with pytest.raises(ValueError, match="infinite potential"):
             run_pcn(prior, _unsatisfiable_potential(labels),
-                    PcnConfig(beta=0.3, iterations=500, burn_in=0), 0)
+                    PcnConfig(beta=0.3, iterations=500, burn_in=0, thinning=10), 0)
 
     def test_zero_potential_accepts_everything(self):
         _, prior = _prior()
@@ -331,11 +332,11 @@ class TestBlockedRecords:
         kept = len(range(burn_in, iterations, thinning))
         if kept < batches:
             with pytest.raises(ValueError, match="exceeds"):
-                PcnConfig(iterations=iterations, burn_in=burn_in, thinning=thinning,
-                          batches=batches)
+                PcnConfig(beta=0.1, iterations=iterations, burn_in=burn_in,
+                          thinning=thinning, batches=batches)
             return
-        cfg = PcnConfig(iterations=iterations, burn_in=burn_in, thinning=thinning,
-                        batches=batches)
+        cfg = PcnConfig(beta=0.1, iterations=iterations, burn_in=burn_in,
+                        thinning=thinning, batches=batches)
         assert cfg.kept == kept
         blocks = posterior._blocks(cfg)
         size = kept // batches
@@ -418,7 +419,8 @@ class TestLabelConditional:
 
     def test_store_samples_rejected(self, small_graph):
         labels, prior = _small_prior(small_graph)
-        cfg = PcnConfig(iterations=500, burn_in=0, store_samples=True)
+        cfg = PcnConfig(beta=0.1, iterations=500, burn_in=0, thinning=10,
+                        store_samples=True)
         with pytest.raises(ValueError, match="store_samples"):
             run_label_pcn(prior, [ProbitPotential.for_graph(labels, 0.5)], cfg, 0)
 
@@ -427,13 +429,14 @@ class TestLabelConditional:
         idx = np.repeat(labels.indices[:1], 2)
         pot = ProbitPotential(gamma=0.5, indices=idx, y=np.ones(2), weights=np.ones(2))
         with pytest.raises(ValueError, match="singular"):
-            run_label_pcn(prior, [pot], PcnConfig(iterations=500, burn_in=0), 0)
+            run_label_pcn(prior, [pot],
+                          PcnConfig(beta=0.1, iterations=500, burn_in=0, thinning=10), 0)
 
     def test_infinite_initial_potential_rejected(self, small_graph):
         labels, prior = _small_prior(small_graph)
         with pytest.raises(ValueError, match="infinite potential"):
             run_label_pcn(prior, [_unsatisfiable_potential(labels)],
-                          PcnConfig(iterations=500, burn_in=0), 0)
+                          PcnConfig(beta=0.1, iterations=500, burn_in=0, thinning=10), 0)
 
     def test_deterministic_and_batched_like_run_pcn(self, small_graph):
         labels, prior = _small_prior(small_graph)

@@ -95,7 +95,7 @@ class TestFractionalOperator:
             M_alpha = np.real(scipy.linalg.fractional_matrix_power(M, alpha))
             rng = np.random.default_rng(seed)
             u = rng.standard_normal(g.n)
-            assert np.allclose(apply_power(prior, u), M_alpha @ u,
+            assert np.allclose(apply_power(prior, u, 1.0), M_alpha @ u,
                                rtol=1e-8, atol=1e-8 * np.abs(M_alpha @ u).max())
             J_ref = 0.5 / g.n * u @ (M_alpha @ u)
             assert quadratic_form(prior, u) == pytest.approx(J_ref, rel=1e-8)
@@ -111,7 +111,7 @@ class TestFractionalOperator:
         g, prior = _random_graph_prior(50, seed=5)
         rng = np.random.default_rng(7)
         u = rng.standard_normal(g.n)
-        assert np.allclose(apply_power(prior, apply_power(prior, u, -1.0)), u,
+        assert np.allclose(apply_power(prior, apply_power(prior, u, -1.0), 1.0), u,
                            rtol=1e-8, atol=1e-8)
 
 
